@@ -22,7 +22,7 @@ from . import __version__
 from .errors import GpexactError
 from .evolution import EvolveOptions, evolve, evolve_inverse, superpose
 from .kernel import build_kernel_context, closed_form_kernel_1d
-from .ehrenfest import integrate_moments, integrate_variations
+from .ehrenfest import integrate_moments
 from .model import build_model
 from .moments import constants_of_motion, first_moments, norm_squared, \
     second_moments
@@ -70,7 +70,17 @@ def _check(name: str, value: float, tol: float) -> dict:
 def _build_axis(cfg: dict, grid_override: int | None) -> Axis:
     grid = cfg.get("grid", {})
     num = int(grid_override or grid.get("n", 2048))
-    return Axis(float(grid.get("lo", -12.0)), float(grid.get("hi", 12.0)), num)
+    try:
+        return Axis(float(grid.get("lo", -12.0)), float(grid.get("hi", 12.0)),
+                    num)
+    except ValueError as err:
+        raise GpexactError(f"invalid grid: {err}") from err
+
+
+def _build_model(cfg: dict):
+    if "model" not in cfg:
+        raise GpexactError("config has no 'model' section")
+    return build_model(cfg["model"])
 
 
 def _build_state(cfg: dict, model, axis: Axis) -> GridState:
@@ -190,9 +200,7 @@ def _task_kernel(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     t = times[-1]
     traj = integrate_moments(model, cons.kappa_tilde, cons.point, psi.t, t,
                              rtol=1e-12, atol=1e-14)
-    var = integrate_variations(model, cons.kappa_tilde, psi.t, t,
-                               rtol=1e-12, atol=1e-14)
-    ctx = build_kernel_context(model, cons.kappa_tilde, traj, var, psi.t, t)
+    ctx = build_kernel_context(model, cons.kappa_tilde, traj, traj, psi.t, t)
     rng = np.random.default_rng(0)
     xs = rng.normal(scale=1.5, size=100)
     ys = rng.normal(scale=1.5, size=100)
@@ -217,7 +225,7 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
                  grid_override: int | None = None,
                  threads: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg["model"])
+    model = _build_model(cfg)
     axis = _build_axis(cfg, grid_override)
     psi = _build_state(cfg, model, axis)
     times = _schedule(cfg)
@@ -293,7 +301,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_fock(args) -> int:
     cfg = _load_config(args.config) if args.config else \
         dict(GOLDEN_SCENARIOS["driven-1d"])
-    model = build_model(cfg["model"])
+    model = _build_model(cfg)
     axis = _build_axis(cfg, args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,7 +318,7 @@ def _cmd_fock(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args.config) if args.config else \
         dict(GOLDEN_SCENARIOS["driven-1d"])
-    model = build_model(cfg["model"])
+    model = _build_model(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n_max = int(cfg.get("spectrum_levels", 6))

@@ -2,9 +2,9 @@
 
 The first moments follow the classical drift of the mean-field Hamiltonian;
 centered second moments are transported congruently by the fundamental matrix
-(matriciant) A(t,s) of the variational system dA/dt = J h_zz(t) A.  The phase
-action accumulated along the trajectory is integrated alongside so the
-propagator can read it at matching accuracy.
+(matriciant) A(t,s) of the variational system dA/dt = J h_zz(t) A.  One ODE
+solve carries the means, A and the phase action, so the propagator reads all
+of them at matching accuracy.
 """
 
 from __future__ import annotations
@@ -51,36 +51,62 @@ class MomentPoint:
 
 
 class MomentTrajectory:
-    """Dense-in-time solution of the moment system plus the phase action."""
+    """Dense-in-time solution of one (z, A, S) solve: the phase-space mean
+    z, the fundamental matrix A(tau, s) of the variational system, and the
+    phase action S.  Centered second moments are carried by A exactly,
+    Delta(tau) = A(tau, s) Delta(s) A(tau, s)^T.
+
+    Calling the trajectory returns A(tau, s); ``Matriciant`` is the same
+    class under the name of that role.
+    """
 
     def __init__(self, model: QuadraticModel, kappa_tilde: float,
-                 sol, s: float, t: float):
+                 g0: MomentPoint, sol, s: float, t: float):
         self.model = model
         self.kappa_tilde = kappa_tilde
-        self._sol = sol
+        self.g0 = g0
+        self._sol = sol  # None for the empty interval t == s
         self.s = s
         self.t = t
         self.n = model.n
+        # accepted solver steps, in the direction of integration
+        self.step_times = np.array([s]) if sol is None else sol.t
 
-    def _check(self, tau: float) -> None:
+    def _state(self, tau: float) -> np.ndarray:
         lo, hi = min(self.s, self.t), max(self.s, self.t)
         if tau < lo - 1e-12 or tau > hi + 1e-12:
             raise ValueError(f"time {tau} outside trajectory range [{lo}, {hi}]")
+        if self._sol is None:
+            d = 2 * self.n
+            return np.concatenate([self.g0.z, np.eye(d).ravel(), [0.0]])
+        return self._sol.sol(tau)
+
+    def __call__(self, tau: float) -> np.ndarray:
+        """A(tau, s)."""
+        d = 2 * self.n
+        if tau == self.s:
+            return np.eye(d)
+        return self._state(tau)[d: d + d * d].reshape(d, d)
+
+    def between(self, a: float, b: float) -> np.ndarray:
+        """A(b, a) through the group property, using the exact symplectic
+        inverse of A(a, s)."""
+        return self(b) @ symplectic_inverse(self(a))
+
+    @property
+    def at_end(self) -> np.ndarray:
+        return self(self.t)
 
     def z(self, tau: float) -> np.ndarray:
-        self._check(tau)
-        return self._sol.sol(tau)[: 2 * self.n]
+        return self._state(tau)[: 2 * self.n]
 
     def Delta(self, tau: float) -> np.ndarray:
-        self._check(tau)
-        d = 2 * self.n
-        D = self._sol.sol(tau)[d: d + d * d].reshape(d, d)
+        A = self(tau)
+        D = A @ self.g0.Delta @ A.T
         return 0.5 * (D + D.T)
 
     def action(self, tau: float) -> float:
-        self._check(tau)
-        d = 2 * self.n
-        return float(self._sol.sol(tau)[d + d * d])
+        return float(self._state(tau)[-1])
 
     def point(self, tau: float) -> MomentPoint:
         return MomentPoint(self.z(tau), self.Delta(tau))
@@ -92,74 +118,40 @@ class MomentTrajectory:
         return self.z(tau)[self.n:]
 
 
+Matriciant = MomentTrajectory
+
+
 def integrate_moments(model: QuadraticModel, kappa_tilde: float,
                       g0: MomentPoint, s: float, t: float,
                       rtol: float = RTOL_DEFAULT,
                       atol: float = ATOL_DEFAULT) -> MomentTrajectory:
-    """Integrate means, centered second moments, and the phase action over
-    [s, t] (backward if t < s)."""
+    """Integrate the means, the fundamental matrix and the phase action over
+    [s, t] (backward if t < s) in one solve."""
     n = model.n
     d = 2 * n
     J = symplectic_unit(n)
 
     def rhs(tau, y):
         z = y[:d]
-        D = y[d: d + d * d].reshape(d, d)
-        D = 0.5 * (D + D.T)
+        A = y[d: d + d * d].reshape(d, d)
         zdot = J @ (model.Hz(tau) + mean_drift_hessian(model, kappa_tilde, tau) @ z)
-        B = J @ effective_hessian(model, kappa_tilde, tau)
-        Ddot = B @ D + D @ B.T
+        Adot = J @ effective_hessian(model, kappa_tilde, tau) @ A
         sdot = float(z[:n] @ zdot[n:]) - action_hamiltonian(
-            model, kappa_tilde, tau, z, D)
-        return np.concatenate([zdot, Ddot.ravel(), [sdot]])
+            model, kappa_tilde, tau, z, A @ g0.Delta @ A.T)
+        return np.concatenate([zdot, Adot.ravel(), [sdot]])
 
-    y0 = np.concatenate([g0.z, g0.Delta.ravel(), [0.0]])
     if t == s:
-        class _Const:
-            def sol(self, tau):
-                return y0
-        return MomentTrajectory(model, kappa_tilde, _Const(), s, t)
+        return MomentTrajectory(model, kappa_tilde, g0, None, s, t)
 
+    y0 = np.concatenate([g0.z, np.eye(d).ravel(), [0.0]])
     sol = solve_ivp(rhs, (s, t), y0, method="DOP853", dense_output=True,
                     rtol=rtol, atol=atol)
     if not sol.success or not np.all(np.isfinite(sol.y)):
         raise IntegrationError(f"moment integration failed: {sol.message}")
-    traj = MomentTrajectory(model, kappa_tilde, sol, s, t)
-
     # cheap endpoint residual guard against silent integrator trouble
-    yt = np.concatenate([traj.z(t), traj.Delta(t).ravel(), [traj.action(t)]])
-    resid = rhs(t, yt)
-    if not np.all(np.isfinite(resid)):
+    if not np.all(np.isfinite(rhs(t, sol.y[:, -1]))):
         raise IntegrationError("moment system right-hand side is non-finite")
-    return traj
-
-
-class Matriciant:
-    """Fundamental matrix A(tau, s) of the variational system."""
-
-    def __init__(self, model: QuadraticModel, kappa_tilde: float,
-                 sol, s: float, t: float):
-        self.model = model
-        self.kappa_tilde = kappa_tilde
-        self._sol = sol
-        self.s = s
-        self.t = t
-        self.n = model.n
-
-    def __call__(self, tau: float) -> np.ndarray:
-        d = 2 * self.n
-        if tau == self.s:
-            return np.eye(d)
-        return self._sol.sol(tau).reshape(d, d)
-
-    def between(self, a: float, b: float) -> np.ndarray:
-        """A(b, a) through the group property, using the exact symplectic
-        inverse of A(a, s)."""
-        return self(b) @ symplectic_inverse(self(a))
-
-    @property
-    def at_end(self) -> np.ndarray:
-        return self(self.t)
+    return MomentTrajectory(model, kappa_tilde, g0, sol, s, t)
 
 
 def symplectic_inverse(A: np.ndarray) -> np.ndarray:
@@ -172,27 +164,12 @@ def integrate_variations(model: QuadraticModel, kappa_tilde: float,
                          s: float, t: float,
                          rtol: float = RTOL_DEFAULT,
                          atol: float = ATOL_DEFAULT) -> Matriciant:
-    """Integrate dA/dt = J h_zz(t) A with A(s, s) = I (backward allowed)."""
-    n = model.n
-    d = 2 * n
-    J = symplectic_unit(n)
-
-    def rhs(tau, y):
-        A = y.reshape(d, d)
-        return (J @ effective_hessian(model, kappa_tilde, tau) @ A).ravel()
-
-    y0 = np.eye(d).ravel()
-    if t == s:
-        class _Id:
-            def sol(self, tau):
-                return y0
-        return Matriciant(model, kappa_tilde, _Id(), s, t)
-
-    sol = solve_ivp(rhs, (s, t), y0, method="DOP853", dense_output=True,
-                    rtol=rtol, atol=atol)
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise IntegrationError(f"variational integration failed: {sol.message}")
-    return Matriciant(model, kappa_tilde, sol, s, t)
+    """Integrate dA/dt = J h_zz(t) A with A(s, s) = I (backward allowed):
+    the trajectory of a state with vanishing moments."""
+    d = 2 * model.n
+    return integrate_moments(model, kappa_tilde,
+                             MomentPoint(np.zeros(d), np.zeros((d, d))),
+                             s, t, rtol=rtol, atol=atol)
 
 
 def matriciant_blocks(A: np.ndarray):

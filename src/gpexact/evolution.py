@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ehrenfest import (Matriciant, MomentTrajectory, integrate_moments,
-                        integrate_variations, matriciant_blocks)
+                        matriciant_blocks)
 from .errors import PlanError, ResolutionError
 from .kernel import KernelContext, build_kernel_context, caustic_tolerance
 from .model import QuadraticModel
@@ -260,11 +260,10 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
         return state
     traj = integrate_moments(model, kappa_tilde, g0, s, target,
                              rtol=opts.rtol, atol=opts.atol)
-    var = integrate_variations(model, kappa_tilde, s, target,
-                               rtol=opts.rtol, atol=opts.atol)
-    plan = plan_evolution(model, kappa_tilde, traj, var, state, s, target, opts)
+    plan = plan_evolution(model, kappa_tilde, traj, traj, state, s, target,
+                          opts)
     contexts = tuple(
-        build_kernel_context(model, kappa_tilde, traj, var, a, b,
+        build_kernel_context(model, kappa_tilde, traj, traj, a, b,
                              caustic_tol=caustic_tolerance(
                                  model, b - a, opts.caustic_factor))
         for (a, b) in plan.splits)
@@ -296,10 +295,7 @@ def evolve_inverse(model: QuadraticModel, Psi: GridState, s: float,
                    opts: EvolveOptions | None = None) -> GridState:
     """Left inverse of :func:`evolve`: the propagator with swapped time
     arguments, its moment record read off the state itself."""
-    opts = opts or EvolveOptions()
-    cons = constants_of_motion(model, Psi)
-    kt = cons.kappa_tilde if opts.kappa_tilde is None else opts.kappa_tilde
-    return _propagate(model, Psi, cons.point, kt, s, opts)
+    return evolve(model, Psi, s, opts)
 
 
 def evolve_composed(model: QuadraticModel, psi: GridState, s: float, r: float,

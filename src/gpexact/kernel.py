@@ -11,8 +11,15 @@ l1..l4 of A(t, s), and the accumulated phase action:
 
 with dx = x - X(t), dy = y - X(s).  The square-root branch is propagated
 continuously in time from the short-time asymptote; every interior zero of
-det l3 (a conjugate point) advances the determinant phase by pi per zero
-order, in the direction of the time path.
+det l3 (a conjugate point) turns the determinant phase by pi per zero order,
+in the sense of its crossing (forward along the time path when the momentum
+block of the Hessian is positive definite).
+
+The conjugate points of a leg are counted exactly, with no sampling of
+det l3: the Lagrangian frame F = A(tau, a)[:, :n] gives the never-singular
+U = X + iP, whose determinant phase is unwrapped over the integrator's
+accepted steps, and the eigen-angles of the unitary U conj(U)^(-1) at the end
+of the leg turn that phase into the number of zeros (the Maslov index).
 """
 
 from __future__ import annotations
@@ -81,72 +88,74 @@ class KernelContext:
         return self.model.n
 
 
-def _refine_dip(dfun, lo: float, hi: float, scale: float,
-                passes: int = 8) -> int:
-    """Resolve a same-sign dip of |d| on (lo, hi) into phase units: sign
-    changes found under refinement count 1 each, a confirmed even-order touch
-    counts 2, a dip that stalls above threshold counts 0."""
-    prev_min = np.inf
-    for _ in range(passes):
-        taus = np.linspace(lo, hi, 26)[1:-1]
-        vals = np.array([dfun(tau) for tau in taus])
-        flips = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
-        if flips:
-            return flips
-        k = int(np.argmin(np.abs(vals)))
-        vmin = abs(vals[k])
-        if vmin < 1e-8 * scale:
-            return 2
-        if vmin > 0.9 * prev_min:
-            return 0  # stalled well above zero: a genuine nonzero dip
-        prev_min = vmin
-        lo, hi = taus[max(0, k - 1)], taus[min(len(taus) - 1, k + 1)]
-    return 0
+def conjugate_point_units(traj: Matriciant, a: float, b: float) -> int:
+    """Signed count of conjugate points on the leg a -> b (the Maslov index
+    of the leg), each weighted by its order.
 
-
-def _caustic_phase_units(dfun, a: float, b: float) -> tuple[int, float, float]:
-    """Count pi-units of determinant phase accumulated by zeros of the real
-    function d(tau) = det l3(tau, a) along the path a -> b.
-
-    Returns (units, d_first, d_last).  Simple sign changes count 1; confirmed
-    even-order touch points count 2.
+    The leg frame F = A(tau, a)[:, :n] spans a Lagrangian plane, so
+    U = X + iP (position and momentum rows of F) is never singular and
+    W = U conj(U)^(-1) is unitary; conjugate points are the times where W
+    has the eigenvalue -1.  The phase Theta = 2 arg det U = arg det W is
+    unwrapped over the solver's accepted steps, halving any step whose
+    increment exceeds pi/4; comparing it with the principal eigen-angles of
+    W at b counts the eigenvalues that passed -1.  At a all eigenvalues sit
+    at -1; the ones that leave it by wrapping (the negative directions of
+    Hpp going forward, the positive ones going backward) are not conjugate
+    points and are taken off.  With a positive-definite momentum block every
+    crossing has the same sense and the count is nonnegative both ways.
     """
-    u = np.concatenate([np.geomspace(1e-6, 0.04, 12, endpoint=False),
-                        np.linspace(0.04, 1.0, 200)])
-    taus = a + (b - a) * u
-    d = np.array([dfun(tau) for tau in taus])
-    scale = float(np.max(np.abs(d)))
-    if scale == 0.0 or not np.all(np.isfinite(d)):
-        raise CausticError("variational determinant vanishes along the path")
+    n = traj.n
+    negative = _momentum_block_negatives(traj.model, traj.kappa_tilde, a)
+    frame_a = symplectic_inverse(traj(a))[:, :n]
 
-    tiny = 1e-12 * scale
-    units = 0
-    solid = np.where(np.abs(d) > tiny)[0]
-    if solid.size < 2:
-        raise CausticError("variational determinant vanishes along the path")
-    sgn = np.sign(d)
-    for i, j in zip(solid[:-1], solid[1:]):
-        if sgn[i] != sgn[j]:
-            units += 1
-        elif j > i + 1:
-            units += 2  # zero run between same-sign samples: even-order touch
-    # even-order touch candidates: same-sign local minima of |d| strictly
-    # between adjacent solid samples (cannot overlap a counted crossing)
-    for idx in range(1, solid.size - 1):
-        h, i, j = solid[idx - 1], solid[idx], solid[idx + 1]
-        if j != i + 1 or i != h + 1:
-            continue
-        if sgn[h] == sgn[i] == sgn[j] and abs(d[i]) < 0.2 * scale and \
-                abs(d[i]) <= abs(d[h]) and abs(d[i]) <= abs(d[j]):
-            units += _refine_dip(dfun, taus[h], taus[j], scale)
-    return units, float(d[solid[0]]), float(d[-1])
+    def det_u(tau: float) -> complex:
+        F = traj(tau) @ frame_a
+        return complex(np.linalg.det(F[n:] + 1j * F[:n]))
+
+    lo, hi = min(a, b), max(a, b)
+    nodes = [tau for tau in sorted(traj.step_times, reverse=bool(b < a))
+             if lo < tau < hi] + [b]
+    tau0, u0, half_theta = a, 1j ** n, 0.0
+    for node in nodes:
+        pending = [(node, det_u(node))]
+        while pending:
+            tau1, u1 = pending[-1]
+            step = float(np.angle(u1 / u0))
+            if abs(step) > math.pi / 4:
+                if len(pending) > 50:
+                    raise IntegrationError(
+                        "frame determinant phase does not resolve on the leg")
+                mid = 0.5 * (tau0 + tau1)
+                pending.append((mid, det_u(mid)))
+                continue
+            half_theta += step
+            tau0, u0 = pending.pop()
+    theta = n * math.pi + 2.0 * half_theta
+
+    F = traj(b) @ frame_a
+    U = F[n:] + 1j * F[:n]
+    sum_phi = float(np.sum(np.angle(np.linalg.eigvals(U @ np.linalg.inv(U.conj())))))
+    if b > a:
+        return round((sum_phi - theta) / (2.0 * math.pi)) + negative
+    return round((theta - sum_phi) / (2.0 * math.pi)) - (n - negative)
+
+
+def _momentum_block_negatives(model: QuadraticModel, kappa_tilde: float,
+                              t: float) -> int:
+    """Number of negative eigenvalues of the effective Hpp at time t."""
+    n = model.n
+    hpp = model.momentum_block(t) + kappa_tilde * model.Wzz[:n, :n]
+    return int(np.sum(np.linalg.eigvalsh(hpp) < 0.0))
 
 
 def build_kernel_context(model: QuadraticModel, kappa_tilde: float,
                          traj: MomentTrajectory, var: Matriciant,
                          a: float, b: float,
                          caustic_tol: float | None = None) -> KernelContext:
-    """Assemble the propagator context for the leg a -> b of a trajectory."""
+    """Assemble the propagator context for the leg a -> b of a trajectory.
+
+    ``var`` supplies A(tau, s); a :class:`MomentTrajectory` serves as both.
+    """
     n = model.n
     hbar = model.hbar
     if caustic_tol is None:
@@ -160,28 +169,20 @@ def build_kernel_context(model: QuadraticModel, kappa_tilde: float,
             f"|det l3| = {abs(det_l3):.3e} at dt = {b - a:.4g}: conjugate "
             "point; split the interval via the group property")
 
-    Ma_inv = symplectic_inverse(var(a))
+    units = conjugate_point_units(var, a, b)
 
-    def dfun(tau: float) -> float:
-        blk = (var(tau) @ Ma_inv)[n:, :n]
-        return float(np.linalg.det(-blk.T))
-
-    units, d_first, d_last = _caustic_phase_units(dfun, a, b)
-
-    # continuous phase of D = det(-2*pi*i*hbar*l3): theta tracks the real
-    # determinant's phase from its short-time asymptote, zeros add pi each.
-    hpp = model.momentum_block(a) + kappa_tilde * model.Wzz[:n, :n]
-    det_hpp = float(np.linalg.det(hpp))
-    arg0 = 0.0 if det_hpp > 0 else math.pi
+    # continuous phase of D = det(-2*pi*i*hbar*l3): theta starts at the
+    # short-time asymptote l3 ~ -(b - a) Hpp, where each negative eigenvalue
+    # of Hpp turns its factor by -pi (forward) or +pi (backward); every
+    # conjugate point then advances it by pi in the direction of the path.
+    negative = _momentum_block_negatives(model, kappa_tilde, a)
     forward = b > a
-    theta_start = (n * math.pi if forward else 0.0) + arg0
-    if math.copysign(1.0, math.cos(theta_start)) != math.copysign(1.0, d_first):
-        raise IntegrationError("branch anchor inconsistent with determinant sign")
+    theta_start = (n - negative) * math.pi if forward else negative * math.pi
     direction = 1.0 if forward else -1.0
     theta_end = theta_start + math.pi * units * direction
-    if math.copysign(1.0, math.cos(theta_end)) != math.copysign(1.0, d_last):
+    if math.copysign(1.0, math.cos(theta_end)) != math.copysign(1.0, det_l3):
         raise IntegrationError(
-            "caustic count parity mismatch; increase branch sampling")
+            "branch phase inconsistent with the sign of det l3")
     arg_D = -n * math.pi / 2.0 + theta_end
     prefactor = complex(
         ((2.0 * math.pi * hbar) ** n * abs(det_l3)) ** -0.5

@@ -36,6 +36,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _symmetrized(name: str, mat: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ModelError(f"{name} has non-finite entries")
     skew = np.max(np.abs(mat - mat.T))
     scale = max(1.0, np.max(np.abs(mat)))
     if skew > tol * scale:
@@ -143,9 +145,16 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
                Hzz, Hz, Wzz=None, Wzw=None, Www=None,
                example=None, spec=None) -> QuadraticModel:
     """Validate and assemble a model; matrix arguments may be constants or
-    callables of time."""
+    callables of time.
+
+    Constant matrices are validated once here and returned frozen on every
+    call; callables are checked on every call.  A model without callables
+    records its own spec, so :func:`model_to_spec` can serialize it.
+    """
     if n not in (1, 2, 3):
         raise ModelError("spatial dimension must be 1, 2 or 3")
+    if not all(math.isfinite(v) for v in (hbar, mass, kappa)):
+        raise ModelError("hbar, mass and kappa must be finite")
     if hbar <= 0 or mass <= 0:
         raise ModelError("hbar and mass must be positive")
     d = 2 * n
@@ -157,40 +166,45 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
     for name, mat in (("Wzz", Wzz), ("Wzw", Wzw), ("Www", Www)):
         if mat.shape != (d, d):
             raise ModelError(f"{name} must be {d}x{d}, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ModelError(f"{name} has non-finite entries")
     Wzz = _freeze(_symmetrized("Wzz", Wzz))
     Www = _freeze(_symmetrized("Www", Www))
     Wzw = _freeze(Wzw)
 
-    if callable(Hzz):
-        hzz_raw = Hzz
-    else:
-        const_hzz = _freeze(_symmetrized("Hzz", np.asarray(Hzz, dtype=float)))
-        if const_hzz.shape != (d, d):
-            raise ModelError(f"Hzz must be {d}x{d}, got {const_hzz.shape}")
-        hzz_raw = lambda t, _m=const_hzz: _m
-
     def hzz(t: float) -> np.ndarray:
-        mat = np.asarray(hzz_raw(t), dtype=float)
+        mat = np.asarray(Hzz(t) if callable(Hzz) else Hzz, dtype=float)
         if mat.shape != (d, d):
-            raise ModelError(f"Hzz(t) must be {d}x{d}, got {mat.shape}")
-        return _symmetrized("Hzz(t)", mat)
-
-    if callable(Hz):
-        hz_raw = Hz
-    else:
-        const_hz = _freeze(np.asarray(Hz, dtype=float).reshape(d))
-        hz_raw = lambda t, _v=const_hz: _v
+            raise ModelError(f"Hzz must be {d}x{d}, got {mat.shape}")
+        return _symmetrized("Hzz", mat)
 
     def hz(t: float) -> np.ndarray:
-        vec = np.asarray(hz_raw(t), dtype=float)
-        if vec.shape != (d,):
-            raise ModelError(f"Hz(t) must have length {d}, got {vec.shape}")
+        vec = np.asarray(Hz(t) if callable(Hz) else np.ravel(Hz), dtype=float)
+        if vec.shape != (d,) or not np.all(np.isfinite(vec)):
+            raise ModelError(f"Hz must hold {d} finite entries, got {vec.shape}")
         return vec
 
+    if not callable(Hzz):
+        const_hzz = _freeze(hzz(0.0))
+        hzz = lambda t: const_hzz
+    if not callable(Hz):
+        const_hz = _freeze(hz(0.0))
+        hz = lambda t: const_hz
+    hz(0.0)  # a time-dependent drive is checked at build time too
     hpp = hzz(0.0)[:n, :n]
     if abs(np.linalg.det(hpp)) < 1e-12:
         raise ModelError("momentum-momentum block of Hzz is singular")
 
+    if spec is None and not callable(Hzz) and not callable(Hz):
+        spec = {
+            "example": "custom", "n": n, "hbar": hbar, "m": mass,
+            "kappa": kappa,
+            "Hzz": const_hzz.reshape(d * d).tolist(),
+            "Hz": const_hz.tolist(),
+            "Wzz": Wzz.reshape(d * d).tolist(),
+            "Wzw": Wzw.reshape(d * d).tolist(),
+            "Www": Www.reshape(d * d).tolist(),
+        }
     return QuadraticModel(n, hbar, mass, kappa, hzz, hz, Wzz, Wzw, Www,
                           example=example, spec=spec)
 
@@ -315,19 +329,12 @@ def build_model(spec: dict) -> QuadraticModel:
 
 
 def model_to_spec(model: QuadraticModel) -> dict:
-    """Serialize a model back to the JSON schema; round-trips bitwise."""
-    if model.spec is not None:
-        return dict(model.spec)
-    d = 2 * model.n
-    return {
-        "example": "custom",
-        "n": model.n,
-        "hbar": model.hbar,
-        "m": model.mass,
-        "kappa": model.kappa,
-        "Hzz": model.Hzz(0.0).reshape(d * d).tolist(),
-        "Hz": model.Hz(0.0).tolist(),
-        "Wzz": model.Wzz.reshape(d * d).tolist(),
-        "Wzw": model.Wzw.reshape(d * d).tolist(),
-        "Www": model.Www.reshape(d * d).tolist(),
-    }
+    """Serialize a model back to the JSON schema; round-trips bitwise.
+
+    Models with time-dependent Hzz/Hz serialize only through the spec they
+    were built from (``build_model``, or the ``spec`` argument).
+    """
+    if model.spec is None:
+        raise ModelError("model has time-dependent Hzz/Hz and no spec; it "
+                         "cannot be serialized")
+    return dict(model.spec)

@@ -59,6 +59,23 @@ def test_unknown_task_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_invalid_grid_fails_cleanly(tmp_path, capsys):
+    code = main(["scenario", "--config", write_config(tmp_path), "--out",
+                 str(tmp_path / "o"), "--grid", "1023"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_config_without_model_fails_cleanly(tmp_path, capsys):
+    cfg = {k: v for k, v in SCENARIO.items() if k != "model"}
+    code = main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_decreasing_schedule_rejected(tmp_path):
     cfg = dict(SCENARIO)
     cfg["schedule"] = [1.0, 0.5]

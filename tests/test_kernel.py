@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
 from gpexact.errors import CausticError
+from gpexact.kernel import conjugate_point_units
 
 from conftest import KAPPA
 
@@ -270,3 +272,86 @@ def test_kernel_csv_dump(tmp_path, model_1d):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,re,im"
     assert len(lines) == 5
+
+
+@st.composite
+def stable_legs(draw):
+    """A random quadratic model with positive-definite Hzz (a stable flow
+    with positive-definite Hpp), its trajectory, and a leg a -> b of it in
+    either time direction."""
+    n = draw(st.sampled_from([1, 2]))
+    d = 2 * n
+    entries = draw(st.lists(st.floats(-0.7, 0.7), min_size=d * d,
+                            max_size=d * d))
+    M = np.array(entries).reshape(d, d)
+    floor = draw(st.floats(0.5, 2.0))  # bounds every frequency below
+    model = gx.make_model(n, 1.0, 1.0, 0.0, M @ M.T + floor * np.eye(d),
+                          np.zeros(d))
+    T = draw(st.floats(3.0, 15.0)) * draw(st.sampled_from([1.0, -1.0]))
+    traj = gx.integrate_variations(model, 0.0, 0.0, T)
+    fa, fb = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    assume(abs(fa - fb) > 0.05)
+    return model, traj, fa * T, fb * T
+
+
+def det_l3(traj, a, tau):
+    return float(np.linalg.det(gx.matriciant_blocks(traj.between(a, tau))[2]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(stable_legs())
+def test_leg_count_matches_sign_changes(leg):
+    """The exact count equals the sign changes of det l3(tau, a) on a fine
+    grid, on legs whose zeros are all simple and resolved by the grid."""
+    _, traj, a, b = leg
+    taus = a + (b - a) * np.arange(1, 3001) / 3000.0
+    d = np.array([det_l3(traj, a, tau) for tau in taus])
+    scale = np.max(np.abs(d))
+    assume(abs(d[-1]) > 1e-3 * scale)
+    flips = np.flatnonzero(np.sign(d[:-1]) != np.sign(d[1:]))
+    assume(np.all(np.diff(flips) > 10))  # zeros well apart
+    ad = np.abs(d)
+    for i in range(1, ad.size - 1):
+        if ad[i] <= ad[i - 1] and ad[i] <= ad[i + 1] and \
+                not (set(flips) & {i - 1, i}):
+            assume(ad[i] > 0.05 * scale)  # no near-touch of zero
+    assert conjugate_point_units(traj, a, b) == flips.size
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(stable_legs())
+def test_prefactor_squares_to_inverse_determinant(leg):
+    model, traj, a, b = leg
+    try:
+        ctx = gx.build_kernel_context(model, 0.0, traj, traj, a, b)
+    except CausticError:
+        assume(False)
+    D = np.linalg.det(-2j * math.pi * model.hbar * ctx.l3)
+    assert ctx.prefactor ** 2 * D == pytest.approx(1.0 + 0.0j, abs=1e-9)
+
+
+def test_trajectory_rejects_times_outside_its_range(model_1d):
+    traj = gx.integrate_variations(model_1d, KAPPA, 0.0, 2.0)
+    for tau in (-0.1, 2.1):
+        with pytest.raises(ValueError):
+            traj(tau)
+        with pytest.raises(ValueError):
+            traj.between(0.0, tau)
+
+
+def test_branch_for_negative_momentum_block():
+    """Reversing the sign of H runs the flow backward in time: the kernel
+    of -H over +t is the kernel of H over -t, and a model whose momentum
+    block is indefinite factors into one forward and one backward axis."""
+    h = np.diag([1.0, 1.0])
+    model = gx.make_model(1, 1.0, 1.0, 0.0, h, np.zeros(2))
+    flipped = gx.make_model(1, 1.0, 1.0, 0.0, -h, np.zeros(2))
+    mixed = gx.make_model(2, 1.0, 1.0, 0.0, np.diag([1.0, -1.0, 1.0, -1.0]),
+                          np.zeros(4))
+    for t in (0.5, 2.0, 4.0, 7.0):  # 0, 0, 1 and 2 conjugate points
+        fwd = make_context(model, 0.0, plain_point(), 0.0, t)[0].prefactor
+        bwd = make_context(model, 0.0, plain_point(), 0.0, -t)[0].prefactor
+        neg = make_context(flipped, 0.0, plain_point(), 0.0, t)[0].prefactor
+        mix = make_context(mixed, 0.0, plain_point(2), 0.0, t)[0].prefactor
+        assert neg == pytest.approx(bwd, abs=1e-10)
+        assert mix == pytest.approx(fwd * bwd, abs=1e-10)

@@ -132,3 +132,50 @@ def test_resonance_and_negative_frequency_rejected():
 def test_model_immutability(model_1d):
     with pytest.raises(ValueError):
         model_1d.Wzz[0, 0] = 1.0
+
+
+def test_constant_matrices_validated_once_and_frozen():
+    hzz = np.array([[1.0, 1e-14], [0.0, 2.0]])
+    model = gx.make_model(1, 1.0, 1.0, 0.0, hzz, [0.0, 0.3])
+    assert model.Hzz(0.0) is model.Hzz(1.7)
+    assert model.Hz(0.0) is model.Hz(1.7)
+    assert not model.Hzz(0.5).flags.writeable
+    assert not model.Hz(0.5).flags.writeable
+    assert np.array_equal(model.Hzz(0.5), model.Hzz(0.5).T)
+
+
+def test_callable_matrices_checked_per_call():
+    def hzz(t):
+        return np.array([[1.0, 0.0], [0.0, 1.0 if t < 1.0 else np.nan]])
+
+    model = gx.make_model(1, 1.0, 1.0, 0.0, hzz, np.zeros(2))
+    assert model.Hzz(0.5)[1, 1] == 1.0
+    with pytest.raises(ModelError):
+        model.Hzz(1.5)
+
+
+@pytest.mark.parametrize("key", ["kappa", "hbar", "m", "k", "a", "E"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_rejected(key, bad):
+    spec = {"example": "1d", "hbar": 1.0, "kappa": 0.5, key: bad}
+    with pytest.raises(ModelError):
+        gx.build_model(spec)
+
+
+@pytest.mark.parametrize("field", ["Hzz", "Hz", "Wzz", "Wzw", "Www"])
+def test_non_finite_custom_matrices_rejected(field):
+    args = {"Hzz": np.eye(2), "Hz": np.zeros(2), "Wzz": np.zeros((2, 2)),
+            "Wzw": np.zeros((2, 2)), "Www": np.zeros((2, 2))}
+    args[field] = np.array(args[field])
+    args[field].flat[-1] = np.inf
+    with pytest.raises(ModelError):
+        gx.make_model(1, 1.0, 1.0, 0.0, **args)
+
+
+def test_model_to_spec_rejects_time_dependent_model(model_1d):
+    with pytest.raises(ModelError):
+        gx.model_to_spec(model_1d)
+    constant = gx.harmonic_model(omega=1.3, kappa=0.2)
+    again = gx.build_model(gx.model_to_spec(constant))
+    assert np.array_equal(again.Hzz(0.4), constant.Hzz(0.4))
+    assert again.kappa == constant.kappa
