@@ -226,6 +226,9 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
                  threads: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = _build_model(cfg)
+    if model.n != 1:
+        raise GpexactError("scenarios run 1D models only (initial states, "
+                           f"density_t*.csv); the model has n = {model.n}")
     axis = _build_axis(cfg, grid_override)
     psi = _build_state(cfg, model, axis)
     times = _schedule(cfg)

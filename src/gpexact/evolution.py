@@ -3,18 +3,22 @@ superposition on grid states.
 
 The operator integrates the moment system from the input state's own moment
 record, builds the Gaussian propagator for the resulting trajectory, and
-applies it by dense trapezoid quadrature.  Conjugate points are never crossed
-inside a single quadrature leg: the plan splits the interval and composes,
-which is legitimate because the legs share one trajectory.
+applies it by trapezoid quadrature on the uniform grid.  The sampled kernel
+is a discrete linear canonical transform whose cross term dx^T l3^(-1) dy
+is a Bluestein chirp convolution: O(N log N) per uncoupled axis, and
+O(N^3 log N) per slice for an axis pair coupled through l3^(-1).  Conjugate
+points are never crossed inside a single quadrature leg: the plan splits
+the interval and composes, which is legitimate because the legs share one
+trajectory.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from .ehrenfest import (Matriciant, MomentTrajectory, integrate_moments,
                         matriciant_blocks)
@@ -23,9 +27,6 @@ from .kernel import KernelContext, build_kernel_context, caustic_tolerance
 from .model import QuadraticModel
 from .moments import constants_of_motion
 from .state import Axis, GridState, check_resolved, support_radius
-
-_MAX_DENSE_BLOCK = 1 << 23  # complex entries per quadrature block
-
 
 @dataclass(frozen=True)
 class EvolveOptions:
@@ -116,133 +117,107 @@ def plan_evolution(model: QuadraticModel, kappa_tilde: float,
     return EvolutionPlan(s, t, tuple(splits))
 
 
-def _phase_outer_1d(ctx: KernelContext, xs: np.ndarray,
-                    ys: np.ndarray) -> np.ndarray:
-    hbar = ctx.model.hbar
-    dx = xs - ctx.X_t[0]
-    dy = ys - ctx.X_s[0]
-    fx = (ctx.P_t[0] * dx - 0.5 * ctx.m_xx[0, 0] * dx ** 2) / hbar
-    fy = (-ctx.P_s[0] * dy - 0.5 * ctx.m_yy[0, 0] * dy ** 2) / hbar
-    cross = (ctx.m_xy[0, 0] / hbar) * np.outer(dx, dy)
-    return fx[:, None] + fy[None, :] + cross
+# Largest phase, in radians, that a dropped cross-term entry may add over
+# the grid: below it two axes count as uncoupled.
+_DROP_PHASE = 1e-13
 
 
-def _apply_dense(ctx: KernelContext, state: GridState,
-                 axes_out: tuple[Axis, ...], threads: int) -> np.ndarray:
-    """Chunked dense quadrature for n = 1, 2."""
+def _chirp(offsets: tuple[np.ndarray, ...], lin: np.ndarray, quad: np.ndarray,
+           hbar: float) -> np.ndarray:
+    """exp{(i/hbar) [lin.d - d^T quad d / 2]} on the sparse grid of
+    per-axis offsets d."""
+    phase = sum((lin[a] - 0.5 * sum(q * db for q, db in zip(quad[a], offsets)))
+                * da for a, da in enumerate(offsets))
+    return np.exp(1j * phase / hbar)
+
+
+def _chirp_z(f: np.ndarray, c: float, n_out: int, workers: int,
+             twist: np.ndarray | float = 1.0) -> np.ndarray:
+    """sum_j exp(i c i j) (twist * f)[..., j] for i = 0..n_out-1.
+
+    Bluestein's identity i j = (i^2 + j^2 - (i - j)^2) / 2 turns the sum
+    into one FFT convolution with the lag chirp exp(-i c k^2 / 2), at a
+    length that holds every lag k = i - j without wrap-around.
+    """
+    n_in = f.shape[-1]
+    size = sp_fft.next_fast_len(n_in + n_out - 1)
+    k = np.arange(-(n_in - 1), max(n_in, n_out))
+    w = np.exp(0.5j * c * k.astype(float) ** 2)  # index k + n_in - 1
+    lags = np.zeros(size, dtype=complex)
+    lags[k[:n_in - 1 + n_out] % size] = w[:n_in - 1 + n_out].conj()
+    shape = np.broadcast_shapes(f.shape, np.shape(twist))
+    buf = np.zeros(shape[:-1] + (size,), dtype=complex)
+    np.multiply(f, twist * w[n_in - 1:2 * n_in - 1], out=buf[..., :n_in])
+    spec = sp_fft.fft(buf, workers=workers, overwrite_x=True)
+    spec *= sp_fft.fft(lags)
+    out = sp_fft.ifft(spec, workers=workers, overwrite_x=True)[..., :n_out]
+    return out * w[n_in - 1:n_in - 1 + n_out]
+
+
+def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
+                  n_out: tuple[int, ...], workers: int) -> np.ndarray:
+    """sum over (j_a, j_b) of exp{i (C_aa i_a j_a + C_ab i_a j_b + C_ba i_b
+    j_a + C_bb i_b j_b)} f for two coupled axes, slice by slice over the
+    other axes: the j_a sum is a chirp-z whose frequency is offset by
+    C_ba i_b, the j_b sum is contracted directly.  O(N^3 log N) time and
+    O(N^3) memory per slice.
+    """
+    g = np.moveaxis(f, (a, b), (-2, -1))
+    na_out, nb_out = n_out[a], n_out[b]
+    ja, jb = np.arange(g.shape[-2]), np.arange(g.shape[-1])
+    ia, ib = np.arange(na_out), np.arange(nb_out)
+    twist = np.exp(1j * C[b, a] * np.outer(ib, ja))  # [i_b, j_a]
+    direct = np.exp(1j * jb[:, None, None] * (C[a, b] * ia[None, None, :]
+                                              + C[b, b] * ib[None, :, None]))
+    out = np.empty(g.shape[:-2] + (na_out, nb_out), dtype=complex)
+    for s in np.ndindex(g.shape[:-2]):
+        h = _chirp_z(g[s].T[:, None, :], C[a, a], na_out, workers, twist)
+        out[s] = np.einsum("jba,jba->ab", direct, h)  # h[j_b, i_b, i_a]
+    return np.moveaxis(out, (-2, -1), (a, b))
+
+
+def _apply_kernel(ctx: KernelContext, state: GridState,
+                  axes_out: tuple[Axis, ...], workers: int) -> np.ndarray:
+    """Trapezoid quadrature of the propagator against the state, for every
+    dimension, in O(N log N) per uncoupled axis.
+
+    With dx = x0 + i dX and dy = y0 + j dY (x0, y0 the offsets of the first
+    output and input points), the phase splits into one-body chirps of y
+    and of x and the index cross term i^T C j, C = diag(dX) m_xy diag(dY) /
+    hbar.  Each uncoupled axis takes one chirp-z; a coupled pair takes
+    :func:`_chirp_z_pair`.  A cross-term entry is dropped only when the
+    largest phase it adds over the grid is at most _DROP_PHASE.
+    """
     n = ctx.n
     hbar = ctx.model.hbar
-    scalar = ctx.prefactor * np.exp(1j * ctx.action_diff / hbar)
-    w = state.weight
-    src = state.psi.ravel()
+    m_xy = ctx.m_xy
+    x0 = np.array([o.lo for o in axes_out]) - ctx.X_t
+    y0 = np.array([o.lo for o in state.axes]) - ctx.X_s
+    dx = np.meshgrid(*(o.points - c for o, c in zip(axes_out, ctx.X_t)),
+                     indexing="ij", sparse=True)
+    dy = np.meshgrid(*(o.points - c for o, c in zip(state.axes, ctx.X_s)),
+                     indexing="ij", sparse=True)
+    C = np.outer([o.delta for o in axes_out],
+                 [o.delta for o in state.axes]) * m_xy / hbar
+    n_out = tuple(o.num for o in axes_out)
 
-    if n == 1:
-        xs = axes_out[0].points
-        ys = state.axes[0].points
-        rows_per_block = max(1, _MAX_DENSE_BLOCK // ys.size)
+    reach = np.abs(C) * np.outer(np.subtract(n_out, 1),
+                                 np.subtract(state.psi.shape, 1))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if max(reach[a, b], reach[b, a]) > _DROP_PHASE]
+    if len(pairs) > 1:
+        raise PlanError("the kernel cross term couples all three axes; only "
+                        "one coupled axis pair is supported")
 
-        def do_block(i0: int) -> np.ndarray:
-            i1 = min(i0 + rows_per_block, xs.size)
-            phase = _phase_outer_1d(ctx, xs[i0:i1], ys)
-            return (np.exp(1j * phase) @ src) * (w * scalar)
-
-        blocks = range(0, xs.size, rows_per_block)
-        if threads > 1:
-            with ThreadPoolExecutor(threads) as pool:
-                parts = list(pool.map(do_block, blocks))
-        else:
-            parts = [do_block(i0) for i0 in blocks]
-        return np.concatenate(parts)
-
-    # generic dense path, n = 2
-    ypts = state.grids(sparse=False)
-    Y = np.stack([p.ravel() for p in ypts], axis=-1)
-    xg = np.meshgrid(*(ax.points for ax in axes_out), indexing="ij",
-                     sparse=False)
-    X = np.stack([p.ravel() for p in xg], axis=-1)
-    dy = Y - ctx.X_s
-    gy = (-dy @ ctx.P_s - 0.5 * np.einsum("yi,ij,yj->y", dy, ctx.m_yy, dy)) / hbar
-    rows_per_block = max(1, _MAX_DENSE_BLOCK // Y.shape[0])
-
-    def do_block2(i0: int) -> np.ndarray:
-        i1 = min(i0 + rows_per_block, X.shape[0])
-        dx = X[i0:i1] - ctx.X_t
-        gx = (dx @ ctx.P_t - 0.5 * np.einsum("xi,ij,xj->x", dx, ctx.m_xx, dx)) / hbar
-        cross = (dx @ ctx.m_xy @ dy.T) / hbar
-        kern = np.exp(1j * (gx[:, None] + gy[None, :] + cross))
-        return (kern @ src) * (w * scalar)
-
-    blocks = range(0, X.shape[0], rows_per_block)
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(do_block2, blocks))
-    else:
-        parts = [do_block2(i0) for i0 in blocks]
-    return np.concatenate(parts)
-
-
-def _block_structure_ok(M: np.ndarray, tol: float = 1e-9) -> bool:
-    scale = max(1.0, float(np.max(np.abs(M))))
-    off = max(float(np.max(np.abs(M[:2, 2:]))), float(np.max(np.abs(M[2:, :2]))))
-    return off <= tol * scale
-
-
-def _apply_factorized_3d(ctx: KernelContext, state: GridState,
-                         axes_out: tuple[Axis, ...]) -> np.ndarray:
-    """Separable quadrature for 3D models whose variational blocks decouple
-    the (x1, x2) plane from x3 (in-plane rotation times axial oscillator)."""
-    hbar = ctx.model.hbar
-    for M in (ctx.m_xx, ctx.m_xy, ctx.m_yy):
-        if not _block_structure_ok(M):
-            raise PlanError("3D quadrature requires plane/axis separable "
-                            "variational blocks; generic dense 3D is not "
-                            "supported")
-    ax1, ax2, ax3 = state.axes
-    ox1, ox2, ox3 = axes_out
-    w12 = ax1.delta * ax2.delta
-    w3 = ax3.delta
-
-    # axial factor
-    dx3 = ox3.points - ctx.X_t[2]
-    dy3 = ax3.points - ctx.X_s[2]
-    ph3 = (ctx.P_t[2] * dx3[:, None] - ctx.P_s[2] * dy3[None, :]
-           - 0.5 * ctx.m_yy[2, 2] * dy3[None, :] ** 2
-           + ctx.m_xy[2, 2] * np.outer(dx3, dy3)
-           - 0.5 * ctx.m_xx[2, 2] * dx3[:, None] ** 2) / hbar
-    k3 = np.exp(1j * ph3)
-
-    # in-plane factor, shape (ox1, ox2, ax1, ax2)
-    dx1 = (ox1.points - ctx.X_t[0])[:, None, None, None]
-    dx2 = (ox2.points - ctx.X_t[1])[None, :, None, None]
-    dy1 = (ax1.points - ctx.X_s[0])[None, None, :, None]
-    dy2 = (ax2.points - ctx.X_s[1])[None, None, None, :]
-    mxx, mxy, myy = ctx.m_xx, ctx.m_xy, ctx.m_yy
-    ph12 = (ctx.P_t[0] * dx1 + ctx.P_t[1] * dx2
-            - ctx.P_s[0] * dy1 - ctx.P_s[1] * dy2
-            - 0.5 * (myy[0, 0] * dy1 ** 2 + 2.0 * myy[0, 1] * dy1 * dy2
-                     + myy[1, 1] * dy2 ** 2)
-            + (mxy[0, 0] * dx1 * dy1 + mxy[0, 1] * dx1 * dy2
-               + mxy[1, 0] * dx2 * dy1 + mxy[1, 1] * dx2 * dy2)
-            - 0.5 * (mxx[0, 0] * dx1 ** 2 + 2.0 * mxx[0, 1] * dx1 * dx2
-                     + mxx[1, 1] * dx2 ** 2)) / hbar
-    scalar = ctx.prefactor * np.exp(1j * ctx.action_diff / hbar)
-    k12 = np.exp(1j * ph12)
-
-    tmp = np.einsum("cf,def->dec", k3, state.psi) * w3
-    flat = k12.reshape(ox1.num * ox2.num, ax1.num * ax2.num)
-    out = flat @ tmp.reshape(ax1.num * ax2.num, ox3.num)
-    out = out.reshape(ox1.num, ox2.num, ox3.num) * (w12 * scalar)
-    return out
-
-
-def _apply_context(ctx: KernelContext, state: GridState,
-                   axes_out: tuple[Axis, ...], opts: EvolveOptions) -> GridState:
-    if ctx.n <= 2:
-        psi = _apply_dense(ctx, state, axes_out, opts.threads)
-        psi = psi.reshape(tuple(ax.num for ax in axes_out))
-    else:
-        psi = _apply_factorized_3d(ctx, state, axes_out)
-    return GridState(tuple(axes_out), psi, ctx.t, state.hbar)
+    f = state.psi * _chirp(dy, m_xy.T @ x0 - ctx.P_s, ctx.m_yy, hbar)
+    for a in sorted(set(range(n)).difference(*pairs)):  # uncoupled axes
+        f = np.moveaxis(_chirp_z(np.moveaxis(f, a, -1), C[a, a], n_out[a],
+                                 workers), -1, a)
+    if pairs:
+        f = _chirp_z_pair(f, C, *pairs[0], n_out, workers)
+    scalar = ctx.prefactor * state.weight \
+        * np.exp(1j * (ctx.action_diff - x0 @ m_xy @ y0) / hbar)
+    return f * (scalar * _chirp(dx, ctx.P_t + m_xy @ y0, ctx.m_xx, hbar))
 
 
 def _recentered(axes: tuple[Axis, ...], center: np.ndarray) -> tuple[Axis, ...]:
@@ -273,7 +248,9 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
     for (a, b), ctx in zip(plan.splits, plan.contexts):
         axes_out = _recentered(current.axes, traj.position(b)) \
             if opts.recenter else current.axes
-        current = _apply_context(ctx, current, axes_out, opts)
+        # threads <= 1 runs serially, as scipy.fft's workers=1
+        psi = _apply_kernel(ctx, current, axes_out, max(1, opts.threads))
+        current = GridState(axes_out, psi, b, current.hbar)
         try:
             check_resolved(current, opts.tail_tol, opts.spectral_tol)
         except ResolutionError as err:

@@ -295,33 +295,48 @@ def action_hamiltonian(model: QuadraticModel, kappa_tilde: float, t: float,
     return val
 
 
+def _field(spec: dict, key: str, default=0.0, shape=()):
+    """Numeric field of a model spec: a float, or an array of ``shape``."""
+    try:
+        val = np.array(spec.get(key, default), dtype=float).reshape(shape)
+    except (TypeError, ValueError) as err:
+        raise ModelError(f"model field {key!r} must hold {math.prod(shape)} "
+                         "number(s)") from err
+    if not np.all(np.isfinite(val)):
+        raise ModelError(f"model field {key!r} must be finite")
+    return float(val) if shape == () else val
+
+
 def build_model(spec: dict) -> QuadraticModel:
-    """Build a model from a JSON-style dict (see README for the schema)."""
+    """Build a model from a JSON-style dict (see README for the schema);
+    a malformed spec raises :class:`ModelError`."""
+    if not isinstance(spec, dict):
+        raise ModelError("model spec must be a JSON object")
     kind = spec.get("example", "custom")
-    hbar = float(spec.get("hbar", 1.0))
-    kappa = float(spec.get("kappa", 0.0))
+    hbar = _field(spec, "hbar", 1.0)
+    kappa = _field(spec, "kappa")
     if kind == "1d":
         keys = ("m", "k", "e", "E", "omega", "a", "b", "c")
-        params = Example1DParams(**{k: float(spec[k]) for k in keys if k in spec})
+        params = Example1DParams(**{k: _field(spec, k) for k in keys
+                                    if k in spec})
         model = model_1d(params, hbar=hbar, kappa=kappa)
     elif kind == "3d":
         keys = ("m", "e", "c_light", "H_field", "E_field", "omega", "k",
                 "V0", "gamma")
-        params = Example3DParams(**{k: float(spec[k]) for k in keys if k in spec})
+        params = Example3DParams(**{k: _field(spec, k) for k in keys
+                                    if k in spec})
         model = model_3d(params, hbar=hbar, kappa=kappa)
     elif kind == "custom":
+        if spec.get("n") not in (1, 2, 3):
+            raise ModelError("custom model needs 'n', the spatial dimension "
+                             "1, 2 or 3")
         n = int(spec["n"])
         d = 2 * n
-        mass = float(spec.get("m", 1.0))
-
-        def mat(key):
-            if key not in spec:
-                return None
-            return np.asarray(spec[key], dtype=float).reshape(d, d)
-
-        hz = np.asarray(spec.get("Hz", np.zeros(d)), dtype=float).reshape(d)
-        model = make_model(n, hbar, mass, kappa, mat("Hzz"), hz,
-                           mat("Wzz"), mat("Wzw"), mat("Www"))
+        mats = {key: _field(spec, key, shape=(d, d)) if key in spec else None
+                for key in ("Hzz", "Wzz", "Wzw", "Www")}
+        model = make_model(n, hbar, _field(spec, "m", 1.0), kappa,
+                           mats["Hzz"], _field(spec, "Hz", np.zeros(d), (d,)),
+                           mats["Wzz"], mats["Wzw"], mats["Www"])
     else:
         raise ModelError(f"unknown example kind {kind!r}")
     object.__setattr__(model, "spec", dict(spec))

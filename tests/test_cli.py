@@ -76,6 +76,29 @@ def test_config_without_model_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("model", [
+    {"example": "custom"},           # no dimension
+    {"example": "1d", "m": "abc"},   # non-numeric parameter
+], ids=["custom-without-n", "non-numeric-mass"])
+def test_malformed_model_spec_fails_cleanly(tmp_path, capsys, model):
+    cfg = dict(SCENARIO, model=model)
+    code = main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_3d_scenario_fails_cleanly(tmp_path, capsys):
+    cfg = dict(SCENARIO, model={"example": "3d"})
+    code = main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "1D" in err
+
+
 def test_decreasing_schedule_rejected(tmp_path):
     cfg = dict(SCENARIO)
     cfg["schedule"] = [1.0, 0.5]

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
-from gpexact.errors import PlanError, ResolutionError
-from gpexact.evolution import EvolveOptions, plan_evolution
+from gpexact.errors import CausticError, PlanError, ResolutionError
+from gpexact.evolution import (EvolveOptions, _apply_kernel, _recentered,
+                               plan_evolution)
 
 from conftest import KAPPA, forced_oscillator_mean
 
@@ -300,3 +302,101 @@ def test_amplitude_homogeneity_at_fixed_coupling(model_1d, axis_1024):
     # default coupling rescales with the squared norm and breaks linearity
     c = gx.evolve(model_1d, scaled, 0.9)
     assert gx.l2_distance(c, b.with_psi(1.7 * b.psi)) > 1e-3
+
+
+# -- the chirp-z kernel application against the dense quadrature ----------
+
+def dense_kernel_apply(ctx, state, axes_out):
+    """Trapezoid quadrature with the kernel matrix formed point by point,
+    in blocks of output rows."""
+    n, rows = state.n, 256
+    X = np.stack(np.meshgrid(*(ax.points for ax in axes_out), indexing="ij"),
+                 axis=-1).reshape(-1, n)
+    Y = np.stack(state.grids(sparse=False), axis=-1).reshape(-1, n)
+    out = np.concatenate([
+        gx.green_function(ctx, X[i:i + rows, None, :], Y[None, :, :])
+        @ state.psi.ravel() for i in range(0, X.shape[0], rows)])
+    return state.weight * out.reshape(tuple(ax.num for ax in axes_out))
+
+
+def relative_l2(got, ref):
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+def random_state(axes, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(ax.num for ax in axes)
+    return gx.GridState(axes, rng.normal(size=shape)
+                        + 1j * rng.normal(size=shape), 0.0)
+
+
+@st.composite
+def kernel_legs(draw, n):
+    """A leg of a random stable 1D or 2D model with a drive (2D: a cross
+    term m_xy that is not diagonal), forward or backward, with the output
+    grid either the input grid or recentered on the moving packet."""
+    d = 2 * n
+    entries = draw(st.lists(st.floats(-0.7, 0.7), min_size=d * d,
+                            max_size=d * d))
+    M = np.array(entries).reshape(d, d)
+    floor = draw(st.floats(0.5, 2.0))
+    drive = draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d))
+    model = gx.make_model(n, 1.0, 1.0, 0.0, M @ M.T + floor * np.eye(d),
+                          np.array(drive))
+    z0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    g0 = gx.MomentPoint(np.array(z0), 0.5 * np.eye(d))
+    t = draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    traj = gx.integrate_moments(model, 0.0, g0, 0.0, t)
+    try:
+        ctx = gx.build_kernel_context(model, 0.0, traj, traj, 0.0, t)
+    except CausticError:
+        assume(False)
+    assume(np.max(np.abs(ctx.m_xy)) < 20.0)  # away from conjugate points
+    if n == 2:
+        assume(abs(ctx.m_xy[0, 1]) > 1e-2 and abs(ctx.m_xy[1, 0]) > 1e-2)
+    num = draw(st.sampled_from([64, 128, 200] if n == 1 else [12, 16, 20]))
+    axes = tuple(gx.Axis(-6.0, 6.0, num) for _ in range(n))
+    recenter = draw(st.booleans())
+    axes_out = _recentered(axes, traj.position(t)) if recenter else axes
+    return ctx, random_state(axes, draw(st.integers(0, 2 ** 16))), axes_out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_application_matches_dense_quadrature(n, data):
+    ctx, state, axes_out = data.draw(kernel_legs(n))
+    got = _apply_kernel(ctx, state, axes_out, 1)
+    assert relative_l2(got, dense_kernel_apply(ctx, state, axes_out)) <= 1e-12
+
+
+@pytest.mark.parametrize("h_field", [0.4, 0.0], ids=["coupled-plane",
+                                                   "uncoupled-axes"])
+def test_3d_kernel_application_matches_dense_quadrature(h_field):
+    """The magnetic trap couples the (x1, x2) plane through m_xy; without
+    the field all three axes are uncoupled."""
+    params = gx.Example3DParams(H_field=h_field)
+    model = gx.model_3d(params, kappa=0.5)
+    g0 = gx.MomentPoint(np.array([0.1, -0.05, 0.2, 0.3, 0.4, -0.1]),
+                        np.diag([0.5, 0.6, 0.55, 0.5, 0.45, 0.5]))
+    axes = tuple(gx.Axis(-6.0, 6.0, 12) for _ in range(3))
+    state = random_state(axes, 3)
+    for t, recenter in ((0.8, True), (-0.6, False)):
+        traj = gx.integrate_moments(model, 0.5, g0, 0.0, t)
+        ctx = gx.build_kernel_context(model, 0.5, traj, traj, 0.0, t)
+        assert (ctx.m_xy[0, 1] != 0.0) == (h_field != 0.0)
+        axes_out = _recentered(axes, traj.position(t)) if recenter else axes
+        got = _apply_kernel(ctx, state, axes_out, 1)
+        ref = dense_kernel_apply(ctx, state, axes_out)
+        assert relative_l2(got, ref) <= 1e-12
+
+
+def test_fully_coupled_3d_cross_term_rejected():
+    rng = np.random.default_rng(4)
+    M = rng.normal(scale=0.4, size=(6, 6))
+    model = gx.make_model(3, 1.0, 1.0, 0.0, M @ M.T + np.eye(6), np.zeros(6))
+    traj = gx.integrate_variations(model, 0.0, 0.0, 0.5)
+    ctx = gx.build_kernel_context(model, 0.0, traj, traj, 0.0, 0.5)
+    axes = tuple(gx.Axis(-4.0, 4.0, 8) for _ in range(3))
+    with pytest.raises(PlanError):
+        _apply_kernel(ctx, random_state(axes, 0), axes, 1)
