@@ -9,6 +9,7 @@ identical bodies.  GPX_LOG in {error, info, debug} controls verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -20,15 +21,15 @@ import numpy as np
 
 from . import __version__
 from .errors import GpexactError
-from .evolution import EvolveOptions, evolve, evolve_inverse, superpose
+from .evolution import EvolveOptions, evolve, evolve_inverse
 from .kernel import build_kernel_context, closed_form_kernel_1d
-from .ehrenfest import integrate_moments
+from .ehrenfest import integrate_moments, write_moment_series
 from .model import build_model
 from .moments import constants_of_motion, first_moments, norm_squared, \
     second_moments
 from .oracle import OracleConfig, split_step_evolve
 from .state import Axis, GridState, gaussian_packet, l2_distance, l2_norm, \
-    load_state
+    load_state, write_csv
 from .symmetry import fock_state, ladder_apply, quasi_energy
 
 log = logging.getLogger("gpexact")
@@ -43,15 +44,27 @@ DEFAULT_TOLS = {
 }
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
+_REQUIRED = object()
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _field(spec, key: str, kind=float, default=_REQUIRED,
+           where: str = "config"):
+    """Field ``key`` of the config object ``spec`` as ``kind``: numbers and
+    strings are converted, objects and lists checked.  A missing field
+    takes ``default``, and is an error without one."""
+    if not isinstance(spec, dict):
+        raise GpexactError(f"{where} must be an object")
+    val = spec.get(key, default)
+    if val is _REQUIRED:
+        raise GpexactError(f"{where} has no field {key!r}")
+    if val is default or isinstance(val, kind):
+        return val
+    if kind not in (dict, list):
+        with contextlib.suppress(TypeError, ValueError):
+            return kind(val)
+    what = {dict: "an object", list: "a list", int: "an integer"}
+    raise GpexactError(f"{where} field {key!r} must be "
+                       f"{what.get(kind, 'a number')}, not {val!r}")
 
 
 def emit_report(checks: list[dict]) -> dict:
@@ -68,50 +81,56 @@ def _check(name: str, value: float, tol: float) -> dict:
 
 
 def _build_axis(cfg: dict, grid_override: int | None) -> Axis:
-    grid = cfg.get("grid", {})
-    num = int(grid_override or grid.get("n", 2048))
+    grid = _field(cfg, "grid", dict, {})
+    num = grid_override or _field(grid, "n", int, 2048, "grid")
     try:
-        return Axis(float(grid.get("lo", -12.0)), float(grid.get("hi", 12.0)),
-                    num)
+        return Axis(_field(grid, "lo", float, -12.0, "grid"),
+                    _field(grid, "hi", float, 12.0, "grid"), num)
     except ValueError as err:
         raise GpexactError(f"invalid grid: {err}") from err
 
 
 def _build_model(cfg: dict):
-    if "model" not in cfg:
-        raise GpexactError("config has no 'model' section")
-    return build_model(cfg["model"])
+    return build_model(_field(cfg, "model", dict))
 
 
-def _build_state(cfg: dict, model, axis: Axis) -> GridState:
-    spec = cfg.get("initial_state", {"kind": "gaussian"})
-    kind = spec.get("kind", "gaussian")
+def _build_state(spec: dict, model, axis: Axis) -> GridState:
+    where = "initial_state"
+    kind = _field(spec, "kind", str, "gaussian", where)
     if kind == "gaussian":
-        x0 = [float(spec.get("x0", 1.0))]
-        p0 = [float(spec.get("p0", 0.0))]
-        kt = model.kappa * float(spec.get("norm_sq", 1.0))
-        alpha = spec.get("alpha")
+        x0 = [_field(spec, "x0", float, 1.0, where)]
+        p0 = [_field(spec, "p0", float, 0.0, where)]
+        kt = model.kappa * _field(spec, "norm_sq", float, 1.0, where)
+        alpha = _field(spec, "alpha", float, None, where)
         if alpha is None and model.example is not None:
             alpha = model.mass * model.example.Omega(kt)
         return gaussian_packet((axis,), model.hbar, x0, p0,
                                [float(alpha or 1.0)])
     if kind == "fock":
-        return fock_state(model, int(spec.get("n", 0)), 0.0, axis=axis)
+        return fock_state(model, _field(spec, "n", int, 0, where), 0.0,
+                          axis=axis)
     if kind == "superposition":
-        parts = spec["parts"]
-        total = None
-        for part in parts:
-            sub = _build_state({"initial_state": part["state"]}, model, axis)
-            term = complex(part.get("re", 1.0), part.get("im", 0.0)) * sub.psi
-            total = term if total is None else total + term
-        return GridState((axis,), total, 0.0, model.hbar)
+        parts = _field(spec, "parts", list, where=where)
+        if not parts:
+            raise GpexactError("initial_state field 'parts' is empty")
+        terms = [complex(_field(part, "re", float, 1.0, "parts entry"),
+                         _field(part, "im", float, 0.0, "parts entry"))
+                 * _build_state(_field(part, "state", dict, _REQUIRED,
+                                       "parts entry"), model, axis).psi
+                 for part in parts]
+        return GridState((axis,), sum(terms[1:], terms[0]), 0.0, model.hbar)
     if kind == "file":
-        return load_state(spec["path"])
+        path = _field(spec, "path", str, where=where)
+        try:
+            return load_state(path)
+        except (OSError, KeyError, ValueError) as err:
+            raise GpexactError(f"cannot load {path}: {err}") from err
     raise GpexactError(f"unknown initial state kind {kind!r}")
 
 
 def _schedule(cfg: dict) -> list[float]:
-    times = [float(t) for t in cfg.get("schedule", [0.5, 1.0])]
+    sched = _field(cfg, "schedule", list, [0.5, 1.0])
+    times = [_field({"time": t}, "time", where="schedule") for t in sched]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise GpexactError("schedule times must be strictly increasing")
     return times
@@ -119,23 +138,17 @@ def _schedule(cfg: dict) -> list[float]:
 
 def _task_evolve(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     checks = []
-    rows = []
-    d = 2 * model.n
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    series = []
     for k, t in enumerate(times):
         state = evolve(model, psi, t, opts)
         z = first_moments(state)
-        dd = second_moments(state, z)
-        rows.append([t, *z, *[dd[i, j] for i, j in pairs]])
-        dens = np.abs(state.psi) ** 2
-        _write_csv(out / f"density_t{k}.csv", ["x", "density"],
-                   zip(state.axes[0].points, dens))
+        series.append((t, z, second_moments(state, z)))
+        write_csv(out / f"density_t{k}.csv", ["x", "density"],
+                  zip(state.axes[0].points, np.abs(state.psi) ** 2))
         checks.append(_check(f"norm_conservation_t{k}",
                              abs(norm_squared(state) - norm_squared(psi)),
                              tols["norm"]))
-    header = ["t"] + [f"z{i}" for i in range(d)] \
-        + [f"Delta{i}{j}" for i, j in pairs]
-    _write_csv(out / "moments.csv", header, rows)
+    write_moment_series(out / "moments.csv", model.n, series)
     return checks
 
 
@@ -147,16 +160,16 @@ def _task_roundtrip(cfg, model, psi, times, out, tols, opts) -> list[dict]:
 
 
 def _task_oracle(cfg, model, psi, times, out, tols, opts) -> list[dict]:
+    dt0 = _field(cfg, "oracle_dt", float, 2.5e-4)
     t = times[-1]
     exact = evolve(model, psi, t, opts)
-    dt0 = float(cfg.get("oracle_dt", 2.5e-4))
     rows = []
     err = math.nan
     for dt in (4 * dt0, 2 * dt0, dt0):
         ref = split_step_evolve(model, psi, t, OracleConfig(dt=dt))
         err = l2_distance(exact, ref)
         rows.append([dt, err])
-    _write_csv(out / "oracle_error.csv", ["dt", "l2_error"], rows)
+    write_csv(out / "oracle_error.csv", ["dt", "l2_error"], rows)
     slope = np.polyfit(np.log([r[0] for r in rows]),
                        np.log([r[1] for r in rows]), 1)[0]
     return [_check("oracle_l2", err, tols["oracle"]),
@@ -167,7 +180,7 @@ def _task_ladder(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     checks = []
     axis = psi.axes[0]
     t = times[0]
-    for n in range(int(cfg.get("ladder_levels", 2))):
+    for n in range(_field(cfg, "ladder_levels", int, 2)):
         fn = fock_state(model, n, t, axis=axis)
         up = ladder_apply(model, +1, fn, opts=opts)
         ref = fock_state(model, n + 1, t, axis=axis)
@@ -181,15 +194,20 @@ def _task_ladder(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     return checks
 
 
+def _write_quasi_energies(model, out: Path, levels: int) -> list[float]:
+    energies = [quasi_energy(model, n) for n in range(levels)]
+    write_csv(out / "quasi_energy.csv", ["n", "energy"],
+              ([float(n), e] for n, e in enumerate(energies)))
+    return energies
+
+
 def _task_quasi_energy(cfg, model, psi, times, out, tols, opts) -> list[dict]:
-    params = model.example
-    n_max = int(cfg.get("spectrum_levels", 3))
-    rows = [[float(n), quasi_energy(model, n)] for n in range(n_max)]
-    _write_csv(out / "quasi_energy.csv", ["n", "energy"], rows)
-    T = 2.0 * math.pi / params.omega
+    energies = _write_quasi_energies(model, out,
+                                     _field(cfg, "spectrum_levels", int, 3))
+    T = 2.0 * math.pi / model.example.omega
     f0 = fock_state(model, 0, 0.0, axis=psi.axes[0])
     one_period = evolve(model, f0, T, opts)
-    target = np.exp(-1j * rows[0][1] * T) * f0.psi
+    target = np.exp(-1j * energies[0] * T) * f0.psi
     phase_err = abs(np.angle(np.vdot(target, one_period.psi)))
     return [_check("quasi_energy_phase", phase_err, tols["quasi_energy"])]
 
@@ -230,17 +248,19 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
         raise GpexactError("scenarios run 1D models only (initial states, "
                            f"density_t*.csv); the model has n = {model.n}")
     axis = _build_axis(cfg, grid_override)
-    psi = _build_state(cfg, model, axis)
+    psi = _build_state(_field(cfg, "initial_state", dict,
+                              {"kind": "gaussian"}), model, axis)
     times = _schedule(cfg)
     tols = dict(DEFAULT_TOLS)
-    tols.update({k: float(v) for k, v in cfg.get("tolerances", {}).items()})
+    given = _field(cfg, "tolerances", dict, {})
+    tols.update({k: _field(given, k, where="tolerances") for k in given})
     if tol_override is not None:
         tols = {k: tol_override for k in tols}
     opts = EvolveOptions(threads=threads)
 
     checks = []
-    for task in cfg.get("tasks", ["evolve"]):
-        if task not in TASKS:
+    for task in _field(cfg, "tasks", list, ["evolve"]):
+        if not isinstance(task, str) or task not in TASKS:
             raise GpexactError(f"unknown task {task!r}")
         log.info("running task %s", task)
         checks.extend(TASKS[task](cfg, model, psi, times, out_dir, tols, opts))
@@ -277,11 +297,14 @@ GOLDEN_SCENARIOS = {
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise GpexactError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise GpexactError(f"malformed config {path}: {err}")
+    if not isinstance(cfg, dict):
+        raise GpexactError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _cmd_scenario(args) -> int:
@@ -308,12 +331,12 @@ def _cmd_fock(args) -> int:
     axis = _build_axis(cfg, args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n = int(cfg.get("fock_n", 2))
-    t = float(cfg.get("fock_t", 0.0))
+    n = _field(cfg, "fock_n", int, 2)
+    t = _field(cfg, "fock_t", float, 0.0)
     state = fock_state(model, n, t, axis=axis)
-    _write_csv(out / f"fock_n{n}.csv", ["x", "re", "im", "density"],
-               zip(axis.points, state.psi.real, state.psi.imag,
-                   np.abs(state.psi) ** 2))
+    write_csv(out / f"fock_n{n}.csv", ["x", "re", "im", "density"],
+              zip(axis.points, state.psi.real, state.psi.imag,
+                  np.abs(state.psi) ** 2))
     print(f"wrote fock_n{n}.csv")
     return 0
 
@@ -324,9 +347,8 @@ def _cmd_spectrum(args) -> int:
     model = _build_model(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n_max = int(cfg.get("spectrum_levels", 6))
-    rows = [[float(n), quasi_energy(model, n)] for n in range(n_max)]
-    _write_csv(out / "quasi_energy.csv", ["n", "energy"], rows)
+    n_max = _field(cfg, "spectrum_levels", int, 6)
+    _write_quasi_energies(model, out, n_max)
     print(f"wrote quasi_energy.csv ({n_max} levels)")
     return 0
 

@@ -9,7 +9,6 @@ of them at matching accuracy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from scipy.integrate import solve_ivp
 from .errors import IntegrationError
 from .model import (QuadraticModel, action_hamiltonian, effective_hessian,
                     mean_drift_hessian, symplectic_unit)
+from .state import write_csv
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
@@ -199,18 +199,16 @@ def symplectic_defect(A: np.ndarray) -> float:
     return float(np.max(np.abs(A.T @ J @ A - J)))
 
 
+def write_moment_series(path, n: int, points) -> None:
+    """CSV of a moment series: t, the means z_i, and the upper triangle
+    Delta_ij (i <= j); ``points`` yields (t, z, Delta)."""
+    upper = np.triu_indices(2 * n)
+    header = ["t"] + [f"z{i}" for i in range(2 * n)] \
+        + [f"Delta{i}{j}" for i, j in zip(*upper)]
+    write_csv(path, header, ([t, *z, *D[upper]] for t, z, D in points))
+
+
 def trajectory_to_csv(traj: MomentTrajectory, times, path) -> None:
     """CSV export: t, mean vector, upper triangle of Delta."""
-    d = 2 * traj.n
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"] + [f"z{i}" for i in range(d)]
-        header += [f"Delta{i}{j}" for i, j in pairs]
-        writer.writerow(header)
-        for tau in times:
-            z = traj.z(tau)
-            D = traj.Delta(tau)
-            row = [f"{tau:.16e}"] + [f"{v:.16e}" for v in z]
-            row += [f"{D[i, j]:.16e}" for i, j in pairs]
-            writer.writerow(row)
+    write_moment_series(path, traj.n, ((tau, traj.z(tau), traj.Delta(tau))
+                                       for tau in times))

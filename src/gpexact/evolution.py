@@ -15,7 +15,7 @@ trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as sp_fft
@@ -44,12 +44,11 @@ class EvolveOptions:
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Caustic-free legs covering [s, t], with one propagator context each."""
+    """Caustic-free legs covering [s, t]."""
 
     s: float
     t: float
     splits: tuple[tuple[float, float], ...]
-    contexts: tuple[KernelContext, ...] = field(default=())
 
 
 def _box_distance(axes: tuple[Axis, ...], point: np.ndarray) -> float:
@@ -237,15 +236,14 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
                              rtol=opts.rtol, atol=opts.atol)
     plan = plan_evolution(model, kappa_tilde, traj, traj, state, s, target,
                           opts)
-    contexts = tuple(
+    contexts = [
         build_kernel_context(model, kappa_tilde, traj, traj, a, b,
                              caustic_tol=caustic_tolerance(
                                  model, b - a, opts.caustic_factor))
-        for (a, b) in plan.splits)
-    plan = EvolutionPlan(plan.s, plan.t, plan.splits, contexts)
+        for (a, b) in plan.splits]
 
     current = state
-    for (a, b), ctx in zip(plan.splits, plan.contexts):
+    for (a, b), ctx in zip(plan.splits, contexts):
         axes_out = _recentered(current.axes, traj.position(b)) \
             if opts.recenter else current.axes
         # threads <= 1 runs serially, as scipy.fft's workers=1

@@ -24,7 +24,6 @@ of the leg turn that phase into the number of zeros (the Maslov index).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .ehrenfest import (Matriciant, MomentTrajectory, matriciant_blocks,
                         symplectic_inverse)
 from .errors import CausticError, IntegrationError
 from .model import QuadraticModel
+from .state import write_csv
 
 
 @dataclass(frozen=True)
@@ -299,13 +299,9 @@ def closed_form_kernel_3d(params, kappa_tilde: float, traj: MomentTrajectory,
 
 def dump_kernel_csv(ctx: KernelContext, xs, ys, path) -> None:
     """Debug dump of pointwise kernel samples (1D contexts)."""
-    xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "re", "im"])
-        for xv in xs:
-            g = green_function(ctx, np.full_like(ys, xv), ys)
-            for yv, gv in zip(ys, np.atleast_1d(g)):
-                writer.writerow([f"{xv:.16e}", f"{yv:.16e}",
-                                 f"{gv.real:.16e}", f"{gv.imag:.16e}"])
+    rows = []
+    for xv in np.asarray(xs, dtype=float):
+        g = np.atleast_1d(green_function(ctx, np.full_like(ys, xv), ys))
+        rows += [(xv, yv, gv.real, gv.imag) for yv, gv in zip(ys, g)]
+    write_csv(path, ["x", "y", "re", "im"], rows)

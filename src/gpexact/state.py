@@ -8,7 +8,6 @@ enforces that before any quadrature trusts the samples.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,18 +211,17 @@ def load_state(path) -> GridState:
         return GridState(axes, data["psi"], float(data["t"]), float(data["hbar"]))
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
+def write_csv(path, header: list[str], rows) -> None:
+    """The package's one CSV format: a header, %.16e values, LF line ends."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
 
 
 def dump_state_csv(state: GridState, path) -> None:
     """CSV dump: coordinate columns, then interleaved (Re, Im)."""
-    pts = state.grids(sparse=False)
-    flat = [p.ravel() for p in pts]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{a}" for a in range(state.n)] + ["re", "im"])
-        for i in range(state.psi.size):
-            row = [_fmt(flat[a][i]) for a in range(state.n)]
-            row += [_fmt(state.psi.ravel()[i].real), _fmt(state.psi.ravel()[i].imag)]
-            writer.writerow(row)
+    coords = [p.ravel() for p in state.grids(sparse=False)]
+    psi = state.psi.ravel()
+    write_csv(path, [f"x{a}" for a in range(state.n)] + ["re", "im"],
+              zip(*coords, psi.real, psi.imag))

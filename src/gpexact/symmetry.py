@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import eval_hermite, gammaln
@@ -22,7 +23,7 @@ from .ehrenfest import MomentPoint, integrate_moments
 from .errors import ModelError, ResonanceError
 from .evolution import EvolveOptions, evolve, evolve_inverse
 from .model import Example1DParams, QuadraticModel
-from .moments import constants_of_motion, first_moments, norm_squared
+from .moments import first_moments, norm_squared
 from .state import Axis, GridState, momentum_apply
 
 ANNIHILATED_CUT = 1e-9
@@ -44,14 +45,11 @@ class IntertwinedOperator:
                 raise ModelError(f"unsupported operator word {word!r}")
 
 
-def apply_polynomial(op: IntertwinedOperator, state: GridState,
-                     center=None) -> GridState:
-    if center is None:
-        center = op.center
+def apply_polynomial(op: IntertwinedOperator, state: GridState) -> GridState:
+    center = op.center
     if center is None:
         z = first_moments(state)
-        n = state.n
-        center = (z[:n], z[n:])
+        center = (z[:state.n], z[state.n:])
     p0, x0 = np.atleast_1d(center[0]), np.atleast_1d(center[1])
     if state.n != 1:
         raise ModelError("polynomial grid operators are implemented in 1D")
@@ -59,10 +57,9 @@ def apply_polynomial(op: IntertwinedOperator, state: GridState,
     dx = x - x0[0]
 
     def letter(ch, arr):
-        st = state.with_psi(arr)
         if ch == "x":
             return dx * arr
-        return momentum_apply(st, 0) - p0[0] * arr
+        return momentum_apply(state.with_psi(arr), 0) - p0[0] * arr
 
     out = np.zeros_like(state.psi)
     for coeff, word in op.terms:
@@ -73,9 +70,24 @@ def apply_polynomial(op: IntertwinedOperator, state: GridState,
     return state.with_psi(out)
 
 
-def family_coupling(model: QuadraticModel, Psi: GridState) -> float:
-    """Coupling of the solution family Psi belongs to."""
-    return model.kappa * norm_squared(Psi)
+def _family(model: QuadraticModel, kappa_tilde: float | None) -> float:
+    """kappa_tilde if pinned, else the model's coupling at unit norm."""
+    return model.kappa if kappa_tilde is None else kappa_tilde
+
+
+def _conjugate(model: QuadraticModel, act, Psi: GridState, s: float,
+               opts: EvolveOptions | None) -> GridState:
+    """The grid map ``act`` conjugated with the evolution: pull Psi back to
+    s within its coupling family, act, and re-evolve to Psi.t.  A state that
+    ``act`` annihilates stays zero, since U maps 0 to 0."""
+    opts = opts or EvolveOptions()
+    fam = replace(opts, kappa_tilde=_family(model, opts.kappa_tilde))
+    psi0 = evolve_inverse(model, Psi, s, fam)
+    phi0 = act(psi0)
+    nrm = norm_squared(phi0, validate=False)
+    if nrm <= ANNIHILATED_CUT * norm_squared(psi0, validate=False):
+        return phi0.at_time(Psi.t)
+    return evolve(model, phi0, Psi.t, fam)
 
 
 def apply_symmetry(model: QuadraticModel, a_op: IntertwinedOperator,
@@ -83,19 +95,7 @@ def apply_symmetry(model: QuadraticModel, a_op: IntertwinedOperator,
                    opts: EvolveOptions | None = None) -> GridState:
     """Map a solution at time t to another solution: pull back to s, apply
     the operator, re-evolve with refreshed moment constants."""
-    opts = opts or EvolveOptions()
-    kt = model.kappa if opts.kappa_tilde is None else opts.kappa_tilde
-    fam = _with_kt(opts, kt)
-    psi0 = evolve_inverse(model, Psi, s, fam)
-    phi0 = apply_polynomial(a_op, psi0)
-    nrm = norm_squared(phi0, validate=False)
-    if nrm <= (ANNIHILATED_CUT * norm_squared(psi0, validate=False)):
-        return phi0.at_time(Psi.t)  # annihilated: U maps 0 to 0
-    return evolve(model, phi0, Psi.t, fam)
-
-
-def _with_kt(opts: EvolveOptions, kt: float) -> EvolveOptions:
-    return replace(opts, kappa_tilde=kt)
+    return _conjugate(model, partial(apply_polynomial, a_op), Psi, s, opts)
 
 
 def one_parameter_family(model: QuadraticModel, generator, alpha: float,
@@ -107,46 +107,42 @@ def one_parameter_family(model: QuadraticModel, generator, alpha: float,
     closed form as a boost, a translation, and scalar phases (Weyl ordering
     supplies the alpha^2 cross phase).
     """
-    opts = opts or EvolveOptions()
     u, v, w0 = (float(g) for g in generator)
     if alpha == 0.0:
         return Psi
     if Psi.n != 1:
         raise ModelError("closed-form generator exponentials are 1D")
-    kt = model.kappa if opts.kappa_tilde is None else opts.kappa_tilde
-    fam = _with_kt(opts, kt)
-    psi0 = evolve_inverse(model, Psi, s, fam)
-    z = first_moments(psi0)
-    p0, x0 = z[0], z[1]
-    hbar = psi0.hbar
-    x = psi0.axes[0].points
-    # exp(i a u dx) exp(i a v dp) with the central commutator phase
-    spec = np.fft.fft(psi0.psi)
-    k = psi0.axes[0].wavenumbers
-    spec *= np.exp(1j * alpha * v * hbar * k)  # translation by alpha*v*hbar
-    arr = np.fft.ifft(spec)
-    arr = arr * np.exp(-1j * alpha * v * p0)
-    arr = arr * np.exp(1j * alpha * u * (x - x0))
-    arr = arr * np.exp(1j * (alpha * w0 + 0.5 * hbar * alpha ** 2 * u * v))
-    phi0 = psi0.with_psi(arr)
-    return evolve(model, phi0, Psi.t, fam)
+
+    def exponential(psi0: GridState) -> GridState:
+        p0, x0 = first_moments(psi0)
+        hbar = psi0.hbar
+        # exp(i a u dx) exp(i a v dp) with the central commutator phase
+        spec = np.fft.fft(psi0.psi)
+        k = psi0.axes[0].wavenumbers
+        spec *= np.exp(1j * alpha * v * hbar * k)  # shift by alpha*v*hbar
+        arr = np.fft.ifft(spec)
+        arr = arr * np.exp(-1j * alpha * v * p0)
+        arr = arr * np.exp(1j * alpha * u * (psi0.axes[0].points - x0))
+        arr = arr * np.exp(1j * (alpha * w0 + 0.5 * hbar * alpha ** 2 * u * v))
+        return psi0.with_psi(arr)
+
+    return _conjugate(model, exponential, Psi, s, opts)
 
 
 def ladder_operators(model: QuadraticModel, kappa_tilde: float,
-                     center: tuple[float, float]) -> tuple[IntertwinedOperator,
-                                                           IntertwinedOperator]:
+                     center: tuple[float, float] | None = None
+                     ) -> tuple[IntertwinedOperator, IntertwinedOperator]:
     """Lowering/raising pair (dp -+ i m Omega dx)/sqrt(2 hbar m Omega) about
-    a fixed phase-space center."""
+    a phase-space center; without one, each operator centers on the first
+    moments of the state it acts on."""
     params = _params_1d(model)
     m = params.m
     Om = params.Omega(kappa_tilde)
     norm = 1.0 / math.sqrt(2.0 * model.hbar * m * Om)
-    p0 = np.atleast_1d(center[0])
-    x0 = np.atleast_1d(center[1])
     lower = IntertwinedOperator(((norm, "p"), (-1j * m * Om * norm, "x")),
-                                center=(p0, x0))
+                                center=center)
     raise_ = IntertwinedOperator(((norm, "p"), (1j * m * Om * norm, "x")),
-                                 center=(p0, x0))
+                                 center=center)
     return lower, raise_
 
 
@@ -163,17 +159,8 @@ def ladder_apply(model: QuadraticModel, sign: int, Psi: GridState,
     """Apply the raising (+1) or lowering (-1) solution map; on the n-th
     basis solution this yields sqrt(n+1) or sqrt(n) times its neighbor."""
     opts = opts or EvolveOptions()
-    kt = model.kappa if opts.kappa_tilde is None else opts.kappa_tilde
-    fam = _with_kt(opts, kt)
-    psi0 = evolve_inverse(model, Psi, s, fam)
-    z = first_moments(psi0)
-    lower, raise_ = ladder_operators(model, kt, (z[0], z[1]))
-    op = raise_ if sign > 0 else lower
-    phi0 = apply_polynomial(op, psi0)
-    nrm = norm_squared(phi0, validate=False)
-    if nrm <= ANNIHILATED_CUT * norm_squared(psi0, validate=False):
-        return phi0.at_time(Psi.t)
-    return evolve(model, phi0, Psi.t, fam)
+    lower, raise_ = ladder_operators(model, _family(model, opts.kappa_tilde))
+    return apply_symmetry(model, raise_ if sign > 0 else lower, Psi, s, opts)
 
 
 @dataclass(frozen=True)
@@ -229,7 +216,7 @@ def fock_state(model: QuadraticModel, n: int, t: float,
     """
     if n < 0:
         raise ValueError("quantum number must be nonnegative")
-    kt = model.kappa if kappa_tilde is None else kappa_tilde
+    kt = _family(model, kappa_tilde)
     sol = FockSolution(model, n, kt)
     if axis is None:
         p = sol.params
@@ -243,7 +230,7 @@ def quasi_energy(model: QuadraticModel, n: int,
                  kappa_tilde: float | None = None) -> float:
     """Phase rate of the n-th solution over one drive period."""
     p = _params_1d(model)
-    kt = model.kappa if kappa_tilde is None else kappa_tilde
+    kt = _family(model, kappa_tilde)
     hbar = model.hbar
     Om = p.Omega(kt)
     Oms_t = p.OmegaTilde_sq(kt)

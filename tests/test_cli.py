@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+import gpexact as gx
 from gpexact.cli import emit_report, main
 
 SCENARIO = {
@@ -216,3 +218,94 @@ def test_tol_override_applies_to_all_checks(tmp_path):
     assert code == 1
     report = json.loads((out / "report.json").read_text())
     assert report["checks"][0]["tolerance"] == 1e-30
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"initial_state": {"kind": "superposition"}}, "parts"),
+    ({"initial_state": {"kind": "superposition",
+                        "parts": [{"re": 1.0}]}}, "state"),
+    ({"initial_state": {"kind": "file"}}, "path"),
+    ({"initial_state": {"kind": "file", "path": "no-such-state.npz"}},
+     "no-such-state.npz"),
+    ({"initial_state": {"kind": "gaussian", "x0": "abc"}}, "x0"),
+    ({"initial_state": 3}, "initial_state"),
+    ({"grid": 5}, "grid"),
+    ({"grid": {"n": "abc"}}, "'n'"),
+    ({"schedule": ["a"]}, "schedule"),
+    ({"tolerances": {"oracle": "x"}}, "oracle"),
+    ({"oracle_dt": "q", "tasks": ["oracle-compare"]}, "oracle_dt"),
+    ({"tasks": "evolve"}, "list"),
+], ids=["superposition-without-parts", "part-without-state",
+        "file-without-path", "missing-file", "non-numeric-x0",
+        "initial-state-not-object", "grid-not-object",
+        "non-numeric-grid-size", "non-numeric-schedule",
+        "non-numeric-tolerance", "non-numeric-oracle-dt", "tasks-not-list"])
+def test_malformed_scenario_field_fails_cleanly(tmp_path, capsys, fields,
+                                                message):
+    cfg = dict(SCENARIO, **fields)
+    code = main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
+
+
+def _cli_csvs(tmp_path):
+    cfg = dict(SCENARIO, tasks=["evolve"])
+    out = tmp_path / "o"
+    assert main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    return [(out / "moments.csv", "t,z0,z1,Delta00,Delta01,Delta11"),
+            (out / "density_t0.csv", "x,density"),
+            (out / "density_t1.csv", "x,density")]
+
+
+def _state_csv(tmp_path):
+    from gpexact.state import dump_state_csv
+    axis = gx.Axis(-4.0, 4.0, 16)
+    path = tmp_path / "state.csv"
+    dump_state_csv(gx.gaussian_packet((axis,), 1.0, [0.3], [0.2], [1.0]),
+                   path)
+    return [(path, "x0,re,im")]
+
+
+def _trajectory():
+    model = gx.build_model(SCENARIO["model"])
+    g0 = gx.MomentPoint([0.2, 1.0], [[0.5, 0.0], [0.0, 0.5]])
+    return model, gx.integrate_moments(model, 0.5, g0, 0.0, 1.0)
+
+
+def _trajectory_csv(tmp_path):
+    from gpexact.ehrenfest import trajectory_to_csv
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(_trajectory()[1], [0.0, 0.5, 1.0], path)
+    return [(path, "t,z0,z1,Delta00,Delta01,Delta11")]
+
+
+def _kernel_csv(tmp_path):
+    from gpexact.kernel import dump_kernel_csv
+    model, traj = _trajectory()
+    ctx = gx.build_kernel_context(model, 0.5, traj, traj, 0.0, 1.0)
+    path = tmp_path / "kernel.csv"
+    dump_kernel_csv(ctx, [0.0, 0.5], [-0.5, 0.5], path)
+    return [(path, "x,y,re,im")]
+
+
+@pytest.mark.parametrize("produce", [_cli_csvs, _state_csv, _trajectory_csv,
+                                     _kernel_csv],
+                         ids=["cli", "state", "trajectory", "kernel"])
+def test_one_csv_format(tmp_path, produce):
+    """Every CSV the package writes: a header line, %.16e values, LF."""
+    value = re.compile(rb"-?\d\.\d{16}e[+-]\d{2,3}")
+    for path, header in produce(tmp_path):
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert raw.endswith(b"\n")
+        lines = raw.split(b"\n")[:-1]
+        assert lines[0] == header.encode()
+        assert len(lines) > 1
+        for line in lines[1:]:
+            fields = line.split(b",")
+            assert len(fields) == header.count(",") + 1
+            assert all(value.fullmatch(f) for f in fields), line

@@ -141,6 +141,29 @@ def test_one_parameter_family_group_law(model_1d, fock_axis):
     assert gx.l2_distance(b12, b3) <= 1e-7
 
 
+def test_maps_in_a_non_default_coupling_family(model_1d, params_1d):
+    """With kappa_tilde pinned away from model.kappa, the ladder and the
+    one-parameter group act within that family."""
+    kt = 0.3
+    opts = gx.EvolveOptions(kappa_tilde=kt)
+    x0 = params_1d.steady_center(kt)
+    axis = gx.Axis(x0 - 12.0, x0 + 12.0, 2048)
+    t = 0.6
+    for n in (0, 2):
+        fn = gx.fock_state(model_1d, n, t, axis=axis, kappa_tilde=kt)
+        up = gx.ladder_apply(model_1d, +1, fn, opts=opts)
+        ref = gx.fock_state(model_1d, n + 1, t, axis=axis, kappa_tilde=kt)
+        coeff = gx.l2_norm(up)
+        assert abs(coeff / math.sqrt(n + 1) - 1.0) <= 1e-6
+        assert gx.l2_distance(up.with_psi(up.psi / coeff), ref) <= 1e-7
+    psi = gx.fock_state(model_1d, 0, 0.8, axis=axis, kappa_tilde=kt)
+    gen = (1.0, 0.0, 0.0)
+    b2 = gx.one_parameter_family(model_1d, gen, 0.2, psi, opts=opts)
+    b12 = gx.one_parameter_family(model_1d, gen, 0.3, b2, opts=opts)
+    b3 = gx.one_parameter_family(model_1d, gen, 0.5, psi, opts=opts)
+    assert gx.l2_distance(b12, b3) <= 1e-7
+
+
 def test_one_parameter_family_alpha_zero(model_1d, fock_axis):
     psi = gx.fock_state(model_1d, 0, 0.8, axis=fock_axis)
     assert gx.one_parameter_family(model_1d, (1.0, 0.0, 0.0), 0.0, psi) is psi
