@@ -48,23 +48,31 @@ _REQUIRED = object()
 
 
 def _field(spec, key: str, kind=float, default=_REQUIRED,
-           where: str = "config"):
+           where: str = "config", lo: int | None = None):
     """Field ``key`` of the config object ``spec`` as ``kind``: numbers and
-    strings are converted, objects and lists checked.  A missing field
-    takes ``default``, and is an error without one."""
+    strings are converted without loss, objects and lists checked, and an
+    integer is at least ``lo`` when given.  A missing field takes
+    ``default``, and is an error without one."""
     if not isinstance(spec, dict):
         raise GpexactError(f"{where} must be an object")
     val = spec.get(key, default)
     if val is _REQUIRED:
         raise GpexactError(f"{where} has no field {key!r}")
-    if val is default or isinstance(val, kind):
+    if val is default:
         return val
-    if kind not in (dict, list):
+    out = val if isinstance(val, kind) else None
+    lossy = kind is int and isinstance(val, float) and not val.is_integer()
+    if out is None and kind not in (dict, list) and not lossy:
         with contextlib.suppress(TypeError, ValueError):
-            return kind(val)
-    what = {dict: "an object", list: "a list", int: "an integer"}
-    raise GpexactError(f"{where} field {key!r} must be "
-                       f"{what.get(kind, 'a number')}, not {val!r}")
+            out = kind(val)
+    if out is None:
+        what = {dict: "an object", list: "a list", int: "an integer"}
+        raise GpexactError(f"{where} field {key!r} must be "
+                           f"{what.get(kind, 'a number')}, not {val!r}")
+    if lo is not None and out < lo:
+        raise GpexactError(f"{where} field {key!r} must be at least {lo}, "
+                           f"not {val!r}")
+    return out
 
 
 def emit_report(checks: list[dict]) -> dict:
@@ -107,7 +115,7 @@ def _build_state(spec: dict, model, axis: Axis) -> GridState:
         return gaussian_packet((axis,), model.hbar, x0, p0,
                                [float(alpha or 1.0)])
     if kind == "fock":
-        return fock_state(model, _field(spec, "n", int, 0, where), 0.0,
+        return fock_state(model, _field(spec, "n", int, 0, where, lo=0), 0.0,
                           axis=axis)
     if kind == "superposition":
         parts = _field(spec, "parts", list, where=where)
@@ -180,7 +188,7 @@ def _task_ladder(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     checks = []
     axis = psi.axes[0]
     t = times[0]
-    for n in range(_field(cfg, "ladder_levels", int, 2)):
+    for n in range(_field(cfg, "ladder_levels", int, 2, lo=0)):
         fn = fock_state(model, n, t, axis=axis)
         up = ladder_apply(model, +1, fn, opts=opts)
         ref = fock_state(model, n + 1, t, axis=axis)
@@ -202,8 +210,8 @@ def _write_quasi_energies(model, out: Path, levels: int) -> list[float]:
 
 
 def _task_quasi_energy(cfg, model, psi, times, out, tols, opts) -> list[dict]:
-    energies = _write_quasi_energies(model, out,
-                                     _field(cfg, "spectrum_levels", int, 3))
+    energies = _write_quasi_energies(
+        model, out, _field(cfg, "spectrum_levels", int, 3, lo=1))
     T = 2.0 * math.pi / model.example.omega
     f0 = fock_state(model, 0, 0.0, axis=psi.axes[0])
     one_period = evolve(model, f0, T, opts)
@@ -331,7 +339,7 @@ def _cmd_fock(args) -> int:
     axis = _build_axis(cfg, args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n = _field(cfg, "fock_n", int, 2)
+    n = _field(cfg, "fock_n", int, 2, lo=0)
     t = _field(cfg, "fock_t", float, 0.0)
     state = fock_state(model, n, t, axis=axis)
     write_csv(out / f"fock_n{n}.csv", ["x", "re", "im", "density"],
@@ -347,7 +355,7 @@ def _cmd_spectrum(args) -> int:
     model = _build_model(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n_max = _field(cfg, "spectrum_levels", int, 6)
+    n_max = _field(cfg, "spectrum_levels", int, 6, lo=1)
     _write_quasi_energies(model, out, n_max)
     print(f"wrote quasi_energy.csv ({n_max} levels)")
     return 0

@@ -17,9 +17,9 @@ block of the Hessian is positive definite).
 
 The conjugate points of a leg are counted exactly, with no sampling of
 det l3: the Lagrangian frame F = A(tau, a)[:, :n] gives the never-singular
-U = X + iP, whose determinant phase is unwrapped over the integrator's
-accepted steps, and the eigen-angles of the unitary U conj(U)^(-1) at the end
-of the leg turn that phase into the number of zeros (the Maslov index).
+U = X + iP, whose determinant phase is unwrapped over the trajectory's
+nodes, and the eigen-angles of the unitary U conj(U)^(-1) at the end of the
+leg turn that phase into the number of zeros (the Maslov index).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from .ehrenfest import (Matriciant, MomentTrajectory, matriciant_blocks,
                         symplectic_inverse)
-from .errors import CausticError, IntegrationError
-from .model import QuadraticModel
+from .errors import CausticError, IntegrationError, ModelError
+from .model import Example1DParams, QuadraticModel
 from .state import write_csv
 
 
@@ -96,9 +96,9 @@ def conjugate_point_units(traj: Matriciant, a: float, b: float) -> int:
     U = X + iP (position and momentum rows of F) is never singular and
     W = U conj(U)^(-1) is unitary; conjugate points are the times where W
     has the eigenvalue -1.  The phase Theta = 2 arg det U = arg det W is
-    unwrapped over the solver's accepted steps, halving any step whose
-    increment exceeds pi/4; comparing it with the principal eigen-angles of
-    W at b counts the eigenvalues that passed -1.  At a all eigenvalues sit
+    unwrapped over the trajectory's nodes (``step_times``), halving any
+    step whose increment exceeds pi/4; comparing it with the principal
+    eigen-angles of W at b counts the eigenvalues that passed -1.  At a all eigenvalues sit
     at -1; the ones that leave it by wrapping (the negative directions of
     Hpp going forward, the positive ones going backward) are not conjugate
     points and are taken off.  With a positive-definite momentum block every
@@ -256,6 +256,9 @@ def closed_form_kernel_1d(params, kappa_tilde: float, traj: MomentTrajectory,
                           x, y, t: float, s: float) -> np.ndarray | complex:
     """Driven-oscillator propagator for the 1D setup, assembled from the
     closed-form factor and the trajectory action."""
+    if not isinstance(params, Example1DParams):
+        raise ModelError("the closed-form 1D kernel needs a model built from "
+                         "Example1DParams")
     hbar = traj.model.hbar
     omega = params.Omega(kappa_tilde)
     tau = t - s

@@ -136,6 +136,10 @@ class QuadraticModel:
     Www: np.ndarray
     example: object = None
     spec: dict = field(default=None, repr=False)
+    # (h0, ((omega, cos_vec, sin_vec), ...)) when Hzz and Hz are data, so
+    # Hz(t) = h0 + sum(cos_vec cos(omega t) + sin_vec sin(omega t)); None
+    # when either is a callable of time
+    drive: tuple = field(default=None, repr=False)
 
     def momentum_block(self, t: float) -> np.ndarray:
         return self.Hzz(t)[: self.n, : self.n]
@@ -143,13 +147,19 @@ class QuadraticModel:
 
 def make_model(n: int, hbar: float, mass: float, kappa: float,
                Hzz, Hz, Wzz=None, Wzw=None, Www=None,
-               example=None, spec=None) -> QuadraticModel:
+               example=None, spec=None, drive=()) -> QuadraticModel:
     """Validate and assemble a model; matrix arguments may be constants or
     callables of time.
 
+    ``drive`` is a sequence of (omega, cos_vec, sin_vec) terms added to a
+    constant ``Hz``: Hz(t) = Hz + sum(cos_vec cos(omega t) + sin_vec
+    sin(omega t)).  A model whose Hzz and Hz are data carries them in
+    ``model.drive`` and its moments evolve in closed form.
+
     Constant matrices are validated once here and returned frozen on every
-    call; callables are checked on every call.  A model without callables
-    records its own spec, so :func:`model_to_spec` can serialize it.
+    call; callables are checked on every call, the momentum block of Hzz
+    included.  A model without callables or drive terms records its own
+    spec, so :func:`model_to_spec` can serialize it.
     """
     if n not in (1, 2, 3):
         raise ModelError("spatial dimension must be 1, 2 or 3")
@@ -176,13 +186,36 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
         mat = np.asarray(Hzz(t) if callable(Hzz) else Hzz, dtype=float)
         if mat.shape != (d, d):
             raise ModelError(f"Hzz must be {d}x{d}, got {mat.shape}")
-        return _symmetrized("Hzz", mat)
+        mat = _symmetrized("Hzz", mat)
+        if abs(np.linalg.det(mat[:n, :n])) < 1e-12:
+            raise ModelError(f"momentum-momentum block of Hzz is singular "
+                             f"at t = {t:.6g}")
+        return mat
+
+    def vector(name: str, vec) -> np.ndarray:
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (d,) or not np.all(np.isfinite(vec)):
+            raise ModelError(f"{name} must hold {d} finite entries, "
+                             f"got {vec.shape}")
+        return vec
 
     def hz(t: float) -> np.ndarray:
-        vec = np.asarray(Hz(t) if callable(Hz) else np.ravel(Hz), dtype=float)
-        if vec.shape != (d,) or not np.all(np.isfinite(vec)):
-            raise ModelError(f"Hz must hold {d} finite entries, got {vec.shape}")
-        return vec
+        return vector("Hz", Hz(t) if callable(Hz) else np.ravel(Hz))
+
+    terms = []
+    for term in drive:
+        try:
+            omega, cos_vec, sin_vec = term
+            omega = float(omega)
+        except (TypeError, ValueError) as err:
+            raise ModelError("a drive term is (omega, cos_vec, sin_vec)") \
+                from err
+        if not math.isfinite(omega):
+            raise ModelError("drive frequency must be finite")
+        terms.append((omega, _freeze(vector("drive cos_vec", cos_vec)),
+                      _freeze(vector("drive sin_vec", sin_vec))))
+    if terms and callable(Hz):
+        raise ModelError("drive terms need a constant Hz")
 
     if not callable(Hzz):
         const_hzz = _freeze(hzz(0.0))
@@ -190,12 +223,19 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
     if not callable(Hz):
         const_hz = _freeze(hz(0.0))
         hz = lambda t: const_hz
-    hz(0.0)  # a time-dependent drive is checked at build time too
-    hpp = hzz(0.0)[:n, :n]
-    if abs(np.linalg.det(hpp)) < 1e-12:
-        raise ModelError("momentum-momentum block of Hzz is singular")
+    if terms:
+        omegas = np.array([w for w, _, _ in terms])
+        cos_mat = np.array([c for _, c, _ in terms]).T
+        sin_mat = np.array([s for _, _, s in terms]).T
 
-    if spec is None and not callable(Hzz) and not callable(Hz):
+        def hz(t: float) -> np.ndarray:
+            return const_hz + cos_mat @ np.cos(omegas * t) \
+                + sin_mat @ np.sin(omegas * t)
+    hzz(0.0)  # time-dependent matrices are checked at build time too
+    hz(0.0)
+
+    data = not callable(Hzz) and not callable(Hz)
+    if spec is None and data and not terms:
         spec = {
             "example": "custom", "n": n, "hbar": hbar, "m": mass,
             "kappa": kappa,
@@ -206,7 +246,8 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
             "Www": Www.reshape(d * d).tolist(),
         }
     return QuadraticModel(n, hbar, mass, kappa, hzz, hz, Wzz, Wzw, Www,
-                          example=example, spec=spec)
+                          example=example, spec=spec,
+                          drive=(const_hz, tuple(terms)) if data else None)
 
 
 def model_1d(params: Example1DParams, hbar: float = 1.0,
@@ -216,11 +257,9 @@ def model_1d(params: Example1DParams, hbar: float = 1.0,
     Wzz = np.array([[0.0, 0.0], [0.0, p.a]])
     Wzw = np.array([[0.0, 0.0], [0.0, p.b]])
     Www = np.array([[0.0, 0.0], [0.0, p.c]])
-
-    def Hz(t: float) -> np.ndarray:
-        return np.array([0.0, -p.e * p.E * math.cos(p.omega * t)])
-
-    return make_model(1, hbar, p.m, kappa, Hzz, Hz, Wzz, Wzw, Www, example=p)
+    drive = [(p.omega, [0.0, -p.e * p.E], [0.0, 0.0])]
+    return make_model(1, hbar, p.m, kappa, Hzz, np.zeros(2), Wzz, Wzw, Www,
+                      example=p, drive=drive)
 
 
 def model_3d(params: Example3DParams, hbar: float = 1.0,
@@ -244,13 +283,12 @@ def model_3d(params: Example3DParams, hbar: float = 1.0,
     Wzw[3:, 3:] = p.eta * eye3
     Www = np.zeros((6, 6))
     Www[3:, 3:] = -p.eta * eye3
-
-    def Hz(t: float) -> np.ndarray:
-        ex = -p.e * p.E_field * math.cos(p.omega * t)
-        ey = -p.e * p.E_field * math.sin(p.omega * t)
-        return np.array([0.0, 0.0, 0.0, ex, ey, 0.0])
-
-    return make_model(3, hbar, p.m, kappa, Hzz, Hz, Wzz, Wzw, Www, example=p)
+    # rotating electric field in the x1-x2 plane
+    amp = -p.e * p.E_field
+    drive = [(p.omega, [0.0, 0.0, 0.0, amp, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, amp, 0.0])]
+    return make_model(3, hbar, p.m, kappa, Hzz, np.zeros(6), Wzz, Wzw, Www,
+                      example=p, drive=drive)
 
 
 def free_model(n: int = 1, hbar: float = 1.0, mass: float = 1.0) -> QuadraticModel:
@@ -282,6 +320,14 @@ def mean_drift_hessian(model: QuadraticModel, kappa_tilde: float,
     return model.Hzz(t) + kappa_tilde * (model.Wzz + model.Wzw)
 
 
+def action_hessian(model: QuadraticModel, kappa_tilde: float,
+                   t: float) -> np.ndarray:
+    """Matrix of the mean's quadratic energy in the phase action:
+    Hzz(t) + kt*(Wzz + 2 Wzw + Www)."""
+    return model.Hzz(t) + kappa_tilde * (model.Wzz + 2.0 * model.Wzw
+                                         + model.Www)
+
+
 def action_hamiltonian(model: QuadraticModel, kappa_tilde: float, t: float,
                        z: np.ndarray, Delta: np.ndarray) -> float:
     """Scalar energy entering the phase action along the moment trajectory.
@@ -289,7 +335,7 @@ def action_hamiltonian(model: QuadraticModel, kappa_tilde: float, t: float,
     The second-moment trace couples through Www: averaging the two-body
     potential over the second argument leaves (kt/2) tr(Www Delta).
     """
-    M = model.Hzz(t) + kappa_tilde * (model.Wzz + 2.0 * model.Wzw + model.Www)
+    M = action_hessian(model, kappa_tilde, t)
     val = 0.5 * float(z @ M @ z) + float(model.Hz(t) @ z)
     val += 0.5 * kappa_tilde * float(np.trace(model.Www @ Delta))
     return val

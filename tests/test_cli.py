@@ -251,6 +251,28 @@ def test_malformed_scenario_field_fails_cleanly(tmp_path, capsys, fields,
     assert message in err
 
 
+CUSTOM_1D = {"example": "custom", "n": 1, "hbar": 1.0, "m": 1.0,
+             "kappa": 0.5, "Hzz": [1.0, 0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"initial_state": {"kind": "fock", "n": -1}}, "at least 0"),
+    ({"spectrum_levels": 0, "tasks": ["quasi-energy"]}, "at least 1"),
+    ({"model": CUSTOM_1D, "tasks": ["kernel-crosscheck"]}, "Example1DParams"),
+    ({"grid": {"n": 256.5}}, "integer"),
+], ids=["negative-fock-level", "no-spectrum-levels",
+        "custom-model-kernel-crosscheck", "fractional-grid-size"])
+def test_out_of_range_scenario_value_fails_cleanly(tmp_path, capsys, fields,
+                                                   message):
+    cfg = dict(SCENARIO, **fields)
+    code = main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
+
+
 def _cli_csvs(tmp_path):
     cfg = dict(SCENARIO, tasks=["evolve"])
     out = tmp_path / "o"

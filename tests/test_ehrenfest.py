@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
+from gpexact.errors import PlanError, ResolutionError
 from gpexact.ehrenfest import blocks_to_matriciant, symplectic_defect
 
 from conftest import KAPPA, forced_oscillator_mean
@@ -212,3 +214,126 @@ def test_dense_output_satisfies_the_equations(model_1d, params_1d):
         B = J @ effective_hessian(model_1d, KAPPA, t)
         D = traj.Delta(t)
         assert np.max(np.abs(Ddot_fd - (B @ D + D @ B.T))) < 1e-8
+
+
+def test_exponential_matches_closed_forms():
+    """exp(J h t) of an oscillator over many periods, both directions, and
+    of the nilpotent free-particle generator."""
+    from gpexact.ehrenfest import Exponential
+    m, om = 1.3, 0.9
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    exp = Exponential(J @ np.diag([1.0 / m, m * om ** 2]))
+    for t in (1e-3, 0.7, 8.0, -30.0):
+        c, s = np.cos(om * t), np.sin(om * t)
+        ref = np.array([[c, -m * om * s], [s / (m * om), c]])
+        assert np.max(np.abs(exp(t) - ref)) <= 1e-14
+    assert np.array_equal(exp(0.0), np.eye(2))
+    free = Exponential(J @ np.diag([1.0 / m, 0.0]))
+    assert np.max(np.abs(free(2.5) - [[1.0, 0.0], [2.5 / m, 1.0]])) <= 1e-15
+
+
+@st.composite
+def driven_models(draw):
+    """A random model with positive-definite Hzz, kappa != 0, position-only
+    interaction blocks and 0-2 drive terms over a constant h0, built once with
+    the drive as data and once with the same drive as a closure Hz; an initial
+    moment point, and a horizon T of either sign."""
+    n = draw(st.sampled_from([1, 2]))
+    d = 2 * n
+
+    def matrix(rows, cols, lim):
+        vals = draw(st.lists(st.floats(-lim, lim), min_size=rows * cols,
+                             max_size=rows * cols))
+        return np.array(vals).reshape(rows, cols)
+
+    def vector(lim):
+        return matrix(d, 1, lim).ravel()
+
+    M = matrix(d, d, 0.6)
+    hzz = M @ M.T + draw(st.floats(0.5, 1.5)) * np.eye(d)
+
+    def position_block(symmetric):
+        W = np.zeros((d, d))
+        B = matrix(n, n, 0.2)
+        W[n:, n:] = B + B.T if symmetric else B
+        return W
+
+    Wzz, Wzw, Www = (position_block(True), position_block(False),
+                     position_block(True))
+    kappa = draw(st.floats(0.2, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+    h0 = vector(0.3)
+    terms = [(draw(st.floats(0.2, 2.0)), vector(0.3), vector(0.3))
+             for _ in range(draw(st.integers(0, 2)))]
+
+    def hz(t):
+        return h0 + sum((c * np.cos(w * t) + s * np.sin(w * t)
+                         for w, c, s in terms), np.zeros(d))
+
+    data = gx.make_model(n, 1.0, 1.0, kappa, hzz, h0, Wzz, Wzw, Www,
+                         drive=terms)
+    closure = gx.make_model(n, 1.0, 1.0, kappa, hzz, hz, Wzz, Wzw, Www)
+    L = matrix(d, d, 0.5)
+    g0 = gx.MomentPoint(vector(1.0), L @ L.T + 0.3 * np.eye(d))
+    T = draw(st.floats(1.0, 6.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return data, closure, g0, T
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(driven_models())
+def test_closed_form_matches_integrated_trajectory(case):
+    data, closure, g0, T = case
+    kt = 0.7 * data.kappa
+    exact = gx.integrate_moments(data, kt, g0, 0.0, T)
+    ode = gx.integrate_moments(closure, kt, g0, 0.0, T, rtol=1e-12,
+                               atol=1e-14)
+    for tau in T * np.array([0.0, 0.13, 0.5, 0.77, 1.0]):
+        assert np.max(np.abs(exact.z(tau) - ode.z(tau))) <= 1e-9
+        assert np.max(np.abs(exact(tau) - ode(tau))) <= 1e-9
+        assert np.max(np.abs(exact.Delta(tau) - ode.Delta(tau))) <= 1e-9
+        assert abs(exact.action(tau) - ode.action(tau)) <= 1e-9
+        assert symplectic_defect(exact(tau)) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(driven_models())
+def test_round_trip_on_both_paths(case):
+    """evolve -> evolve_inverse on a random driven model, with its drive as
+    data and as a closure."""
+    data, closure, _, T = case
+    n = data.n
+    axes = tuple(gx.Axis(-8.0, 8.0, 256 if n == 1 else 64) for _ in range(n))
+    psi = gx.gaussian_packet(axes, 1.0, [0.3] * n, [0.1] * n, [1.0] * n)
+    for model in (data, closure):
+        try:
+            out = gx.evolve(model, psi, T)
+        except (PlanError, ResolutionError):
+            assume(False)  # the grid cannot carry this leg
+        back = gx.evolve_inverse(model, out, 0.0)
+        assert gx.l2_distance(back, psi) <= 1e-8
+
+
+def test_closed_form_path_skips_the_integrator(monkeypatch, params_1d):
+    """Models with constant Hzz and a drive given as data never reach
+    solve_ivp; a callable Hzz does."""
+    calls = []
+    solve = gx.ehrenfest.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gx.ehrenfest, "solve_ivp", counted)
+    g0 = gx.MomentPoint(np.array([0.1, 0.4]), np.diag([0.6, 0.5]))
+    g3 = gx.MomentPoint(np.zeros(6), 0.5 * np.eye(6))
+    for model, point in ((gx.model_1d(params_1d, kappa=KAPPA), g0),
+                         (gx.model_3d(gx.Example3DParams(), kappa=KAPPA), g3),
+                         (gx.harmonic_model(omega=1.2), g0),
+                         (gx.free_model(), g0)):
+        traj = gx.integrate_moments(model, KAPPA, point, 0.0, 2.0)
+        gx.build_kernel_context(model, KAPPA, traj, traj, 0.0, 2.0)
+    assert calls == []
+    hzz = gx.harmonic_model(omega=1.2).Hzz(0.0)
+    callable_model = gx.make_model(1, 1.0, 1.0, 0.0, lambda t: hzz,
+                                   np.zeros(2))
+    gx.integrate_moments(callable_model, 0.0, g0, 0.0, 2.0)
+    assert calls == [1]

@@ -304,6 +304,36 @@ def test_amplitude_homogeneity_at_fixed_coupling(model_1d, axis_1024):
     assert gx.l2_distance(c, b.with_psi(1.7 * b.psi)) > 1e-3
 
 
+def test_long_time_roundtrip_is_exact(model_1d, params_1d):
+    """The README packet on 256 points, to t = 8 (several conjugate
+    points) and back: the closed-form trajectory leaves only roundoff."""
+    axis = gx.Axis(-12.0, 12.0, 256)
+    psi = gx.gaussian_packet((axis,), 1.0, [1.0], [0.2],
+                             [params_1d.m * params_1d.Omega(KAPPA)])
+    back = gx.evolve_inverse(model_1d, gx.evolve(model_1d, psi, 8.0), 0.0)
+    assert gx.l2_distance(back, psi) <= 1e-12
+
+
+def test_parametric_oscillator_vs_oracle(axis_2048):
+    """A callable Hzz(t) = diag(1/m, m w(t)^2), with the interaction blocks
+    of the 1D setup, takes the integrated trajectory; the oracle samples
+    Hzz at every step."""
+    m = 1.2
+
+    def hzz(t):
+        return np.diag([1.0 / m, m * (1.0 + 0.3 * math.sin(1.3 * t))])
+
+    W = np.diag([0.0, 1.0])
+    model = gx.make_model(1, 1.0, m, KAPPA, hzz, np.zeros(2), 0.2 * W,
+                          0.1 * W, 0.3 * W)
+    assert model.drive is None
+    psi = gx.gaussian_packet((axis_2048,), 1.0, [0.8], [0.3], [m])
+    t = 3.6  # past the first conjugate point
+    out = gx.evolve(model, psi, t)
+    ref = gx.split_step_evolve(model, psi, t, gx.OracleConfig(dt=5e-4))
+    assert gx.l2_distance(out, ref) <= 1e-6
+
+
 # -- the chirp-z kernel application against the dense quadrature ----------
 
 def dense_kernel_apply(ctx, state, axes_out):

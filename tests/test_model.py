@@ -179,3 +179,37 @@ def test_model_to_spec_rejects_time_dependent_model(model_1d):
     again = gx.build_model(gx.model_to_spec(constant))
     assert np.array_equal(again.Hzz(0.4), constant.Hzz(0.4))
     assert again.kappa == constant.kappa
+
+
+def test_callable_momentum_block_checked_per_call():
+    def hzz(t):
+        return np.diag([1.0 - t, 1.0])
+
+    model = gx.make_model(1, 1.0, 1.0, 0.0, hzz, np.zeros(2))
+    assert model.Hzz(0.5)[0, 0] == 0.5
+    with pytest.raises(ModelError, match="singular"):
+        model.Hzz(1.0)
+
+
+def test_drive_terms_are_data():
+    """The built-in setups carry their sinusoidal drive as data; the sum
+    it stands for is what Hz(t) returns."""
+    p = gx.Example3DParams(E_field=0.2, omega=0.7)
+    model = gx.model_3d(p, kappa=0.5)
+    h0, terms = model.drive
+    assert not h0.any() and len(terms) == 1
+    for t in (0.0, 0.4, 2.3):
+        expect = [0.0, 0.0, 0.0, -0.2 * np.cos(0.7 * t),
+                  -0.2 * np.sin(0.7 * t), 0.0]
+        assert np.allclose(model.Hz(t), expect, atol=0, rtol=1e-15)
+    assert gx.harmonic_model().drive[1] == ()
+    closure = gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), lambda t: np.zeros(2))
+    assert closure.drive is None
+    with pytest.raises(ModelError):
+        gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), lambda t: np.zeros(2),
+                      drive=[(1.0, [0.0, 1.0], [0.0, 0.0])])
+    for bad in ([(np.nan, [0.0, 1.0], [0.0, 0.0])], [(1.0, [0.0, 1.0])],
+                [(1.0, [0.0, 1.0, 2.0], [0.0, 0.0])]):
+        with pytest.raises(ModelError):
+            gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), np.zeros(2),
+                          drive=bad)
