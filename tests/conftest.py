@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import gpexact as gx
 
@@ -49,3 +50,75 @@ def forced_oscillator_mean(params, kappa_tilde, p0, x0, t):
     p = params.m * (-xs * w * np.sin(w * t) - (x0 - xs) * wt * np.sin(wt * t)
                     + p0 * np.cos(wt * t) / params.m)
     return p, x
+
+
+@st.composite
+def driven_models(draw):
+    """A random model with positive-definite Hzz, kappa != 0, position-only
+    interaction blocks and 0-2 drive terms over a constant h0, built once with
+    the drive as data and once with the same drive as a closure Hz; an initial
+    moment point, and a horizon T of either sign."""
+    n = draw(st.sampled_from([1, 2]))
+    d = 2 * n
+
+    def matrix(rows, cols, lim):
+        vals = draw(st.lists(st.floats(-lim, lim), min_size=rows * cols,
+                             max_size=rows * cols))
+        return np.array(vals).reshape(rows, cols)
+
+    def vector(lim):
+        return matrix(d, 1, lim).ravel()
+
+    M = matrix(d, d, 0.6)
+    hzz = M @ M.T + draw(st.floats(0.5, 1.5)) * np.eye(d)
+
+    def position_block(symmetric):
+        W = np.zeros((d, d))
+        B = matrix(n, n, 0.2)
+        W[n:, n:] = B + B.T if symmetric else B
+        return W
+
+    Wzz, Wzw, Www = (position_block(True), position_block(False),
+                     position_block(True))
+    kappa = draw(st.floats(0.2, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+    h0 = vector(0.3)
+    terms = [(draw(st.floats(0.2, 2.0)), vector(0.3), vector(0.3))
+             for _ in range(draw(st.integers(0, 2)))]
+
+    def hz(t):
+        return h0 + sum((c * np.cos(w * t) + s * np.sin(w * t)
+                         for w, c, s in terms), np.zeros(d))
+
+    data = gx.make_model(n, 1.0, 1.0, kappa, hzz, h0, Wzz, Wzw, Www,
+                         drive=terms)
+    closure = gx.make_model(n, 1.0, 1.0, kappa, hzz, hz, Wzz, Wzw, Www)
+    L = matrix(d, d, 0.5)
+    g0 = gx.MomentPoint(vector(1.0), L @ L.T + 0.3 * np.eye(d))
+    T = draw(st.floats(1.0, 6.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return data, closure, g0, T
+
+
+@st.composite
+def signed_models(draw):
+    """A model of :func:`driven_models` (drive as data) whose Hamiltonian
+    keeps its sign, changes it as a whole, or (n = 2) splits into one
+    forward and one backward decoupled axis, so its momentum block is
+    positive, negative or indefinite while the flow stays bounded; with a
+    horizon T of either sign."""
+    model, _, _, T = draw(driven_models())
+    n = model.n
+    axis = np.arange(2 * n) % n
+    mode = draw(st.sampled_from(["plus", "minus", "mixed"] if n == 2
+                                else ["plus", "minus"]))
+    if mode == "mixed":
+        sign = np.where(axis == 0, 1.0, -1.0)
+        scale = np.where(axis[:, None] == axis[None, :], sign[:, None], 0.0)
+    else:
+        sign = np.full(2 * n, 1.0 if mode == "plus" else -1.0)
+        scale = np.outer(sign, np.ones(2 * n))
+    h0, terms = model.drive
+    flipped = gx.make_model(
+        n, model.hbar, model.mass, model.kappa, scale * model.Hzz(0.0),
+        sign * h0, scale * model.Wzz, scale * model.Wzw, scale * model.Www,
+        drive=[(w, sign * c, sign * s) for w, c, s in terms])
+    return flipped, T

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 import gpexact as gx
 from gpexact.errors import PlanError, ResolutionError
 from gpexact.ehrenfest import blocks_to_matriciant, symplectic_defect
 
-from conftest import KAPPA, forced_oscillator_mean
+from conftest import KAPPA, driven_models, forced_oscillator_mean
 
 TOL = 1e-10  # integration rtol used throughout
 
@@ -230,52 +230,6 @@ def test_exponential_matches_closed_forms():
     assert np.array_equal(exp(0.0), np.eye(2))
     free = Exponential(J @ np.diag([1.0 / m, 0.0]))
     assert np.max(np.abs(free(2.5) - [[1.0, 0.0], [2.5 / m, 1.0]])) <= 1e-15
-
-
-@st.composite
-def driven_models(draw):
-    """A random model with positive-definite Hzz, kappa != 0, position-only
-    interaction blocks and 0-2 drive terms over a constant h0, built once with
-    the drive as data and once with the same drive as a closure Hz; an initial
-    moment point, and a horizon T of either sign."""
-    n = draw(st.sampled_from([1, 2]))
-    d = 2 * n
-
-    def matrix(rows, cols, lim):
-        vals = draw(st.lists(st.floats(-lim, lim), min_size=rows * cols,
-                             max_size=rows * cols))
-        return np.array(vals).reshape(rows, cols)
-
-    def vector(lim):
-        return matrix(d, 1, lim).ravel()
-
-    M = matrix(d, d, 0.6)
-    hzz = M @ M.T + draw(st.floats(0.5, 1.5)) * np.eye(d)
-
-    def position_block(symmetric):
-        W = np.zeros((d, d))
-        B = matrix(n, n, 0.2)
-        W[n:, n:] = B + B.T if symmetric else B
-        return W
-
-    Wzz, Wzw, Www = (position_block(True), position_block(False),
-                     position_block(True))
-    kappa = draw(st.floats(0.2, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
-    h0 = vector(0.3)
-    terms = [(draw(st.floats(0.2, 2.0)), vector(0.3), vector(0.3))
-             for _ in range(draw(st.integers(0, 2)))]
-
-    def hz(t):
-        return h0 + sum((c * np.cos(w * t) + s * np.sin(w * t)
-                         for w, c, s in terms), np.zeros(d))
-
-    data = gx.make_model(n, 1.0, 1.0, kappa, hzz, h0, Wzz, Wzw, Www,
-                         drive=terms)
-    closure = gx.make_model(n, 1.0, 1.0, kappa, hzz, hz, Wzz, Wzw, Www)
-    L = matrix(d, d, 0.5)
-    g0 = gx.MomentPoint(vector(1.0), L @ L.T + 0.3 * np.eye(d))
-    T = draw(st.floats(1.0, 6.0)) * draw(st.sampled_from([1.0, -1.0]))
-    return data, closure, g0, T
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

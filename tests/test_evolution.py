@@ -8,8 +8,9 @@ import gpexact as gx
 from gpexact.errors import CausticError, PlanError, ResolutionError
 from gpexact.evolution import (EvolveOptions, _apply_kernel, _recentered,
                                plan_evolution)
+from gpexact.kernel import conjugate_point_units
 
-from conftest import KAPPA, forced_oscillator_mean
+from conftest import KAPPA, forced_oscillator_mean, signed_models
 
 
 def test_harmonic_coherent_orbit(axis_1024):
@@ -430,3 +431,49 @@ def test_fully_coupled_3d_cross_term_rejected():
     axes = tuple(gx.Axis(-4.0, 4.0, 8) for _ in range(3))
     with pytest.raises(PlanError):
         _apply_kernel(ctx, random_state(axes, 0), axes, 1)
+
+
+def _packet(n, x0=0.3, p0=0.1, alpha=1.0):
+    axes = tuple(gx.Axis(-8.0, 8.0, 256 if n == 1 else 64) for _ in range(n))
+    return gx.gaussian_packet(axes, 1.0, [x0] * n, [p0] * n, [alpha] * n)
+
+
+def _carried(fn, *args):
+    """fn(*args), discarding the example when the grid cannot carry a leg."""
+    try:
+        return fn(*args)
+    except (PlanError, ResolutionError):
+        assume(False)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(signed_models())
+def test_random_model_conserves_norm(case):
+    model, T = case
+    psi = _packet(model.n)
+    out = _carried(gx.evolve, model, psi, T)
+    assert abs(gx.norm_squared(out) - gx.norm_squared(psi)) <= 1e-9
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(signed_models(), st.floats(0.2, 0.8))
+def test_random_model_group_law_across_conjugate_points(case, frac):
+    model, T = case
+    psi = _packet(model.n)
+    cons = gx.constants_of_motion(model, psi)
+    traj = gx.integrate_moments(model, cons.kappa_tilde, cons.point, 0.0, T)
+    assume(conjugate_point_units(traj, 0.0, T) != 0)
+    direct = _carried(gx.evolve, model, psi, T)
+    composed = _carried(gx.evolve_composed, model, psi, 0.0, frac * T, T)
+    assert gx.l2_distance(composed, direct) <= 1e-7
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(signed_models())
+def test_random_model_superposition_with_zero_weight(case):
+    model, T = case
+    n = model.n
+    P1 = _carried(gx.evolve, model, _packet(n), T)
+    P2 = _carried(gx.evolve, model, _packet(n, -0.4, 0.0, 1.2), T)
+    only1 = _carried(gx.superpose, model, P1, P2, 1.0, 0.0)
+    assert gx.l2_distance(only1, P1) <= 1e-8
