@@ -226,7 +226,7 @@ def _task_kernel(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     t = times[-1]
     traj = integrate_moments(model, cons.kappa_tilde, cons.point, psi.t, t,
                              rtol=1e-12, atol=1e-14)
-    ctx = build_kernel_context(model, cons.kappa_tilde, traj, traj, psi.t, t)
+    ctx = build_kernel_context(model, cons.kappa_tilde, traj, psi.t, t)
     rng = np.random.default_rng(0)
     xs = rng.normal(scale=1.5, size=100)
     ys = rng.normal(scale=1.5, size=100)

@@ -6,10 +6,11 @@ record, builds the Gaussian propagator for the resulting trajectory, and
 applies it by trapezoid quadrature on the uniform grid.  The sampled kernel
 is a discrete linear canonical transform whose cross term dx^T l3^(-1) dy
 is a Bluestein chirp convolution: O(N log N) per uncoupled axis, and
-O(N^3 log N) per slice for an axis pair coupled through l3^(-1).  Conjugate
-points are never crossed inside a single quadrature leg: the plan splits
-the interval and composes, which is legitimate because the legs share one
-trajectory.
+O(N^3 log N) per slice for an axis pair coupled through l3^(-1).  A leg
+may cross conjugate points, its branch read off the trajectory's frame; the
+plan splits the interval, and composes the legs of the one trajectory, only
+where a leg ends within the caustic tolerance of a conjugate point or its
+sampled kernel would alias.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sp_fft
 
-from .ehrenfest import (Matriciant, MomentTrajectory, integrate_moments,
-                        matriciant_blocks)
+from .ehrenfest import MomentTrajectory, integrate_moments, matriciant_blocks
 from .errors import PlanError, ResolutionError
 from .kernel import KernelContext, build_kernel_context, caustic_tolerance
 from .model import QuadraticModel
@@ -44,11 +44,15 @@ class EvolveOptions:
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Caustic-free legs covering [s, t]."""
+    """Caustic-free legs covering [s, t], each as its kernel context."""
 
     s: float
     t: float
-    splits: tuple[tuple[float, float], ...]
+    legs: tuple[KernelContext, ...]
+
+    @property
+    def splits(self) -> tuple[tuple[float, float], ...]:
+        return tuple((leg.s, leg.t) for leg in self.legs)
 
 
 def _box_distance(axes: tuple[Axis, ...], point: np.ndarray) -> float:
@@ -74,8 +78,7 @@ def _alias_images_ok(model: QuadraticModel, l3: np.ndarray,
 
 
 def plan_evolution(model: QuadraticModel, kappa_tilde: float,
-                   traj: MomentTrajectory, var: Matriciant,
-                   state: GridState, s: float, t: float,
+                   traj: MomentTrajectory, state: GridState, s: float, t: float,
                    opts: EvolveOptions) -> EvolutionPlan:
     n = model.n
     r0 = support_radius(state, traj.position(s))
@@ -85,24 +88,20 @@ def plan_evolution(model: QuadraticModel, kappa_tilde: float,
         sxx = float(np.trace(traj.Delta(a)[n:, n:]))
         return r0 * max(1.0, math.sqrt(sxx / sxx0))
 
-    def gates(a: float, b: float) -> tuple[bool, bool]:
-        A = var.between(a, b)
-        _, _, l3, _ = matriciant_blocks(A)
-        det = abs(float(np.linalg.det(l3)))
-        caustic_ok = det > caustic_tolerance(model, b - a, opts.caustic_factor)
+    legs: list[KernelContext] = []
+
+    def recurse(a: float, b: float, depth: int) -> None:
+        tol = caustic_tolerance(model, b - a, opts.caustic_factor)
+        _, _, l3, _ = matriciant_blocks(traj.between(a, b))
+        caustic_ok = abs(float(np.linalg.det(l3))) > tol
         axes_out = _recentered(state.axes, traj.position(b)) \
             if opts.recenter else state.axes
         alias_ok = _alias_images_ok(model, l3, state.axes, axes_out,
                                     traj.position(b), r_in(a),
                                     opts.alias_margin)
-        return caustic_ok, alias_ok
-
-    splits: list[tuple[float, float]] = []
-
-    def recurse(a: float, b: float, depth: int) -> None:
-        caustic_ok, alias_ok = gates(a, b)
         if caustic_ok and alias_ok:
-            splits.append((a, b))
+            legs.append(build_kernel_context(model, kappa_tilde, traj, a, b,
+                                             caustic_tol=tol))
             return
         if depth >= opts.max_depth:
             why = "conjugate point" if not caustic_ok else "grid too coarse"
@@ -113,7 +112,7 @@ def plan_evolution(model: QuadraticModel, kappa_tilde: float,
         recurse(mid, b, depth + 1)
 
     recurse(s, t, 0)
-    return EvolutionPlan(s, t, tuple(splits))
+    return EvolutionPlan(s, t, tuple(legs))
 
 
 # Largest phase, in radians, that a dropped cross-term entry may add over
@@ -234,26 +233,19 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
         return state
     traj = integrate_moments(model, kappa_tilde, g0, s, target,
                              rtol=opts.rtol, atol=opts.atol)
-    plan = plan_evolution(model, kappa_tilde, traj, traj, state, s, target,
-                          opts)
-    contexts = [
-        build_kernel_context(model, kappa_tilde, traj, traj, a, b,
-                             caustic_tol=caustic_tolerance(
-                                 model, b - a, opts.caustic_factor))
-        for (a, b) in plan.splits]
-
+    plan = plan_evolution(model, kappa_tilde, traj, state, s, target, opts)
     current = state
-    for (a, b), ctx in zip(plan.splits, contexts):
-        axes_out = _recentered(current.axes, traj.position(b)) \
+    for leg in plan.legs:
+        axes_out = _recentered(current.axes, leg.X_t) \
             if opts.recenter else current.axes
         # threads <= 1 runs serially, as scipy.fft's workers=1
-        psi = _apply_kernel(ctx, current, axes_out, max(1, opts.threads))
-        current = GridState(axes_out, psi, b, current.hbar)
+        psi = _apply_kernel(leg, current, axes_out, max(1, opts.threads))
+        current = GridState(axes_out, psi, leg.t, current.hbar)
         try:
             check_resolved(current, opts.tail_tol, opts.spectral_tol)
         except ResolutionError as err:
-            raise ResolutionError(
-                f"state unresolved after leg [{a:.4g}, {b:.4g}]: {err}") from err
+            raise ResolutionError(f"state unresolved after leg "
+                                  f"[{leg.s:.4g}, {leg.t:.4g}]: {err}") from err
     return current
 
 

@@ -9,17 +9,19 @@ l1..l4 of A(t, s), and the accumulated phase action:
                                 + <dx, l3^(-1) dy>
                                 - <dx, l3^(-1) l4 dx>/2 ] }
 
-with dx = x - X(t), dy = y - X(s).  The square-root branch is propagated
-continuously in time from the short-time asymptote; every interior zero of
-det l3 (a conjugate point) turns the determinant phase by pi per zero order,
-in the sense of its crossing (forward along the time path when the momentum
-block of the Hessian is positive definite).
+with dx = x - X(t), dy = y - X(s).  The square-root branch is read off the
+Lagrangian frame of the leg alone (Littlejohn, Phys. Rep. 138, 1986): the
+frame F = A(tau, a)[:, :n] gives the never-singular U = X + iP, whose
+determinant phase Theta = 2 arg det U is unwrapped over the trajectory's
+nodes, and with the eigen-angles phi of the unitary U conj(U)^(-1) at the
+end of the leg it fixes the winding integer m = round((sum phi - Theta) /
+2 pi) and arg det(-2*pi*i*hbar*l3) = pi (n/2 + m).  No sample of det l3,
+no short-time asymptote, and neither the sign of Hpp nor the direction of
+time enter the branch; a leg crosses any number of conjugate points.
 
-The conjugate points of a leg are counted exactly, with no sampling of
-det l3: the Lagrangian frame F = A(tau, a)[:, :n] gives the never-singular
-U = X + iP, whose determinant phase is unwrapped over the trajectory's
-nodes, and the eigen-angles of the unitary U conj(U)^(-1) at the end of the
-leg turn that phase into the number of zeros (the Maslov index).
+The signed number of conjugate points of a leg (its Maslov index) is the
+same winding shifted by the directions of Hpp that leave the caustic at
+the start of the leg by wrapping; it is reported, not used, by the kernel.
 """
 
 from __future__ import annotations
@@ -88,24 +90,17 @@ class KernelContext:
         return self.model.n
 
 
-def conjugate_point_units(traj: Matriciant, a: float, b: float) -> int:
-    """Signed count of conjugate points on the leg a -> b (the Maslov index
-    of the leg), each weighted by its order.
+def _frame_winding(traj: Matriciant, a: float, b: float) -> int:
+    """Winding integer m = round((sum phi - Theta) / 2 pi) of the leg a -> b.
 
     The leg frame F = A(tau, a)[:, :n] spans a Lagrangian plane, so
     U = X + iP (position and momentum rows of F) is never singular and
-    W = U conj(U)^(-1) is unitary; conjugate points are the times where W
-    has the eigenvalue -1.  The phase Theta = 2 arg det U = arg det W is
-    unwrapped over the trajectory's nodes (``step_times``), halving any
-    step whose increment exceeds pi/4; comparing it with the principal
-    eigen-angles of W at b counts the eigenvalues that passed -1.  At a all eigenvalues sit
-    at -1; the ones that leave it by wrapping (the negative directions of
-    Hpp going forward, the positive ones going backward) are not conjugate
-    points and are taken off.  With a positive-definite momentum block every
-    crossing has the same sense and the count is nonnegative both ways.
+    W = U conj(U)^(-1) is unitary.  The phase Theta = 2 arg det U = arg
+    det W is unwrapped over the trajectory's nodes (``step_times``),
+    halving any step whose increment exceeds pi/4, and compared with the
+    principal eigen-angles phi of W at b.
     """
     n = traj.n
-    negative = _momentum_block_negatives(traj.model, traj.kappa_tilde, a)
     frame_a = symplectic_inverse(traj(a))[:, :n]
 
     def det_u(tau: float) -> complex:
@@ -135,9 +130,24 @@ def conjugate_point_units(traj: Matriciant, a: float, b: float) -> int:
     F = traj(b) @ frame_a
     U = F[n:] + 1j * F[:n]
     sum_phi = float(np.sum(np.angle(np.linalg.eigvals(U @ np.linalg.inv(U.conj())))))
-    if b > a:
-        return round((sum_phi - theta) / (2.0 * math.pi)) + negative
-    return round((theta - sum_phi) / (2.0 * math.pi)) - (n - negative)
+    return round((sum_phi - theta) / (2.0 * math.pi))
+
+
+def conjugate_point_units(traj: Matriciant, a: float, b: float) -> int:
+    """Signed count of conjugate points on the leg a -> b (the Maslov index
+    of the leg), each weighted by its order.
+
+    Conjugate points are the times where W = U conj(U)^(-1) of
+    :func:`_frame_winding` has the eigenvalue -1.  At a all eigenvalues sit
+    at -1; the ones that leave it by wrapping (the negative directions of
+    Hpp going forward, the positive ones going backward) are not conjugate
+    points and are taken off the winding.  With a positive-definite
+    momentum block every crossing has the same sense and the count is
+    nonnegative both ways.
+    """
+    m = _frame_winding(traj, a, b)
+    negative = _momentum_block_negatives(traj.model, traj.kappa_tilde, a)
+    return m + negative if b > a else negative - traj.n - m
 
 
 def _momentum_block_negatives(model: QuadraticModel, kappa_tilde: float,
@@ -149,19 +159,15 @@ def _momentum_block_negatives(model: QuadraticModel, kappa_tilde: float,
 
 
 def build_kernel_context(model: QuadraticModel, kappa_tilde: float,
-                         traj: MomentTrajectory, var: Matriciant,
-                         a: float, b: float,
+                         traj: MomentTrajectory, a: float, b: float,
                          caustic_tol: float | None = None) -> KernelContext:
-    """Assemble the propagator context for the leg a -> b of a trajectory.
-
-    ``var`` supplies A(tau, s); a :class:`MomentTrajectory` serves as both.
-    """
+    """Assemble the propagator context for the leg a -> b of a trajectory."""
     n = model.n
     hbar = model.hbar
     if caustic_tol is None:
         caustic_tol = caustic_tolerance(model, b - a)
 
-    A = var.between(a, b)
+    A = traj.between(a, b)
     l1, l2, l3, l4 = matriciant_blocks(A)
     det_l3 = float(np.linalg.det(l3))
     if abs(det_l3) <= caustic_tol:
@@ -169,21 +175,12 @@ def build_kernel_context(model: QuadraticModel, kappa_tilde: float,
             f"|det l3| = {abs(det_l3):.3e} at dt = {b - a:.4g}: conjugate "
             "point; split the interval via the group property")
 
-    units = conjugate_point_units(var, a, b)
-
-    # continuous phase of D = det(-2*pi*i*hbar*l3): theta starts at the
-    # short-time asymptote l3 ~ -(b - a) Hpp, where each negative eigenvalue
-    # of Hpp turns its factor by -pi (forward) or +pi (backward); every
-    # conjugate point then advances it by pi in the direction of the path.
-    negative = _momentum_block_negatives(model, kappa_tilde, a)
-    forward = b > a
-    theta_start = (n - negative) * math.pi if forward else negative * math.pi
-    direction = 1.0 if forward else -1.0
-    theta_end = theta_start + math.pi * units * direction
-    if math.copysign(1.0, math.cos(theta_end)) != math.copysign(1.0, det_l3):
+    # arg det(-2*pi*i*hbar*l3) = pi (n/2 + m); its parity fixes sign det l3
+    m = _frame_winding(traj, a, b)
+    if (-1.0) ** (n + m) != math.copysign(1.0, det_l3):
         raise IntegrationError(
             "branch phase inconsistent with the sign of det l3")
-    arg_D = -n * math.pi / 2.0 + theta_end
+    arg_D = math.pi * (n / 2.0 + m)
     prefactor = complex(
         ((2.0 * math.pi * hbar) ** n * abs(det_l3)) ** -0.5
         * np.exp(-0.5j * arg_D))

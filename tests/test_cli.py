@@ -308,7 +308,7 @@ def _trajectory_csv(tmp_path):
 def _kernel_csv(tmp_path):
     from gpexact.kernel import dump_kernel_csv
     model, traj = _trajectory()
-    ctx = gx.build_kernel_context(model, 0.5, traj, traj, 0.0, 1.0)
+    ctx = gx.build_kernel_context(model, 0.5, traj, 0.0, 1.0)
     path = tmp_path / "kernel.csv"
     dump_kernel_csv(ctx, [0.0, 0.5], [-0.5, 0.5], path)
     return [(path, "x,y,re,im")]

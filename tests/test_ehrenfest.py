@@ -284,7 +284,7 @@ def test_closed_form_path_skips_the_integrator(monkeypatch, params_1d):
                          (gx.harmonic_model(omega=1.2), g0),
                          (gx.free_model(), g0)):
         traj = gx.integrate_moments(model, KAPPA, point, 0.0, 2.0)
-        gx.build_kernel_context(model, KAPPA, traj, traj, 0.0, 2.0)
+        gx.build_kernel_context(model, KAPPA, traj, 0.0, 2.0)
     assert calls == []
     hzz = gx.harmonic_model(omega=1.2).Hzz(0.0)
     callable_model = gx.make_model(1, 1.0, 1.0, 0.0, lambda t: hzz,

@@ -13,8 +13,7 @@ from conftest import KAPPA
 
 def make_context(model, kt, g0, s, t, rtol=1e-12, atol=1e-14):
     traj = gx.integrate_moments(model, kt, g0, s, t, rtol=rtol, atol=atol)
-    var = gx.integrate_variations(model, kt, s, t, rtol=rtol, atol=atol)
-    return gx.build_kernel_context(model, kt, traj, var, s, t), traj, var
+    return gx.build_kernel_context(model, kt, traj, s, t), traj
 
 
 def plain_point(n=1, z=None, width=0.5):
@@ -60,7 +59,7 @@ def test_action_secular_rate_matches_quasi_energy(model_1d, params_1d):
 def test_free_propagator_closed_form():
     m = 1.4
     model = gx.free_model(mass=m)
-    ctx, _, _ = make_context(model, 0.0, plain_point(z=[0.6, -0.2]), 0.0, 1.3)
+    ctx, _ = make_context(model, 0.0, plain_point(z=[0.6, -0.2]), 0.0, 1.3)
     rng = np.random.default_rng(0)
     xs, ys = rng.normal(size=50), rng.normal(size=50)
     got = gx.green_function(ctx, xs, ys)
@@ -76,7 +75,7 @@ def test_delta_limit_reproduces_short_time_evolution():
     ax = gx.Axis(-8.0, 8.0, 32768)
     psi = gx.gaussian_packet((ax,), 1.0, [0.3], [0.4], [4.0])
     tau = 1e-3
-    ctx, _, _ = make_context(model, 0.0,
+    ctx, _ = make_context(model, 0.0,
                              gx.constants_of_motion(model, psi).point,
                              0.0, tau)
     idx = np.arange(12288, 20480, 256)  # sample exact grid points
@@ -94,7 +93,7 @@ def test_harmonic_kernel_vs_closed_form_1d(model_1d, params_1d):
     g0 = plain_point(z=[0.3, 0.9], width=1.0 / (2 * om))
     rng = np.random.default_rng(5)
     for t in (0.7, 1.9, 2.7):
-        ctx, traj, _ = make_context(model_1d, KAPPA, g0, 0.0, t)
+        ctx, traj = make_context(model_1d, KAPPA, g0, 0.0, t)
         xs = rng.normal(scale=1.5, size=100)
         ys = rng.normal(scale=1.5, size=100)
         got = gx.green_function(ctx, xs, ys)
@@ -108,7 +107,7 @@ def test_closed_form_kernel_past_caustic(model_1d, params_1d):
     om = params_1d.Omega(KAPPA)
     g0 = plain_point(width=1.0 / (2 * om))
     t = 1.2 * math.pi / om
-    ctx, traj, _ = make_context(model_1d, KAPPA, g0, 0.0, t)
+    ctx, traj = make_context(model_1d, KAPPA, g0, 0.0, t)
     xs = np.linspace(-1.0, 1.0, 17)
     got = gx.green_function(ctx, xs, xs[::-1])
     ref = gx.closed_form_kernel_1d(params_1d, KAPPA, traj, xs, xs[::-1],
@@ -120,7 +119,7 @@ def test_quarter_period_pure_cross_kernel():
     om, m = 1.0, 1.0
     model = gx.harmonic_model(omega=om, mass=m)
     t = 0.5 * math.pi / om
-    ctx, _, _ = make_context(model, 0.0, plain_point(), 0.0, t)
+    ctx, _ = make_context(model, 0.0, plain_point(), 0.0, t)
     # cos(om t) = 0: no diagonal quadratic terms remain
     assert abs(ctx.m_xx[0, 0]) < 1e-9 and abs(ctx.m_yy[0, 0]) < 1e-9
     g = gx.green_function(ctx, 1.3, 0.7)
@@ -133,7 +132,7 @@ def test_prefactor_modulus_and_determinant_identity(model_1d, params_1d):
     om = params_1d.Omega(KAPPA)
     g0 = plain_point(width=1.0 / (2 * om))
     for t in (0.5, 1.4, 2.6):
-        ctx, _, _ = make_context(model_1d, KAPPA, g0, 0.0, t)
+        ctx, _ = make_context(model_1d, KAPPA, g0, 0.0, t)
         expect = math.sqrt(om / (2 * math.pi * abs(math.sin(om * t))))
         assert abs(ctx.prefactor) == pytest.approx(expect, rel=1e-9)
         # branch-tracked square root still squares back to the determinant
@@ -145,11 +144,9 @@ def test_hermitian_reversal(model_1d):
     g0 = plain_point(z=[0.2, 0.8])
     for t in (1.1, 3.4):  # the second crosses a conjugate point
         traj = gx.integrate_moments(model_1d, KAPPA, g0, 0.0, t)
-        var = gx.integrate_variations(model_1d, KAPPA, 0.0, t)
-        ctx_f = gx.build_kernel_context(model_1d, KAPPA, traj, var, 0.0, t)
+        ctx_f = gx.build_kernel_context(model_1d, KAPPA, traj, 0.0, t)
         traj_b = gx.integrate_moments(model_1d, KAPPA, traj.point(t), t, 0.0)
-        var_b = gx.integrate_variations(model_1d, KAPPA, t, 0.0)
-        ctx_b = gx.build_kernel_context(model_1d, KAPPA, traj_b, var_b, t, 0.0)
+        ctx_b = gx.build_kernel_context(model_1d, KAPPA, traj_b, t, 0.0)
         xs = np.linspace(-1.5, 1.5, 11)
         ys = np.linspace(-1.0, 2.0, 11)
         fwd = gx.green_function(ctx_f, xs, ys)
@@ -162,7 +159,7 @@ def test_branch_continuity_no_jumps(model_1d):
     phases = []
     times = np.linspace(0.15, 2.6, 40)
     for t in times:
-        ctx, _, _ = make_context(model_1d, KAPPA, g0, 0.0, t)
+        ctx, _ = make_context(model_1d, KAPPA, g0, 0.0, t)
         phases.append(np.angle(ctx.prefactor))
     diffs = np.abs(np.diff(np.unwrap(phases)))
     assert diffs.max() < 0.5
@@ -178,7 +175,7 @@ def test_kernel_columns_unit_norm_at_critical_sampling():
     num = int(round(L ** 2 / (2 * math.pi * l3)))
     num += num % 2
     ax = gx.Axis(-L / 2, L / 2, num)
-    ctx, _, _ = make_context(model, 0.0, plain_point(), 0.0, t)
+    ctx, _ = make_context(model, 0.0, plain_point(), 0.0, t)
     cols = gx.green_function(ctx, ax.points[:, None, None],
                              ax.points[None, :, None])
     colnorm = np.sqrt(np.sum(np.abs(cols * ax.delta) ** 2, axis=0))
@@ -201,9 +198,8 @@ def test_caustic_raises(model_1d, params_1d):
     g0 = plain_point(width=1.0 / (2 * om))
     t = math.pi / om  # conjugate point
     traj = gx.integrate_moments(model_1d, KAPPA, g0, 0.0, t)
-    var = gx.integrate_variations(model_1d, KAPPA, 0.0, t)
     with pytest.raises(CausticError):
-        gx.build_kernel_context(model_1d, KAPPA, traj, var, 0.0, t)
+        gx.build_kernel_context(model_1d, KAPPA, traj, 0.0, t)
     with pytest.raises(CausticError):
         gx.oscillator_kernel_factor(0.1, 0.2, t, 0.0, 0.0, 1.0, 1.0, om)
 
@@ -222,8 +218,7 @@ def test_3d_kernel_generic_vs_closed_form():
     rng = np.random.default_rng(21)
     for t in (0.9, 2.4, 3.8):  # last crosses both kinds of conjugate point
         traj = gx.integrate_moments(model, kt, g0, 0.0, t)
-        var = gx.integrate_variations(model, kt, 0.0, t)
-        ctx = gx.build_kernel_context(model, kt, traj, var, 0.0, t)
+        ctx = gx.build_kernel_context(model, kt, traj, 0.0, t)
         xs = rng.normal(scale=1.0, size=(50, 3))
         ys = rng.normal(scale=1.0, size=(50, 3))
         got = gx.green_function(ctx, xs, ys)
@@ -255,7 +250,7 @@ def test_3d_isotropic_limit_is_harmonic_product():
     assert w1 == pytest.approx(w2, rel=1e-14) == pytest.approx(1.0, rel=1e-14)
     g0 = gx.MomentPoint(np.zeros(6), np.diag([0.5] * 6))
     t = 0.9
-    ctx, _, _ = make_context(model, 0.0, g0, 0.0, t)
+    ctx, _ = make_context(model, 0.0, g0, 0.0, t)
     x = np.array([0.4, -0.3, 0.2])
     y = np.array([0.1, 0.5, -0.2])
     got = gx.green_function(ctx, x, y)
@@ -266,7 +261,7 @@ def test_3d_isotropic_limit_is_harmonic_product():
 
 def test_kernel_csv_dump(tmp_path, model_1d):
     from gpexact.kernel import dump_kernel_csv
-    ctx, _, _ = make_context(model_1d, KAPPA, plain_point(), 0.0, 1.0)
+    ctx, _ = make_context(model_1d, KAPPA, plain_point(), 0.0, 1.0)
     path = tmp_path / "kernel.csv"
     dump_kernel_csv(ctx, [0.0, 0.5], [-0.5, 0.5], path)
     lines = path.read_text().splitlines()
@@ -323,7 +318,7 @@ def test_leg_count_matches_sign_changes(leg):
 def test_prefactor_squares_to_inverse_determinant(leg):
     model, traj, a, b = leg
     try:
-        ctx = gx.build_kernel_context(model, 0.0, traj, traj, a, b)
+        ctx = gx.build_kernel_context(model, 0.0, traj, a, b)
     except CausticError:
         assume(False)
     D = np.linalg.det(-2j * math.pi * model.hbar * ctx.l3)
