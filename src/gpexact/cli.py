@@ -50,9 +50,9 @@ _REQUIRED = object()
 def _field(spec, key: str, kind=float, default=_REQUIRED,
            where: str = "config", lo: int | None = None):
     """Field ``key`` of the config object ``spec`` as ``kind``: numbers and
-    strings are converted without loss, objects and lists checked, and an
-    integer is at least ``lo`` when given.  A missing field takes
-    ``default``, and is an error without one."""
+    strings are converted without loss, a number must be finite, objects
+    and lists are checked, and an integer is at least ``lo`` when given.
+    A missing field takes ``default``, and is an error without one."""
     if not isinstance(spec, dict):
         raise GpexactError(f"{where} must be an object")
     val = spec.get(key, default)
@@ -69,10 +69,22 @@ def _field(spec, key: str, kind=float, default=_REQUIRED,
         what = {dict: "an object", list: "a list", int: "an integer"}
         raise GpexactError(f"{where} field {key!r} must be "
                            f"{what.get(kind, 'a number')}, not {val!r}")
+    if isinstance(out, float) and not math.isfinite(out):
+        raise GpexactError(f"{where} field {key!r} must be finite, "
+                           f"not {val!r}")
     if lo is not None and out < lo:
         raise GpexactError(f"{where} field {key!r} must be at least {lo}, "
                            f"not {val!r}")
     return out
+
+
+def _positive(spec, key: str, default, where: str = "config"):
+    """Number field ``key`` of ``spec`` that must be positive when given."""
+    val = _field(spec, key, float, default, where)
+    if val is not default and val <= 0.0:
+        raise GpexactError(f"{where} field {key!r} must be positive, "
+                           f"not {val!r}")
+    return val
 
 
 def emit_report(checks: list[dict]) -> dict:
@@ -109,11 +121,11 @@ def _build_state(spec: dict, model, axis: Axis) -> GridState:
         x0 = [_field(spec, "x0", float, 1.0, where)]
         p0 = [_field(spec, "p0", float, 0.0, where)]
         kt = model.kappa * _field(spec, "norm_sq", float, 1.0, where)
-        alpha = _field(spec, "alpha", float, None, where)
-        if alpha is None and model.example is not None:
-            alpha = model.mass * model.example.Omega(kt)
-        return gaussian_packet((axis,), model.hbar, x0, p0,
-                               [float(alpha or 1.0)])
+        alpha = _positive(spec, "alpha", None, where)
+        if alpha is None:
+            alpha = 1.0 if model.example is None \
+                else model.mass * model.example.Omega(kt)
+        return gaussian_packet((axis,), model.hbar, x0, p0, [alpha])
     if kind == "fock":
         return fock_state(model, _field(spec, "n", int, 0, where, lo=0), 0.0,
                           axis=axis)
@@ -139,6 +151,8 @@ def _build_state(spec: dict, model, axis: Axis) -> GridState:
 def _schedule(cfg: dict) -> list[float]:
     sched = _field(cfg, "schedule", list, [0.5, 1.0])
     times = [_field({"time": t}, "time", where="schedule") for t in sched]
+    if not times:
+        raise GpexactError("schedule is empty")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise GpexactError("schedule times must be strictly increasing")
     return times
@@ -168,7 +182,7 @@ def _task_roundtrip(cfg, model, psi, times, out, tols, opts) -> list[dict]:
 
 
 def _task_oracle(cfg, model, psi, times, out, tols, opts) -> list[dict]:
-    dt0 = _field(cfg, "oracle_dt", float, 2.5e-4)
+    dt0 = _positive(cfg, "oracle_dt", 2.5e-4)
     t = times[-1]
     exact = evolve(model, psi, t, opts)
     rows = []
@@ -212,6 +226,9 @@ def _write_quasi_energies(model, out: Path, levels: int) -> list[float]:
 def _task_quasi_energy(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     energies = _write_quasi_energies(
         model, out, _field(cfg, "spectrum_levels", int, 3, lo=1))
+    if model.example.omega == 0.0:
+        raise GpexactError("the quasi-energy task needs a drive: model "
+                           "field 'omega' must be nonzero")
     T = 2.0 * math.pi / model.example.omega
     f0 = fock_state(model, 0, 0.0, axis=psi.axes[0])
     one_period = evolve(model, f0, T, opts)

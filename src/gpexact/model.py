@@ -45,6 +45,13 @@ def _symmetrized(name: str, mat: np.ndarray, tol: float = SYMMETRY_TOL) -> np.nd
     return 0.5 * (mat + mat.T)
 
 
+def _nonzero(params, *names: str) -> None:
+    """The example parameters that divide must not be zero."""
+    for name in names:
+        if getattr(params, name) == 0.0:
+            raise ModelError(f"example parameter {name!r} must be nonzero")
+
+
 @dataclass(frozen=True)
 class Example1DParams:
     """Driven anharmonic-free 1D setup: kinetic + k x^2/2 - e E x cos(wt),
@@ -58,6 +65,9 @@ class Example1DParams:
     a: float = 0.2
     b: float = 0.1
     c: float = 0.3
+
+    def __post_init__(self):
+        _nonzero(self, "m")
 
     @property
     def omega0_sq(self) -> float:
@@ -97,6 +107,9 @@ class Example3DParams:
     k: float = 1.0
     V0: float = 0.3
     gamma: float = 1.5
+
+    def __post_init__(self):
+        _nonzero(self, "m", "c_light", "gamma")
 
     @property
     def omega_H(self) -> float:

@@ -29,15 +29,23 @@ class OracleConfig:
     phase_step_bound: float = 0.5  # max |V| dt / hbar per potential step
 
 
+def _kinetic_split(model: QuadraticModel, tau: float) -> np.ndarray:
+    """Hzz(tau), checked to split into the kinetic term and a position
+    potential."""
+    n = model.n
+    hzz = model.Hzz(tau)
+    if np.max(np.abs(hzz[:n, n:])) > 1e-14:
+        raise ModelError("split-step oracle requires vanishing momentum-"
+                         f"position coupling in Hzz (t = {tau:.6g})")
+    if np.max(np.abs(hzz[:n, :n] - np.eye(n) / model.mass)) > 1e-12:
+        raise ModelError(f"split-step oracle requires Hpp = I/m (t = {tau:.6g})")
+    return hzz
+
+
 def _position_blocks(model: QuadraticModel):
     """The oracle needs a pure kinetic + position-potential split."""
     n = model.n
-    hzz0 = model.Hzz(0.0)
-    if np.max(np.abs(hzz0[:n, n:])) > 1e-14:
-        raise ModelError("split-step oracle requires vanishing momentum-"
-                         "position coupling in Hzz")
-    if np.max(np.abs(hzz0[:n, :n] - np.eye(n) / model.mass)) > 1e-12:
-        raise ModelError("split-step oracle requires Hpp = I/m")
+    _kinetic_split(model, 0.0)
     for name, W in (("Wzz", model.Wzz), ("Wzw", model.Wzw), ("Www", model.Www)):
         if np.max(np.abs(W[:n, :])) > 0.0 or np.max(np.abs(W[:, :n])) > 0.0:
             raise ModelError(f"{name} must couple positions only")
@@ -84,7 +92,10 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     kin_half = np.exp(-1j * hbar * k2 * dt / (4.0 * model.mass))
 
     def quad_potential(tau: float) -> np.ndarray:
-        hxx = model.Hzz(tau)[n:, n:] + kt * Wa
+        # a constant Hzz (model.drive set) was checked once, at t = 0
+        hzz = model.Hzz(tau) if model.drive is not None \
+            else _kinetic_split(model, tau)
+        hxx = hzz[n:, n:] + kt * Wa
         out = np.zeros(tuple(ax.num for ax in axes))
         for a in range(n):
             for b in range(n):

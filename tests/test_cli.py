@@ -1,10 +1,18 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpexact as gx
-from gpexact.cli import emit_report, main
+from gpexact.cli import GOLDEN_SCENARIOS, emit_report, main
 
 SCENARIO = {
     "model": {"example": "1d", "hbar": 1.0, "kappa": 0.5, "m": 1.0, "k": 1.0,
@@ -251,6 +259,7 @@ def test_malformed_scenario_field_fails_cleanly(tmp_path, capsys, fields,
     assert message in err
 
 
+NAN, INF = float("nan"), float("inf")
 CUSTOM_1D = {"example": "custom", "n": 1, "hbar": 1.0, "m": 1.0,
              "kappa": 0.5, "Hzz": [1.0, 0.0, 0.0, 1.0]}
 
@@ -260,8 +269,30 @@ CUSTOM_1D = {"example": "custom", "n": 1, "hbar": 1.0, "m": 1.0,
     ({"spectrum_levels": 0, "tasks": ["quasi-energy"]}, "at least 1"),
     ({"model": CUSTOM_1D, "tasks": ["kernel-crosscheck"]}, "Example1DParams"),
     ({"grid": {"n": 256.5}}, "integer"),
+    ({"initial_state": {"kind": "gaussian", "x0": NAN}}, "finite"),
+    ({"initial_state": {"kind": "gaussian", "p0": INF}}, "finite"),
+    ({"initial_state": {"kind": "gaussian", "x0": -INF}}, "finite"),
+    ({"grid": {"lo": -12.0, "hi": INF, "n": 1024}}, "finite"),
+    ({"schedule": [NAN]}, "finite"),
+    ({"schedule": [INF]}, "finite"),
+    ({"schedule": []}, "empty"),
+    ({"initial_state": {"kind": "gaussian", "alpha": -1.0}}, "positive"),
+    ({"initial_state": {"kind": "gaussian", "alpha": 0.0}}, "positive"),
+    ({"model": dict(SCENARIO["model"], m=0.0)}, "nonzero"),
+    ({"model": {"example": "3d", "m": 0.0}}, "nonzero"),
+    ({"model": {"example": "3d", "c_light": 0.0}}, "nonzero"),
+    ({"model": {"example": "3d", "gamma": 0.0}}, "nonzero"),
+    ({"oracle_dt": 0.0, "tasks": ["oracle-compare"]}, "positive"),
+    ({"model": dict(SCENARIO["model"], omega=0.0), "tasks": ["quasi-energy"]},
+     "drive"),
+    ({"tolerances": {"norm": NAN}}, "finite"),
 ], ids=["negative-fock-level", "no-spectrum-levels",
-        "custom-model-kernel-crosscheck", "fractional-grid-size"])
+        "custom-model-kernel-crosscheck", "fractional-grid-size",
+        "nan-x0", "infinite-p0", "negative-infinite-x0", "infinite-grid-hi",
+        "nan-schedule", "infinite-schedule", "empty-schedule",
+        "negative-alpha", "zero-alpha", "zero-mass-1d", "zero-mass-3d",
+        "zero-light-speed-3d", "zero-gamma-3d", "zero-oracle-dt",
+        "quasi-energy-without-drive", "nan-tolerance"])
 def test_out_of_range_scenario_value_fails_cleanly(tmp_path, capsys, fields,
                                                    message):
     cfg = dict(SCENARIO, **fields)
@@ -331,3 +362,53 @@ def test_one_csv_format(tmp_path, produce):
             fields = line.split(b",")
             assert len(fields) == header.count(",") + 1
             assert all(value.fullmatch(f) for f in fields), line
+
+
+# The driven-1d golden scenario on a grid small enough to run each mutation
+# in milliseconds ([-8, 8] keeps the base config past the alias gate at 128
+# points), with the default tolerances spelled out so they can be mutated.
+FUZZ_BASE = dict(GOLDEN_SCENARIOS["driven-1d"],
+                 grid={"lo": -8.0, "hi": 8.0, "n": 128},
+                 tasks=["evolve", "inverse-roundtrip"],
+                 tolerances={"norm": 1e-8, "roundtrip": 1e-8})
+_MISSING = object()
+FUZZ_VALUES = [_MISSING, NAN, INF, -INF, 0, -1, 0.5, "abc", [1.0, "x"],
+               [], {"a": 1}]
+
+
+def _field_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _field_paths(val, prefix + (key,))
+
+
+FUZZ_PATHS = list(_field_paths(FUZZ_BASE)) + [("initial_state", "alpha"),
+                                             ("initial_state", "norm_sq")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES))
+def test_mutated_scenario_exits_cleanly(path, value):
+    """One field of the scenario replaced (or removed): the CLI returns 0,
+    1 or 2 without raising, and 2 comes with exactly one error line."""
+    cfg = copy.deepcopy(FUZZ_BASE)
+    node = functools.reduce(operator.getitem, path[:-1], cfg)
+    if value is _MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        config = os.path.join(tmp, "scenario.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["scenario", "--config", config, "--out",
+                     os.path.join(tmp, "o")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -59,6 +59,17 @@ def test_oracle_rejects_magnetic_models():
         gx.split_step_evolve(model, psi, 0.5)
 
 
+def test_oracle_checks_the_kinetic_split_at_every_time(axis_1024):
+    """A momentum block that leaves I/m after t = 0 is rejected, not
+    evolved with the wrong kinetic term."""
+    model = gx.make_model(1, 1.0, 1.0, 0.0,
+                          lambda t: np.diag([1.0 + t / 2.0, 1.0]),
+                          np.zeros(2))
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.0], [1.0])
+    with pytest.raises(ModelError, match="Hpp"):
+        gx.split_step_evolve(model, psi, 2.0)
+
+
 def residual_of_evolved_triple(model, psi, t, dt):
     snaps = [gx.evolve(model, psi, t + k * dt) for k in (-1, 0, 1)]
     return gx.gpe_residual(model, snaps, dt)
