@@ -224,11 +224,11 @@ def _write_quasi_energies(model, out: Path, levels: int) -> list[float]:
 
 
 def _task_quasi_energy(cfg, model, psi, times, out, tols, opts) -> list[dict]:
-    energies = _write_quasi_energies(
-        model, out, _field(cfg, "spectrum_levels", int, 3, lo=1))
     if model.example.omega == 0.0:
         raise GpexactError("the quasi-energy task needs a drive: model "
                            "field 'omega' must be nonzero")
+    energies = _write_quasi_energies(
+        model, out, _field(cfg, "spectrum_levels", int, 3, lo=1))
     T = 2.0 * math.pi / model.example.omega
     f0 = fock_state(model, 0, 0.0, axis=psi.axes[0])
     one_period = evolve(model, f0, T, opts)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft as sp_fft
 
 from .ehrenfest import MomentTrajectory, integrate_moments, matriciant_blocks
-from .errors import PlanError, ResolutionError
+from .errors import CausticError, PlanError, ResolutionError
 from .kernel import KernelContext, build_kernel_context, caustic_tolerance
 from .model import QuadraticModel
 from .moments import constants_of_motion
@@ -91,20 +91,20 @@ def plan_evolution(model: QuadraticModel, kappa_tilde: float,
     legs: list[KernelContext] = []
 
     def recurse(a: float, b: float, depth: int) -> None:
-        tol = caustic_tolerance(model, b - a, opts.caustic_factor)
         _, _, l3, _ = matriciant_blocks(traj.between(a, b))
-        caustic_ok = abs(float(np.linalg.det(l3))) > tol
         axes_out = _recentered(state.axes, traj.position(b)) \
             if opts.recenter else state.axes
-        alias_ok = _alias_images_ok(model, l3, state.axes, axes_out,
-                                    traj.position(b), r_in(a),
-                                    opts.alias_margin)
-        if caustic_ok and alias_ok:
-            legs.append(build_kernel_context(model, kappa_tilde, traj, a, b,
-                                             caustic_tol=tol))
-            return
+        why = "grid too coarse"
+        if _alias_images_ok(model, l3, state.axes, axes_out,
+                            traj.position(b), r_in(a), opts.alias_margin):
+            tol = caustic_tolerance(model, b - a, opts.caustic_factor)
+            try:
+                legs.append(build_kernel_context(model, kappa_tilde, traj, a, b,
+                                                 caustic_tol=tol))
+                return
+            except CausticError:
+                why = "conjugate point"
         if depth >= opts.max_depth:
-            why = "conjugate point" if not caustic_ok else "grid too coarse"
             raise PlanError(
                 f"no admissible evolution plan over [{a:.6g}, {b:.6g}]: {why}")
         mid = 0.5 * (a + b)

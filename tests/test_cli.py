@@ -304,6 +304,15 @@ def test_out_of_range_scenario_value_fails_cleanly(tmp_path, capsys, fields,
     assert message in err
 
 
+def test_quasi_energy_without_drive_writes_no_spectrum(tmp_path):
+    cfg = dict(SCENARIO, model=dict(SCENARIO["model"], omega=0.0),
+               tasks=["quasi-energy"])
+    out = tmp_path / "o"
+    assert main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert not (out / "quasi_energy.csv").exists()
+
+
 def _cli_csvs(tmp_path):
     cfg = dict(SCENARIO, tasks=["evolve"])
     out = tmp_path / "o"
