@@ -25,8 +25,7 @@ from .evolution import EvolveOptions, evolve, evolve_inverse
 from .kernel import build_kernel_context, closed_form_kernel_1d
 from .ehrenfest import integrate_moments, write_moment_series
 from .model import build_model
-from .moments import constants_of_motion, first_moments, norm_squared, \
-    second_moments
+from .moments import constants_of_motion, norm_squared
 from .oracle import OracleConfig, split_step_evolve
 from .state import Axis, GridState, gaussian_packet, l2_distance, l2_norm, \
     load_state, write_csv
@@ -161,15 +160,15 @@ def _schedule(cfg: dict) -> list[float]:
 def _task_evolve(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     checks = []
     series = []
+    norm0 = norm_squared(psi)
     for k, t in enumerate(times):
         state = evolve(model, psi, t, opts)
-        z = first_moments(state)
-        series.append((t, z, second_moments(state, z)))
+        cons = constants_of_motion(model, state)
+        series.append((t, cons.point.z, cons.point.Delta))
         write_csv(out / f"density_t{k}.csv", ["x", "density"],
                   zip(state.axes[0].points, np.abs(state.psi) ** 2))
         checks.append(_check(f"norm_conservation_t{k}",
-                             abs(norm_squared(state) - norm_squared(psi)),
-                             tols["norm"]))
+                             abs(cons.norm_sq - norm0), tols["norm"]))
     write_moment_series(out / "moments.csv", model.n, series)
     return checks
 
@@ -241,8 +240,7 @@ def _task_kernel(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     from .kernel import green_function
     cons = constants_of_motion(model, psi)
     t = times[-1]
-    traj = integrate_moments(model, cons.kappa_tilde, cons.point, psi.t, t,
-                             rtol=1e-12, atol=1e-14)
+    traj = integrate_moments(model, cons.kappa_tilde, cons.point, psi.t, t)
     ctx = build_kernel_context(model, cons.kappa_tilde, traj, psi.t, t)
     rng = np.random.default_rng(0)
     xs = rng.normal(scale=1.5, size=100)
@@ -278,8 +276,12 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
     times = _schedule(cfg)
     tols = dict(DEFAULT_TOLS)
     given = _field(cfg, "tolerances", dict, {})
-    tols.update({k: _field(given, k, where="tolerances") for k in given})
+    tols.update({k: _positive(given, k, _REQUIRED, "tolerances")
+                 for k in given})
     if tol_override is not None:
+        if not (math.isfinite(tol_override) and tol_override > 0.0):
+            raise GpexactError(f"--tol must be a positive number, not "
+                               f"{tol_override!r}")
         tols = {k: tol_override for k in tols}
     opts = EvolveOptions(threads=threads)
 

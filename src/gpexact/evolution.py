@@ -10,7 +10,8 @@ O(N^3 log N) per slice for an axis pair coupled through l3^(-1).  A leg
 may cross conjugate points, its branch read off the trajectory's frame; the
 plan splits the interval, and composes the legs of the one trajectory, only
 where a leg ends within the caustic tolerance of a conjugate point or its
-sampled kernel would alias.
+sampled kernel would alias.  Every leg's output passes the input resolution
+gate, so a returned state is a valid input of every other operation.
 """
 
 from __future__ import annotations
@@ -23,23 +24,23 @@ import scipy.fft as sp_fft
 
 from .ehrenfest import MomentTrajectory, integrate_moments, matriciant_blocks
 from .errors import CausticError, PlanError, ResolutionError
-from .kernel import KernelContext, build_kernel_context, caustic_tolerance
+from .kernel import KernelContext, build_kernel_context
 from .model import QuadraticModel
 from .moments import constants_of_motion
 from .state import Axis, GridState, check_resolved, support_radius
 
+ALIAS_MARGIN = 1.1  # alias-image clearance of the box, in support radii
+MAX_DEPTH = 8  # deepest bisection the planner tries
+
+
 @dataclass(frozen=True)
 class EvolveOptions:
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    """``recenter``: output grids follow the mean; ``kappa_tilde``: pinned
+    coupling family (default: the state's own); ``threads``: FFT workers."""
+
     recenter: bool = False
     kappa_tilde: float | None = None
-    caustic_factor: float = 1.0
-    alias_margin: float = 1.1
-    max_depth: int = 8
     threads: int = 1
-    tail_tol: float = 1e-9
-    spectral_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _box_distance(axes: tuple[Axis, ...], point: np.ndarray) -> float:
 
 def _alias_images_ok(model: QuadraticModel, l3: np.ndarray,
                      axes_in: tuple[Axis, ...], axes_out: tuple[Axis, ...],
-                     x_b: np.ndarray, r_in: float, margin: float) -> bool:
+                     x_b: np.ndarray, r_in: float) -> bool:
     """Sampling the kernel aliases the input boosted by one reciprocal-grid
     momentum per axis; each image is a packet displaced by -l3^T (2 pi hbar /
     delta) e_a whose support must clear the output box."""
@@ -72,7 +73,7 @@ def _alias_images_ok(model: QuadraticModel, l3: np.ndarray,
         vec = (2.0 * math.pi * model.hbar / ax.delta) * l3[a, :]
         for sgn in (1.0, -1.0):
             center = x_b - sgn * vec
-            if _box_distance(axes_out, center) < margin * r_in:
+            if _box_distance(axes_out, center) < ALIAS_MARGIN * r_in:
                 return False
     return True
 
@@ -96,17 +97,16 @@ def plan_evolution(model: QuadraticModel, kappa_tilde: float,
             if opts.recenter else state.axes
         why = "grid too coarse"
         if _alias_images_ok(model, l3, state.axes, axes_out,
-                            traj.position(b), r_in(a), opts.alias_margin):
-            tol = caustic_tolerance(model, b - a, opts.caustic_factor)
+                            traj.position(b), r_in(a)):
             try:
-                legs.append(build_kernel_context(model, kappa_tilde, traj, a, b,
-                                                 caustic_tol=tol))
+                legs.append(build_kernel_context(model, kappa_tilde, traj, a, b))
                 return
             except CausticError:
                 why = "conjugate point"
-        if depth >= opts.max_depth:
+        if depth >= MAX_DEPTH:
             raise PlanError(
-                f"no admissible evolution plan over [{a:.6g}, {b:.6g}]: {why}")
+                f"no admissible evolution plan over [{s:.6g}, {t:.6g}]: "
+                f"{why} on [{a:.6g}, {b:.6g}]")
         mid = 0.5 * (a + b)
         recurse(a, mid, depth + 1)
         recurse(mid, b, depth + 1)
@@ -231,8 +231,7 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
     s = state.t
     if target == s:
         return state
-    traj = integrate_moments(model, kappa_tilde, g0, s, target,
-                             rtol=opts.rtol, atol=opts.atol)
+    traj = integrate_moments(model, kappa_tilde, g0, s, target)
     plan = plan_evolution(model, kappa_tilde, traj, state, s, target, opts)
     current = state
     for leg in plan.legs:
@@ -242,7 +241,7 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
         psi = _apply_kernel(leg, current, axes_out, max(1, opts.threads))
         current = GridState(axes_out, psi, leg.t, current.hbar)
         try:
-            check_resolved(current, opts.tail_tol, opts.spectral_tol)
+            check_resolved(current)
         except ResolutionError as err:
             raise ResolutionError(f"state unresolved after leg "
                                   f"[{leg.s:.4g}, {leg.t:.4g}]: {err}") from err
@@ -251,7 +250,8 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
 
 def evolve(model: QuadraticModel, psi: GridState, t: float,
            opts: EvolveOptions | None = None) -> GridState:
-    """Propagate a localized state from its own time label to t."""
+    """Propagate a localized state from its own time label to t; raises
+    ResolutionError rather than return a state it would refuse as input."""
     opts = opts or EvolveOptions()
     cons = constants_of_motion(model, psi)
     kt = cons.kappa_tilde if opts.kappa_tilde is None else opts.kappa_tilde

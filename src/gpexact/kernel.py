@@ -54,14 +54,6 @@ def action_integral(model: QuadraticModel, kappa_tilde: float,
     return ActionValue(traj.action(t) - traj.action(s))
 
 
-def caustic_tolerance(model: QuadraticModel, dt: float,
-                      factor: float = 1.0) -> float:
-    """Scale-aware lower bound on |det l3| (free-particle magnitude scaled
-    down by 1e-8)."""
-    n = model.n
-    return factor * 1e-8 * max(abs(dt), 1e-6) ** n / model.mass ** n
-
-
 @dataclass(frozen=True)
 class KernelContext:
     """Everything needed to evaluate the propagator between two fixed times."""
@@ -159,18 +151,18 @@ def _momentum_block_negatives(model: QuadraticModel, kappa_tilde: float,
 
 
 def build_kernel_context(model: QuadraticModel, kappa_tilde: float,
-                         traj: MomentTrajectory, a: float, b: float,
-                         caustic_tol: float | None = None) -> KernelContext:
-    """Assemble the propagator context for the leg a -> b of a trajectory."""
+                         traj: MomentTrajectory, a: float,
+                         b: float) -> KernelContext:
+    """Assemble the propagator context for the leg a -> b of a trajectory;
+    raises CausticError when |det l3| is at most the free-particle value
+    scaled down by 1e-8."""
     n = model.n
     hbar = model.hbar
-    if caustic_tol is None:
-        caustic_tol = caustic_tolerance(model, b - a)
 
     A = traj.between(a, b)
     l1, l2, l3, l4 = matriciant_blocks(A)
     det_l3 = float(np.linalg.det(l3))
-    if abs(det_l3) <= caustic_tol:
+    if abs(det_l3) <= 1e-8 * max(abs(b - a), 1e-6) ** n / model.mass ** n:
         raise CausticError(
             f"|det l3| = {abs(det_l3):.3e} at dt = {b - a:.4g}: conjugate "
             "point; split the interval via the group property")

@@ -20,26 +20,29 @@ from .moments import constants_of_motion
 from .state import GridState, check_resolved, momentum_apply
 
 
+NORM_DRIFT_TOL = 1e-6  # largest relative norm drift over a run
+PHASE_STEP_BOUND = 0.5  # largest |V| dt / hbar of one potential step
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     dt: float = 1e-4
-    norm_drift_tol: float = 1e-6
-    tail_tol: float = 1e-9
-    spectral_tol: float = 1e-8
-    phase_step_bound: float = 0.5  # max |V| dt / hbar per potential step
 
 
-def _kinetic_split(model: QuadraticModel, tau: float) -> np.ndarray:
-    """Hzz(tau), checked to split into the kinetic term and a position
-    potential."""
+def _kinetic_split(model: QuadraticModel, tau: float):
+    """Hzz(tau) and Hz(tau), checked to split into the kinetic term and a
+    position potential."""
     n = model.n
-    hzz = model.Hzz(tau)
+    hzz, hz = model.Hzz(tau), model.Hz(tau)
     if np.abs(hzz[:n, n:]).max() > 1e-14:
         raise ModelError("split-step oracle requires vanishing momentum-"
                          f"position coupling in Hzz (t = {tau:.6g})")
     if np.abs(hzz[:n, :n] - np.eye(n) / model.mass).max() > 1e-12:
         raise ModelError(f"split-step oracle requires Hpp = I/m (t = {tau:.6g})")
-    return hzz
+    if np.abs(hz[:n]).max() > 1e-14:
+        raise ModelError("split-step oracle requires a position-only Hz "
+                         f"(t = {tau:.6g})")
+    return hzz, hz
 
 
 def _position_blocks(model: QuadraticModel):
@@ -67,15 +70,16 @@ def _mean_and_cov(psi: np.ndarray, pts, w: float):
 
 def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                       cfg: OracleConfig | None = None) -> GridState:
-    """Propagate from the state's time label to t with Strang splitting."""
+    """Propagate from the state's time label to t with Strang splitting;
+    the model is checked first, then the state."""
     cfg = cfg or OracleConfig()
-    check_resolved(psi, cfg.tail_tol, cfg.spectral_tol)
+    Wa, Wb, Wc = _position_blocks(model)
+    check_resolved(psi)
     s = psi.t
     if t == s:
         return psi
     n = model.n
     hbar = model.hbar
-    Wa, Wb, Wc = _position_blocks(model)
     kt = constants_of_motion(model, psi).kappa_tilde
 
     steps = max(1, round(abs(t - s) / cfg.dt))
@@ -91,8 +95,8 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
         k2 = k2 + (ax.wavenumbers ** 2).reshape(shape)
     kin_half = np.exp(-1j * hbar * k2 * dt / (4.0 * model.mass))
 
-    def quad_potential(tau: float) -> np.ndarray:
-        hxx = _kinetic_split(model, tau)[n:, n:] + kt * Wa
+    def quad_potential(hzz: np.ndarray) -> np.ndarray:
+        hxx = hzz[n:, n:] + kt * Wa
         out = np.zeros(tuple(ax.num for ax in axes))
         for a in range(n):
             for b in range(n):
@@ -106,21 +110,22 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
         tau_mid = s + (step + 0.5) * dt
         arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
         mean, cov = _mean_and_cov(arr, pts, w)
-        lin = model.Hz(tau_mid)[n:] + kt * (Wb @ mean)
+        hzz, hz = _kinetic_split(model, tau_mid)
+        lin = hz[n:] + kt * (Wb @ mean)
         scal = 0.5 * kt * (float(mean @ Wc @ mean) + float(np.trace(Wc @ cov)))
-        v = quad_potential(tau_mid) + scal
+        v = quad_potential(hzz) + scal
         for a in range(n):
             if lin[a] != 0.0:
                 v = v + lin[a] * pts[a]
-        if float(np.max(np.abs(v))) * abs(dt) / hbar >= cfg.phase_step_bound:
+        if float(np.max(np.abs(v))) * abs(dt) / hbar >= PHASE_STEP_BOUND:
             raise StabilityError(
-                f"potential phase step exceeds {cfg.phase_step_bound} rad "
+                f"potential phase step exceeds {PHASE_STEP_BOUND} rad "
                 f"at t = {tau_mid:.4g}; reduce dt")
         arr = arr * np.exp(-1j * dt * v / hbar)
         arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
 
     norm1 = float(w * np.sum(np.abs(arr) ** 2))
-    if abs(norm1 - norm0) > cfg.norm_drift_tol * norm0:
+    if abs(norm1 - norm0) > NORM_DRIFT_TOL * norm0:
         raise StabilityError(
             f"norm drifted by {abs(norm1 - norm0) / norm0:.3e} over the run")
     return GridState(axes, arr, t, hbar)

@@ -2,8 +2,9 @@
 
 Axes are endpoint-exclusive: an axis (lo, hi, num) samples lo + j*(hi-lo)/num
 for j = 0..num-1, the natural convention for FFT-based spectral operators.
-States are expected to decay well inside the box; :func:`check_resolved`
-enforces that before any quadrature trusts the samples.
+States are expected to decay well inside the box; :func:`check_resolved`,
+the one resolution gate, holds every input and every propagated state to
+TAIL_TOL and SPECTRAL_TOL.
 """
 
 from __future__ import annotations
@@ -133,23 +134,23 @@ def spectral_tail_fraction(state: GridState) -> float:
     return 1.0 - float(spec[inner].sum()) / total
 
 
-def check_resolved(state: GridState, tail_tol: float = TAIL_TOL,
-                   spectral_tol: float = SPECTRAL_TOL) -> None:
+def check_resolved(state: GridState) -> None:
+    """ResolutionError unless both tails lie below their tolerances."""
     tail = boundary_tail_fraction(state)
-    if tail >= tail_tol:
+    if tail >= TAIL_TOL:
         raise ResolutionError(
-            f"boundary tail mass fraction {tail:.3e} exceeds {tail_tol:.1e}")
+            f"boundary tail mass fraction {tail:.3e} exceeds {TAIL_TOL:.1e}")
     alias = spectral_tail_fraction(state)
-    if alias >= spectral_tol:
+    if alias >= SPECTRAL_TOL:
         raise ResolutionError(
-            f"spectral tail fraction {alias:.3e} exceeds {spectral_tol:.1e}")
+            f"spectral tail fraction {alias:.3e} exceeds {SPECTRAL_TOL:.1e}")
 
 
-def support_radius(state: GridState, center: np.ndarray,
-                   cut: float = SUPPORT_CUT) -> float:
-    """Radius around ``center`` containing all samples above cut*max|psi|."""
+def support_radius(state: GridState, center: np.ndarray) -> float:
+    """Radius around ``center`` containing all samples above
+    SUPPORT_CUT*max|psi|."""
     dens = np.abs(state.psi)
-    mask = dens > cut * dens.max()
+    mask = dens > SUPPORT_CUT * dens.max()
     pts = state.grids(sparse=False)
     r2 = np.zeros(state.psi.shape)
     for a in range(state.n):

@@ -185,15 +185,14 @@ class FockSolution:
         Delta = np.array([[(p.m * Om) ** 2 * sig, 0.0], [0.0, sig]])
         return MomentPoint(np.array([0.0, x0]), Delta)
 
-    def evaluate(self, x: np.ndarray, t: float,
-                 rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         p = self.params
         kt = self.kappa_tilde
         hbar = self.model.hbar
         Om = p.Omega(kt)
         nq = self.n_index
         traj = integrate_moments(self.model, kt, self.initial_constants(),
-                                 0.0, t, rtol=rtol, atol=atol)
+                                 0.0, t)
         S = traj.action(t)
         P = traj.momentum(t)[0]
         X = traj.position(t)[0]

@@ -122,3 +122,29 @@ def signed_models(draw):
         sign * h0, scale * model.Wzz, scale * model.Wzw, scale * model.Www,
         drive=[(w, sign * c, sign * s) for w, c, s in terms])
     return flipped, T
+
+
+@st.composite
+def oracle_models(draw):
+    """A 1D model like :func:`driven_models` that the split-step oracle
+    takes: Hpp = I/m, no p-x block, and a drive on the position only; with
+    a horizon T of either sign."""
+    mass = draw(st.floats(0.5, 2.0))
+    hzz = np.diag([1.0 / mass, draw(st.floats(0.5, 2.0))])
+
+    def position_block():
+        W = np.zeros((2, 2))
+        W[1, 1] = draw(st.floats(-0.4, 0.4))
+        return W
+
+    def position_vector():
+        return np.array([0.0, draw(st.floats(-0.3, 0.3))])
+
+    Wzz, Wzw, Www = position_block(), position_block(), position_block()
+    kappa = draw(st.floats(0.2, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+    terms = [(draw(st.floats(0.2, 2.0)), position_vector(), position_vector())
+             for _ in range(draw(st.integers(0, 2)))]
+    model = gx.make_model(1, 1.0, mass, kappa, hzz, position_vector(),
+                          Wzz, Wzw, Www, drive=terms)
+    T = draw(st.floats(0.3, 0.8)) * draw(st.sampled_from([1.0, -1.0]))
+    return model, T

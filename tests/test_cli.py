@@ -286,13 +286,16 @@ CUSTOM_1D = {"example": "custom", "n": 1, "hbar": 1.0, "m": 1.0,
     ({"model": dict(SCENARIO["model"], omega=0.0), "tasks": ["quasi-energy"]},
      "drive"),
     ({"tolerances": {"norm": NAN}}, "finite"),
+    ({"tolerances": {"norm": -1}}, "positive"),
+    ({"tolerances": {"roundtrip": 0}}, "positive"),
 ], ids=["negative-fock-level", "no-spectrum-levels",
         "custom-model-kernel-crosscheck", "fractional-grid-size",
         "nan-x0", "infinite-p0", "negative-infinite-x0", "infinite-grid-hi",
         "nan-schedule", "infinite-schedule", "empty-schedule",
         "negative-alpha", "zero-alpha", "zero-mass-1d", "zero-mass-3d",
         "zero-light-speed-3d", "zero-gamma-3d", "zero-oracle-dt",
-        "quasi-energy-without-drive", "nan-tolerance"])
+        "quasi-energy-without-drive", "nan-tolerance", "negative-tolerance",
+        "zero-tolerance"])
 def test_out_of_range_scenario_value_fails_cleanly(tmp_path, capsys, fields,
                                                    message):
     cfg = dict(SCENARIO, **fields)
@@ -302,6 +305,15 @@ def test_out_of_range_scenario_value_fails_cleanly(tmp_path, capsys, fields,
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert message in err
+
+
+def test_zero_tol_override_fails_cleanly(tmp_path, capsys):
+    code = main(["scenario", "--config", write_config(tmp_path),
+                 "--out", str(tmp_path / "o"), "--tol", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "--tol" in err
 
 
 def test_quasi_energy_without_drive_writes_no_spectrum(tmp_path):

@@ -10,7 +10,8 @@ from gpexact.evolution import (EvolveOptions, _apply_kernel, _recentered,
                                plan_evolution)
 from gpexact.kernel import conjugate_point_units
 
-from conftest import KAPPA, forced_oscillator_mean, signed_models
+from conftest import KAPPA, forced_oscillator_mean, oracle_models, \
+    signed_models
 
 
 def test_harmonic_coherent_orbit(axis_1024):
@@ -179,6 +180,29 @@ def test_plan_error_on_coarse_grid(model_1d):
     psi = gx.gaussian_packet((axis,), 1.0, [1.0], [0.0], [om])
     with pytest.raises((PlanError, ResolutionError)):
         gx.evolve(model_1d, psi, 0.02)
+
+
+def test_plan_error_names_the_requested_interval(model_1d, params_1d):
+    axis = gx.Axis(-12.0, 12.0, 128)
+    psi = gx.gaussian_packet((axis,), 1.0, [1.0], [0.2],
+                             [params_1d.m * params_1d.Omega(KAPPA)])
+    with pytest.raises(PlanError, match=r"over \[0, 0\.5\]: grid too coarse"):
+        gx.evolve(model_1d, psi, 0.5)
+
+
+@pytest.mark.parametrize("t", [2.05, 2.1, 2.15, 2.2])
+def test_evolve_returns_only_states_it_accepts(t):
+    """A free packet spreading onto the box edge: evolve either refuses the
+    leg or returns a state that the inverse and the moments take as input."""
+    model = gx.free_model()
+    psi = gx.gaussian_packet((gx.Axis(-10.0, 10.0, 256),), 1.0, [0.0], [0.0],
+                             [1.0])
+    try:
+        out = gx.evolve(model, psi, t)
+    except ResolutionError:
+        return
+    gx.first_moments(out)
+    gx.evolve_inverse(model, out, 0.0)
 
 
 def test_2d_isotropic_coherent_state():
@@ -476,3 +500,13 @@ def test_random_model_superposition_with_zero_weight(case):
     P2 = _carried(gx.evolve, model, _packet(n, -0.4, 0.0, 1.2), T)
     only1 = _carried(gx.superpose, model, P1, P2, 1.0, 0.0)
     assert gx.l2_distance(only1, P1) <= 1e-8
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(oracle_models())
+def test_random_model_agrees_with_oracle(case):
+    model, T = case
+    psi = _packet(1)
+    out = _carried(gx.evolve, model, psi, T)
+    ref = gx.split_step_evolve(model, psi, T, gx.OracleConfig(dt=2.5e-4))
+    assert gx.l2_distance(out, ref) <= 1e-6

@@ -124,3 +124,14 @@ def test_phase_step_bound_enforced(model_1d, axis_1024, params_1d):
     from gpexact.errors import StabilityError
     with pytest.raises(StabilityError):
         gx.split_step_evolve(model_1d, psi, 1.0, gx.OracleConfig(dt=0.5))
+
+
+def test_momentum_drive_rejected_before_the_state(axis_1024):
+    """A p-linear term in Hz is not a position potential; the model is
+    refused even when the state is unresolved too."""
+    zero = np.zeros((2, 2))
+    model = gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), np.array([0.5, 0.0]),
+                          zero, zero, zero)
+    edge = gx.gaussian_packet((axis_1024,), 1.0, [12.0], [0.0], [1.0])
+    with pytest.raises(ModelError, match="position-only Hz"):
+        gx.split_step_evolve(model, edge, 1.0, gx.OracleConfig(dt=1e-3))
