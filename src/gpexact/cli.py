@@ -101,7 +101,8 @@ def _check(name: str, value: float, tol: float) -> dict:
 
 def _build_axis(cfg: dict, grid_override: int | None) -> Axis:
     grid = _field(cfg, "grid", dict, {})
-    num = grid_override or _field(grid, "n", int, 2048, "grid")
+    num = _field(grid, "n", int, 2048, "grid") if grid_override is None \
+        else grid_override
     try:
         return Axis(_field(grid, "lo", float, -12.0, "grid"),
                     _field(grid, "hi", float, 12.0, "grid"), num)
@@ -263,8 +264,7 @@ TASKS = {
 
 
 def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
-                 grid_override: int | None = None,
-                 threads: int = 1) -> dict:
+                 grid_override: int | None = None) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = _build_model(cfg)
     if model.n != 1:
@@ -283,7 +283,7 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
             raise GpexactError(f"--tol must be a positive number, not "
                                f"{tol_override!r}")
         tols = {k: tol_override for k in tols}
-    opts = EvolveOptions(threads=threads)
+    opts = EvolveOptions()
 
     checks = []
     for task in _field(cfg, "tasks", list, ["evolve"]):
@@ -336,8 +336,7 @@ def _load_config(path: str) -> dict:
 
 def _cmd_scenario(args) -> int:
     cfg = _load_config(args.config)
-    report = run_scenario(cfg, Path(args.out), args.tol, args.grid,
-                          args.threads)
+    report = run_scenario(cfg, Path(args.out), args.tol, args.grid)
     print("pass" if report["pass"] else "FAIL",
           f"({len(report['checks'])} checks)")
     return 0 if report["pass"] else 1
@@ -346,8 +345,7 @@ def _cmd_scenario(args) -> int:
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
     cfg["tasks"] = ["evolve"]
-    report = run_scenario(cfg, Path(args.out), args.tol, args.grid,
-                          args.threads)
+    report = run_scenario(cfg, Path(args.out), args.tol, args.grid)
     return 0 if report["pass"] else 1
 
 
@@ -384,8 +382,7 @@ def _cmd_verify(args) -> int:
     status = 0
     for name, cfg in GOLDEN_SCENARIOS.items():
         out = Path(args.out) / name
-        report = run_scenario(dict(cfg), out, args.tol, args.grid,
-                              args.threads)
+        report = run_scenario(dict(cfg), out, args.tol, args.grid)
         print(f"{name}: " + ("pass" if report["pass"] else "FAIL"))
         if not report["pass"]:
             status = 1
@@ -404,18 +401,18 @@ def main(argv=None) -> int:
                     "Gross-Pitaevskii models")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, needs_config in (
-            ("evolve", _cmd_evolve, True),
-            ("fock", _cmd_fock, False),
-            ("spectrum", _cmd_spectrum, False),
-            ("verify", _cmd_verify, False),
-            ("scenario", _cmd_scenario, True)):
+    overrides = {"--tol": float, "--grid": int}
+    for name, handler, needs_config, takes in (
+            ("evolve", _cmd_evolve, True, ("--tol", "--grid")),
+            ("fock", _cmd_fock, False, ("--grid",)),
+            ("spectrum", _cmd_spectrum, False, ()),
+            ("verify", _cmd_verify, False, ("--tol", "--grid")),
+            ("scenario", _cmd_scenario, True, ("--tol", "--grid"))):
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config)
         p.add_argument("--out", default="out")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        for flag in takes:
+            p.add_argument(flag, type=overrides[flag], default=None)
         p.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)

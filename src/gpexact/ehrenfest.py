@@ -342,15 +342,13 @@ def symplectic_inverse(A: np.ndarray) -> np.ndarray:
 
 
 def integrate_variations(model: QuadraticModel, kappa_tilde: float,
-                         s: float, t: float,
-                         rtol: float = RTOL_DEFAULT,
-                         atol: float = ATOL_DEFAULT) -> Matriciant:
+                         s: float, t: float) -> Matriciant:
     """Integrate dA/dt = J h_zz(t) A with A(s, s) = I (backward allowed):
     the trajectory of a state with vanishing moments."""
     d = 2 * model.n
     return integrate_moments(model, kappa_tilde,
                              MomentPoint(np.zeros(d), np.zeros((d, d))),
-                             s, t, rtol=rtol, atol=atol)
+                             s, t)
 
 
 def matriciant_blocks(A: np.ndarray):

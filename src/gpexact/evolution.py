@@ -36,11 +36,10 @@ MAX_DEPTH = 8  # deepest bisection the planner tries
 @dataclass(frozen=True)
 class EvolveOptions:
     """``recenter``: output grids follow the mean; ``kappa_tilde``: pinned
-    coupling family (default: the state's own); ``threads``: FFT workers."""
+    coupling family (default: the state's own)."""
 
     recenter: bool = False
     kappa_tilde: float | None = None
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def _chirp(offsets: tuple[np.ndarray, ...], lin: np.ndarray, quad: np.ndarray,
     return np.exp(1j * phase / hbar)
 
 
-def _chirp_z(f: np.ndarray, c: float, n_out: int, workers: int,
+def _chirp_z(f: np.ndarray, c: float, n_out: int,
              twist: np.ndarray | float = 1.0) -> np.ndarray:
     """sum_j exp(i c i j) (twist * f)[..., j] for i = 0..n_out-1.
 
@@ -146,14 +145,14 @@ def _chirp_z(f: np.ndarray, c: float, n_out: int, workers: int,
     shape = np.broadcast_shapes(f.shape, np.shape(twist))
     buf = np.zeros(shape[:-1] + (size,), dtype=complex)
     np.multiply(f, twist * w[n_in - 1:2 * n_in - 1], out=buf[..., :n_in])
-    spec = sp_fft.fft(buf, workers=workers, overwrite_x=True)
+    spec = sp_fft.fft(buf, overwrite_x=True)
     spec *= sp_fft.fft(lags)
-    out = sp_fft.ifft(spec, workers=workers, overwrite_x=True)[..., :n_out]
+    out = sp_fft.ifft(spec, overwrite_x=True)[..., :n_out]
     return out * w[n_in - 1:n_in - 1 + n_out]
 
 
 def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
-                  n_out: tuple[int, ...], workers: int) -> np.ndarray:
+                  n_out: tuple[int, ...]) -> np.ndarray:
     """sum over (j_a, j_b) of exp{i (C_aa i_a j_a + C_ab i_a j_b + C_ba i_b
     j_a + C_bb i_b j_b)} f for two coupled axes, slice by slice over the
     other axes: the j_a sum is a chirp-z whose frequency is offset by
@@ -169,13 +168,13 @@ def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
                                               + C[b, b] * ib[None, :, None]))
     out = np.empty(g.shape[:-2] + (na_out, nb_out), dtype=complex)
     for s in np.ndindex(g.shape[:-2]):
-        h = _chirp_z(g[s].T[:, None, :], C[a, a], na_out, workers, twist)
+        h = _chirp_z(g[s].T[:, None, :], C[a, a], na_out, twist)
         out[s] = np.einsum("jba,jba->ab", direct, h)  # h[j_b, i_b, i_a]
     return np.moveaxis(out, (-2, -1), (a, b))
 
 
 def _apply_kernel(ctx: KernelContext, state: GridState,
-                  axes_out: tuple[Axis, ...], workers: int) -> np.ndarray:
+                  axes_out: tuple[Axis, ...]) -> np.ndarray:
     """Trapezoid quadrature of the propagator against the state, for every
     dimension, in O(N log N) per uncoupled axis.
 
@@ -209,10 +208,10 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
 
     f = state.psi * _chirp(dy, m_xy.T @ x0 - ctx.P_s, ctx.m_yy, hbar)
     for a in sorted(set(range(n)).difference(*pairs)):  # uncoupled axes
-        f = np.moveaxis(_chirp_z(np.moveaxis(f, a, -1), C[a, a], n_out[a],
-                                 workers), -1, a)
+        f = np.moveaxis(_chirp_z(np.moveaxis(f, a, -1), C[a, a], n_out[a]),
+                        -1, a)
     if pairs:
-        f = _chirp_z_pair(f, C, *pairs[0], n_out, workers)
+        f = _chirp_z_pair(f, C, *pairs[0], n_out)
     scalar = ctx.prefactor * state.weight \
         * np.exp(1j * (ctx.action_diff - x0 @ m_xy @ y0) / hbar)
     return f * (scalar * _chirp(dx, ctx.P_t + m_xy @ y0, ctx.m_xx, hbar))
@@ -237,8 +236,7 @@ def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
     for leg in plan.legs:
         axes_out = _recentered(current.axes, leg.X_t) \
             if opts.recenter else current.axes
-        # threads <= 1 runs serially, as scipy.fft's workers=1
-        psi = _apply_kernel(leg, current, axes_out, max(1, opts.threads))
+        psi = _apply_kernel(leg, current, axes_out)
         current = GridState(axes_out, psi, leg.t, current.hbar)
         try:
             check_resolved(current)

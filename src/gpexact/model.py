@@ -169,7 +169,7 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
     sin(omega t)).  A model whose Hzz and Hz are data carries them in
     ``model.drive`` and its moments evolve in closed form.
 
-    Constant matrices are validated once here and returned frozen on every
+    Constant matrices are checked once here and returned frozen on every
     call; callables are checked on every call, the momentum block of Hzz
     included.  A model without callables or drive terms records its own
     spec, so :func:`model_to_spec` can serialize it.

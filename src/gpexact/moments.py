@@ -1,9 +1,13 @@
 """Norms and symmetrized phase-space moments of grid states.
 
-Means follow the normalized convention <A> = <psi|A|psi>/|psi|^2, also for
-unnormalized inputs.  Momentum operators act spectrally; position moments use
-the trapezoid rule, which is spectrally accurate for states that decay inside
-the box.
+A state's moment record (its norm, its means z and its centered second
+moments Delta) is read in one pass: |psi|^2, the norm, the grids and each
+p_a psi are formed once, z is read off them and Delta from z.  Means follow
+the normalized convention <A> = <psi|A|psi>/|psi|^2, also for unnormalized
+inputs.  Momentum operators act spectrally; position moments use the
+trapezoid rule, which is spectrally accurate for states that decay inside
+the box.  Every function here holds its input to :func:`check_resolved`;
+only :func:`constants_of_motion` can be told to skip that gate.
 """
 
 from __future__ import annotations
@@ -18,39 +22,11 @@ from .model import QuadraticModel
 from .state import GridState, check_resolved, momentum_apply
 
 
-def norm_squared(state: GridState, validate: bool = True) -> float:
-    if validate:
-        check_resolved(state)
-    return float(state.weight * np.sum(np.abs(state.psi) ** 2))
-
-
-def first_moments(state: GridState, validate: bool = True) -> np.ndarray:
-    """Return (<p_1..p_n>, <x_1..x_n>), normalized by the squared norm."""
-    if validate:
-        check_resolved(state)
-    n = state.n
-    w = state.weight
-    dens = np.abs(state.psi) ** 2
-    nrm = float(w * dens.sum())
-    if nrm == 0.0:
-        raise ResolutionError("zero-norm state has no moments")
-    z = np.empty(2 * n)
-    pts = state.grids()
-    for a in range(n):
-        z[n + a] = float(w * np.sum(dens * pts[a])) / nrm
-        pa = momentum_apply(state, a)
-        z[a] = float(np.real(w * np.vdot(state.psi, pa))) / nrm
-    return z
-
-
-def second_moments(state: GridState, z: np.ndarray | None = None,
-                   validate: bool = True) -> np.ndarray:
-    """Centered, symmetrized second moments as the 2n x 2n block matrix
-    [[sigma_pp, sigma_px], [sigma_xp, sigma_xx]]."""
-    if z is None:
-        z = first_moments(state, validate=validate)
-    elif validate:
-        check_resolved(state)
+def _moment_pass(state: GridState, z: np.ndarray | None = None,
+                 second: bool = True
+                 ) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """(norm^2, z, Delta) in one pass; z is computed unless given, and
+    Delta is None unless ``second``."""
     n = state.n
     w = state.weight
     psi = state.psi
@@ -59,9 +35,17 @@ def second_moments(state: GridState, z: np.ndarray | None = None,
     if nrm == 0.0:
         raise ResolutionError("zero-norm state has no moments")
     pts = state.grids()
+    dpsi = [momentum_apply(state, a) for a in range(n)]  # p_a psi
+    if z is None:
+        z = np.empty(2 * n)
+        for a in range(n):
+            z[n + a] = float(w * np.sum(dens * pts[a])) / nrm
+            z[a] = float(np.real(w * np.vdot(psi, dpsi[a]))) / nrm
+    if not second:
+        return nrm, z, None
     dx = [pts[a] - z[n + a] for a in range(n)]
-    # (p_a - <p_a>) psi, computed once per axis
-    dpsi = [momentum_apply(state, a) - z[a] * psi for a in range(n)]
+    for a in range(n):
+        dpsi[a] -= z[a] * psi  # now (p_a - <p_a>) psi
 
     spp = np.empty((n, n))
     spx = np.empty((n, n))
@@ -76,7 +60,25 @@ def second_moments(state: GridState, z: np.ndarray | None = None,
             spx[a, b] = float(
                 np.real(w * np.vdot(psi, dx[b] * dpsi[a]))) / nrm
     out = np.block([[spp, spx], [spx.T, sxx]])
-    return 0.5 * (out + out.T)
+    return nrm, z, 0.5 * (out + out.T)
+
+
+def norm_squared(state: GridState) -> float:
+    check_resolved(state)
+    return float(state.weight * np.sum(np.abs(state.psi) ** 2))
+
+
+def first_moments(state: GridState) -> np.ndarray:
+    """Return (<p_1..p_n>, <x_1..x_n>), normalized by the squared norm."""
+    check_resolved(state)
+    return _moment_pass(state, second=False)[1]
+
+
+def second_moments(state: GridState, z: np.ndarray | None = None) -> np.ndarray:
+    """Centered, symmetrized second moments as the 2n x 2n block matrix
+    [[sigma_pp, sigma_px], [sigma_xp, sigma_xx]], about ``z`` if given."""
+    check_resolved(state)
+    return _moment_pass(state, z)[2]
 
 
 @dataclass(frozen=True)
@@ -89,19 +91,14 @@ class StateConstants:
     kappa_tilde: float
 
 
-def effective_coupling(model: QuadraticModel, state: GridState,
-                       validate: bool = True) -> float:
+def effective_coupling(model: QuadraticModel, state: GridState) -> float:
     """kappa_tilde = kappa * |psi|^2, recomputed from the actual state."""
-    return model.kappa * norm_squared(state, validate=validate)
+    return model.kappa * norm_squared(state)
 
 
 def constants_of_motion(model: QuadraticModel, state: GridState,
                         validate: bool = True) -> StateConstants:
     if validate:
         check_resolved(state)
-    nrm = norm_squared(state, validate=False)
-    if nrm <= 0.0:
-        raise ResolutionError("zero-norm state has no moment record")
-    z = first_moments(state, validate=False)
-    Delta = second_moments(state, z, validate=False)
+    nrm, z, Delta = _moment_pass(state)
     return StateConstants(MomentPoint(z, Delta), nrm, model.kappa * nrm)

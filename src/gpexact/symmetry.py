@@ -23,8 +23,8 @@ from .ehrenfest import MomentPoint, integrate_moments
 from .errors import ModelError, ResonanceError
 from .evolution import EvolveOptions, evolve, evolve_inverse
 from .model import Example1DParams, QuadraticModel
-from .moments import first_moments, norm_squared
-from .state import Axis, GridState, momentum_apply
+from .moments import first_moments
+from .state import Axis, GridState, l2_norm, momentum_apply
 
 ANNIHILATED_CUT = 1e-9
 
@@ -84,8 +84,7 @@ def _conjugate(model: QuadraticModel, act, Psi: GridState, s: float,
     fam = replace(opts, kappa_tilde=_family(model, opts.kappa_tilde))
     psi0 = evolve_inverse(model, Psi, s, fam)
     phi0 = act(psi0)
-    nrm = norm_squared(phi0, validate=False)
-    if nrm <= ANNIHILATED_CUT * norm_squared(psi0, validate=False):
+    if l2_norm(phi0) ** 2 <= ANNIHILATED_CUT * l2_norm(psi0) ** 2:
         return phi0.at_time(Psi.t)
     return evolve(model, phi0, Psi.t, fam)
 

@@ -69,9 +69,10 @@ def test_unknown_task_rejected(tmp_path, capsys):
     assert code == 2
 
 
-def test_invalid_grid_fails_cleanly(tmp_path, capsys):
+@pytest.mark.parametrize("grid", ["1023", "0"])
+def test_invalid_grid_fails_cleanly(tmp_path, capsys, grid):
     code = main(["scenario", "--config", write_config(tmp_path), "--out",
-                 str(tmp_path / "o"), "--grid", "1023"])
+                 str(tmp_path / "o"), "--grid", grid])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -166,6 +167,12 @@ def test_fock_subcommand(tmp_path):
     lines = (out / "fock_n2.csv").read_text().splitlines()
     assert lines[0] == "x,re,im,density"
     assert len(lines) == 513
+
+
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--out", str(tmp_path / "s"), "--grid", "512"])
+    assert exc.value.code == 2
 
 
 def test_gpx_log_env(tmp_path, monkeypatch, capsys):

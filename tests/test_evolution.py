@@ -273,13 +273,6 @@ def test_state_io_roundtrip(tmp_path, displaced_gaussian, model_1d):
     assert len(first) == out.axes[0].num + 1
 
 
-def test_threaded_quadrature_matches_serial(model_1d, displaced_gaussian):
-    serial = gx.evolve(model_1d, displaced_gaussian, 0.9)
-    threaded = gx.evolve(model_1d, displaced_gaussian, 0.9,
-                         EvolveOptions(threads=4))
-    assert np.array_equal(serial.psi, threaded.psi)
-
-
 def test_2d_nonlocal_model_vs_oracle():
     """Dense two-dimensional quadrature with genuine nonlocal coupling."""
     a, b, c = 0.2, 0.1, 0.3
@@ -420,7 +413,7 @@ def kernel_legs(draw, n):
 @given(data=st.data())
 def test_kernel_application_matches_dense_quadrature(n, data):
     ctx, state, axes_out = data.draw(kernel_legs(n))
-    got = _apply_kernel(ctx, state, axes_out, 1)
+    got = _apply_kernel(ctx, state, axes_out)
     assert relative_l2(got, dense_kernel_apply(ctx, state, axes_out)) <= 1e-12
 
 
@@ -440,7 +433,7 @@ def test_3d_kernel_application_matches_dense_quadrature(h_field):
         ctx = gx.build_kernel_context(model, 0.5, traj, 0.0, t)
         assert (ctx.m_xy[0, 1] != 0.0) == (h_field != 0.0)
         axes_out = _recentered(axes, traj.position(t)) if recenter else axes
-        got = _apply_kernel(ctx, state, axes_out, 1)
+        got = _apply_kernel(ctx, state, axes_out)
         ref = dense_kernel_apply(ctx, state, axes_out)
         assert relative_l2(got, ref) <= 1e-12
 
@@ -453,7 +446,7 @@ def test_fully_coupled_3d_cross_term_rejected():
     ctx = gx.build_kernel_context(model, 0.0, traj, 0.0, 0.5)
     axes = tuple(gx.Axis(-4.0, 4.0, 8) for _ in range(3))
     with pytest.raises(PlanError):
-        _apply_kernel(ctx, random_state(axes, 0), axes, 1)
+        _apply_kernel(ctx, random_state(axes, 0), axes)
 
 
 def _packet(n, x0=0.3, p0=0.1, alpha=1.0):

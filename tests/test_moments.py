@@ -134,6 +134,44 @@ def test_constants_of_motion_bundle(model_1d, axis_2048):
                                                                  abs=1e-12)
 
 
+def _unnormalized_state(n):
+    if n == 1:
+        one = gx.gaussian_packet((gx.Axis(-12.0, 12.0, 1024),), 1.0, [0.7],
+                                 [-0.4], [1.3])
+        return one.with_psi(1.7 * one.psi)
+    three = gx.gaussian_packet((gx.Axis(-8.0, 8.0, 48),) * 3, 1.0,
+                               [0.3, -0.2, 0.1], [0.4, 0.1, -0.3],
+                               [1.0, 1.3, 0.8])
+    x, y, _ = three.grids()
+    return three.with_psi(0.6 * three.psi * np.exp(0.2j * x * y))
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["1d", "3d"])
+def test_moment_record_matches_the_moment_functions(model_1d, n):
+    psi = _unnormalized_state(n)
+    cons = gx.constants_of_motion(model_1d, psi)
+    z = gx.first_moments(psi)
+    assert np.array_equal(cons.norm_sq, gx.norm_squared(psi))
+    assert np.array_equal(cons.point.z, z)
+    assert np.array_equal(cons.point.Delta, gx.second_moments(psi))
+    assert np.array_equal(cons.point.Delta, gx.second_moments(psi, z))
+
+
+def test_moment_record_applies_each_momentum_once(model_1d, monkeypatch):
+    from gpexact import moments
+    from gpexact.state import momentum_apply
+    calls = []
+
+    def spy(state, axis):
+        calls.append(axis)
+        return momentum_apply(state, axis)
+
+    monkeypatch.setattr(moments, "momentum_apply", spy)
+    psi = _unnormalized_state(3)
+    gx.constants_of_motion(model_1d, psi)
+    assert sorted(calls) == list(range(psi.n))
+
+
 def test_zero_state_rejected(model_1d, axis_1024):
     zero = gx.GridState((axis_1024,), np.zeros(axis_1024.num, dtype=complex),
                         0.0, 1.0)
