@@ -402,14 +402,16 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     overrides = {"--tol": float, "--grid": int}
-    for name, handler, needs_config, takes in (
+    # config: required, optional, or not read at all (None)
+    for name, handler, config, takes in (
             ("evolve", _cmd_evolve, True, ("--tol", "--grid")),
             ("fock", _cmd_fock, False, ("--grid",)),
             ("spectrum", _cmd_spectrum, False, ()),
-            ("verify", _cmd_verify, False, ("--tol", "--grid")),
+            ("verify", _cmd_verify, None, ("--tol", "--grid")),
             ("scenario", _cmd_scenario, True, ("--tol", "--grid"))):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
+        if config is not None:
+            p.add_argument("--config", required=config)
         p.add_argument("--out", default="out")
         for flag in takes:
             p.add_argument(flag, type=overrides[flag], default=None)

@@ -173,6 +173,11 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--out", str(tmp_path / "s"), "--grid", "512"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(tmp_path / "nope.json"),
+              "--out", str(tmp_path / "v")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "v").exists()
 
 
 def test_gpx_log_env(tmp_path, monkeypatch, capsys):

@@ -135,3 +135,88 @@ def test_momentum_drive_rejected_before_the_state(axis_1024):
     edge = gx.gaussian_packet((axis_1024,), 1.0, [12.0], [0.0], [1.0])
     with pytest.raises(ModelError, match="position-only Hz"):
         gx.split_step_evolve(model, edge, 1.0, gx.OracleConfig(dt=1e-3))
+
+
+def test_oracle_makes_one_fft_pair_per_step(monkeypatch, model_1d,
+                                            displaced_gaussian):
+    """Adjacent half kinetic steps are fused: a run of `steps` steps makes
+    one forward and one inverse transform per step, plus the opening
+    forward and the closing inverse one."""
+    from gpexact import oracle
+    calls = []
+
+    def spy(name):
+        fn = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+
+    spy("fftn")
+    spy("ifftn")
+    steps = 40
+    gx.split_step_evolve(model_1d, displaced_gaussian, steps * 1e-3,
+                         gx.OracleConfig(dt=1e-3))
+    assert len(calls) == 2 * steps + 2
+    assert calls.count("fftn") == calls.count("ifftn") == steps + 1
+
+
+def unfused_strang(model, psi, t, dt):
+    """The plain Strang loop, K/2 V K/2 on every step, with the midpoint
+    moments read by direct sums over the grid (numpy only)."""
+    n, hbar = model.n, model.hbar
+    kt = gx.constants_of_motion(model, psi).kappa_tilde
+    Wa, Wb, Wc = (W[n:, n:] for W in (model.Wzz, model.Wzw, model.Www))
+    pts = psi.grids()
+    k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in psi.axes),
+                         indexing="ij", sparse=True))
+    kin_half = np.exp(-1j * hbar * k2 * dt / (4.0 * model.mass))
+    steps = round((t - psi.t) / dt)
+    arr = np.array(psi.psi)
+    for step in range(steps):
+        tau = psi.t + (step + 0.5) * dt
+        arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
+        dens = np.abs(arr) ** 2
+        nrm = dens.sum()
+        mean = np.array([np.sum(dens * p) / nrm for p in pts])
+        cov = np.array([[np.sum(dens * (pa - ma) * (pb - mb)) / nrm
+                         for pb, mb in zip(pts, mean)]
+                        for pa, ma in zip(pts, mean)])
+        hxx = model.Hzz(tau)[n:, n:] + kt * Wa
+        lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
+        v = 0.5 * kt * (mean @ Wc @ mean + np.trace(Wc @ cov))
+        for a in range(n):
+            v = v + lin[a] * pts[a]
+            for b in range(n):
+                v = v + 0.5 * hxx[a, b] * pts[a] * pts[b]
+        arr = arr * np.exp(-1j * dt * v / hbar)
+        arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
+    return psi.with_psi(arr, t)
+
+
+def test_fused_loop_matches_unfused_strang_1d(model_1d, displaced_gaussian):
+    out = gx.split_step_evolve(model_1d, displaced_gaussian, 1.0,
+                               gx.OracleConfig(dt=1e-3))
+    ref = unfused_strang(model_1d, displaced_gaussian, 1.0, 1e-3)
+    assert gx.l2_distance(out, ref) <= 1e-12
+
+
+def test_fused_loop_matches_unfused_strang_2d():
+    """An anisotropic 2D trap whose interaction couples the two axes, so
+    every monomial of the potential is present."""
+    def position_block(m):
+        return np.block([[np.zeros((2, 2)), np.zeros((2, 2))],
+                         [np.zeros((2, 2)), np.array(m)]])
+
+    hzz = np.diag([1.0, 1.0, 1.0, 1.5])
+    model = gx.make_model(
+        2, 1.0, 1.0, 0.6, hzz, np.array([0.0, 0.0, 0.1, -0.05]),
+        position_block([[0.2, 0.05], [0.05, 0.1]]),
+        position_block([[0.1, 0.02], [0.02, 0.05]]),
+        position_block([[0.3, 0.1], [0.1, 0.2]]))
+    axes = (gx.Axis(-8.0, 8.0, 64), gx.Axis(-8.0, 8.0, 64))
+    psi = gx.gaussian_packet(axes, 1.0, [0.6, -0.3], [0.1, 0.2], [1.0, 1.2])
+    out = gx.split_step_evolve(model, psi, 0.5, gx.OracleConfig(dt=1e-3))
+    ref = unfused_strang(model, psi, 0.5, 1e-3)
+    assert gx.l2_distance(out, ref) <= 1e-12
