@@ -2,18 +2,14 @@
 
 The first moments follow the classical drift of the mean-field Hamiltonian;
 centered second moments are transported congruently by the fundamental matrix
-(matriciant) A(t,s) of the variational system dA/dt = J h_zz(t) A.  One
-trajectory carries the means, A and the phase action, by one of two paths:
-
-- closed form, for every model whose Hzz is constant and whose drive is data
-  (``model.drive`` set: the built-in 1D and 3D setups, ``harmonic_model``,
-  ``free_model``, custom JSON models, and ``make_model`` without callables):
-  A = exp(J h_eff (t - s)), the means and the action are read from one Van
-  Loan block exponential (Van Loan, IEEE TAC 23, 1978), all by a numpy-only
-  Pade-13 with scaling and squaring (Higham, SIMAX 26, 2005).  Exact to
-  roundoff at any time; ``rtol``/``atol`` do not apply.
-- integrated, for a model with a callable Hzz or Hz: one ``solve_ivp``
-  (DOP853) run at ``rtol``/``atol``, read through its dense output.
+(matriciant) A(t,s) of the variational system dA/dt = J h_zz(t) A.  The
+means, A and the phase action are one linear system with a Van Loan block
+generator (Van Loan, IEEE TAC 23, 1978), and a trajectory is its flow: one
+exponential when the generator is constant (``model.drive`` set: the
+built-in setups, ``harmonic_model``, ``free_model``, JSON models and
+``make_model`` without callables), exact to roundoff; else sixth-order
+Magnus steps sized by ``rtol``/``atol``.  Exponentials are a numpy-only
+Pade-13 with scaling and squaring (Higham, SIMAX 26, 2005).
 """
 
 from __future__ import annotations
@@ -22,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .model import (QuadraticModel, action_hamiltonian, action_hessian,
-                    effective_hessian, mean_drift_hessian, symplectic_unit)
+from .model import (QuadraticModel, effective_hessian, mean_drift_hessian,
+                    symplectic_unit)
 from .state import write_csv
 
 RTOL_DEFAULT = 1e-10
@@ -60,31 +55,177 @@ class MomentPoint:
         return self.z.shape[0] // 2
 
 
+def _generator(model: QuadraticModel, kappa_tilde: float, J: np.ndarray,
+               M_m: np.ndarray, M_a: np.ndarray, h_eff: np.ndarray,
+               H_u: np.ndarray, M_u: np.ndarray):
+    """G_A = J h_eff and the Van Loan block V = [[-G^T, Q], [0, G]] from
+    the Hessians at one time, Hz = H_u u, and the drive phases' drift M_u."""
+    n, m = model.n, M_u.shape[0]
+    d = 2 * n
+    M_u = M_u.copy()
+    M_u[:d, :d] = J @ M_m
+    M_u[:d, d:] = J @ H_u[:, d:]
+    G_A = J @ h_eff
+    # S' = p.x' - z^T M_a z / 2 - Hz.z over z = P u
+    P = np.eye(d, m)
+    rate = H_u + M_m @ P
+    rate[n:] = 0.0  # x' = (Hz + M_m z)[:n], paired with p
+    B = P.T @ (rate - 0.5 * M_a @ P - H_u)
+    D = m + d
+    G = np.zeros((D, D))
+    G[:m, :m], G[m:, m:] = M_u, G_A
+    V = np.zeros((2 * D, 2 * D))
+    V[:D, :D], V[D:, D:] = -G.T, G
+    V[:m, D:D + m] = 0.5 * (B + B.T)
+    V[m:D, D + m:] = -0.5 * kappa_tilde * model.Www
+    return G_A, V
+
+
+_GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+_MAX_STEPS = 10_000  # bounds the refinement of the Magnus step count
+
+
+def _magnus(samples, h: float) -> np.ndarray:
+    """Sixth-order Magnus exponent of one step of length h from the
+    generator at its three Gauss nodes (Blanes, Casas & Ros, BIT 40, 2000)."""
+    V1, V2, V3 = samples
+    a1 = h * V2
+    a2 = (math.sqrt(15.0) / 3.0 * h) * (V3 - V1)
+    a3 = (10.0 / 3.0 * h) * (V3 - 2.0 * V2 + V1)
+    c1 = a1 @ a2 - a2 @ a1
+    x = 2.0 * a3 + c1
+    c2 = (x @ a1 - a1 @ x) / 60.0
+    x, y = c1 - 20.0 * a1 - a3, a2 + c2
+    return a1 + a3 / 12.0 + (x @ y - y @ x) / 240.0
+
+
 class MomentTrajectory:
     """Dense-in-time solution of one (z, A, S) transport: the phase-space
     mean z, the fundamental matrix A(tau, s) of the variational system, and
     the phase action S.  Centered second moments are carried by A exactly,
     Delta(tau) = A(tau, s) Delta(s) A(tau, s)^T.
 
+    The means ride in u = (z, drive phases cos/sin w_k t, 1), u' = M_u u,
+    and A' = G_A A with G_A = J h_eff; the action rate is a quadratic form
+    of u plus -(kt/2) tr(Www A Delta0 A^T).  With G = blockdiag(M_u, G_A)
+    and Q the matching forms, the flow of V = [[-G^T, Q], [0, G]] is [[.,
+    X], [0, Phi]], Phi^T X the integral of Phi^T Q Phi.  A constant V is
+    one piece, exp(V (tau - s)), and A = exp(G_A (tau - s)); else the flow
+    is a product of equal sixth-order Magnus steps (Iserles & Norsett,
+    Phil. Trans. R. Soc. A 357, 1999), so A stays symplectic to roundoff,
+    with one Magnus sub-step from the last node below tau between nodes.
     ``step_times`` are the nodes along which the branch of the propagator
-    is tracked: the solver's accepted steps on the integrated path, and
-    nodes 0.5 / rho(J h_eff) apart on the closed-form path.
-
-    Calling the trajectory returns A(tau, s); ``Matriciant`` is the same
-    class under the name of that role.
+    is tracked: 0.5 / rho(J h_eff) apart for a constant V, the Magnus steps
+    otherwise.  Results are read-only.  Calling the trajectory returns
+    A(tau, s); ``Matriciant`` is the same class under the name of that role.
     """
 
     def __init__(self, model: QuadraticModel, kappa_tilde: float,
-                 g0: MomentPoint, flow, s: float, t: float):
-        self.model = model
-        self.kappa_tilde = kappa_tilde
-        self.g0 = g0
-        self._flow = flow
-        self.s = s
-        self.t = t
-        self.n = model.n
-        # in the direction of integration, both ends included
-        self.step_times = flow.nodes
+                 g0: MomentPoint, s: float, t: float, rtol: float,
+                 atol: float):
+        self.model, self.kappa_tilde, self.g0, self.s, self.t = \
+            model, kappa_tilde, g0, s, t
+        self.n = n = model.n
+        d = 2 * n
+        J = symplectic_unit(n)
+        h0, terms = model.drive or (None, ())
+        m = d + 2 * len(terms) + 1
+        # Hz(t) = H_u u and z = u[:d]
+        H_u = np.zeros((d, m))
+        M_u = np.zeros((m, m))
+        u0 = np.zeros(m)
+        u0[:d] = g0.z
+        for k, (omega, cos_vec, sin_vec) in enumerate(terms):
+            i = d + 2 * k
+            H_u[:, i], H_u[:, i + 1] = cos_vec, sin_vec
+            M_u[i, i + 1], M_u[i + 1, i] = -omega, omega
+            u0[i], u0[i + 1] = math.cos(omega * s), math.sin(omega * s)
+        u0[-1] = 1.0
+        self._m, self._D, self._u0 = m, m + d, u0
+        self._A, self._za = {}, {}  # memos by time
+
+        if h0 is None:
+            kt_zw = kappa_tilde * model.Wzw
+            kt_action = kappa_tilde * (2.0 * model.Wzw + model.Www)
+
+            def generator(tau: float) -> np.ndarray:  # one Hzz, one Hz
+                h = effective_hessian(model, kappa_tilde, tau)
+                H_u[:, -1] = model.Hz(tau)
+                return _generator(model, kappa_tilde, J, h + kt_zw,
+                                  h + kt_action, h, H_u, M_u)[1]
+
+            self._generator = generator
+            G_A = generator(min(s, t))[-d:, -d:]  # one rho for either way
+        else:
+            H_u[:, -1] = h0
+            G_A, V = _generator(
+                model, kappa_tilde, J,
+                mean_drift_hessian(model, kappa_tilde, s),
+                model.Hzz(s) + kappa_tilde * (model.Wzz + 2.0 * model.Wzw
+                                              + model.Www),
+                effective_hessian(model, kappa_tilde, s), H_u, M_u)
+            self._generator = None
+            self._exp_A, self._exp_V = Exponential(G_A), Exponential(V)
+        # rho(J h_eff) is the flow's fastest angular rate: one-piece nodes
+        # turn by 0.5 (the branch tracker halves any step that turns too
+        # far), a first Magnus run's steps by 2; nodes in the direction of
+        # integration, both ends included
+        turns = abs(t - s) * float(np.max(np.abs(np.linalg.eigvals(G_A))))
+        if self._generator is None:
+            self.step_times = np.linspace(
+                s, t, max(1, math.ceil(turns / 0.5)) + 1)
+        else:
+            self._edges, self._R = self._refine(
+                min(max(1, math.ceil(turns / 2)), _MAX_STEPS // 2), rtol, atol)
+            self.step_times = self._edges[::1 if t >= s else -1]
+
+    def _exponents(self, edges) -> list[np.ndarray]:
+        return [_magnus([self._generator(a + c * (b - a)) for c in _GAUSS],
+                        b - a) for a, b in zip(edges[:-1], edges[1:])]
+
+    def _flows(self, omegas, sign: float = 1.0) -> np.ndarray:
+        """The right half [X; Phi] of the flow at each node."""
+        R = [np.eye(2 * self._D, self._D, -self._D)]
+        for omega in omegas:
+            R.append(Exponential(omega)(sign) @ R[-1])
+        return np.array(R)
+
+    def _refine(self, steps: int, rtol: float, atol: float):
+        """Ascending nodes and their flows: the step count grows k-fold
+        until no node flow [X; Phi] moves by more than (k^6 - 1) (atol +
+        rtol max|[X; Phi]|), so the finer run's estimated error is within
+        tolerance.  Both directions of one interval take the same steps."""
+        lo, hi = sorted((self.s, self.t))
+        coarse = self._flows(self._exponents(np.linspace(lo, hi, steps + 1)))
+        k = 2
+        while steps * k <= _MAX_STEPS:
+            steps *= k
+            edges = np.linspace(lo, hi, steps + 1)
+            omegas = self._exponents(edges)
+            fine = self._flows(omegas)
+            size = np.abs(fine[::k]).max(axis=(1, 2))
+            err = float(np.max(np.abs(fine[::k] - coarse).max(axis=(1, 2))
+                               / (atol + rtol * size))) / (k ** 6 - 1)
+            if err <= 1.0:
+                return edges, (fine if self.t >= self.s  # else flows from hi
+                               else self._flows(omegas[::-1], -1.0)[::-1])
+            if not math.isfinite(err):
+                break
+            coarse, k = fine, max(2, math.ceil(1.1 * err ** (1.0 / 6.0)))
+        raise IntegrationError(f"Magnus steps miss rtol = {rtol:.1e}, "
+                               f"atol = {atol:.1e} within {_MAX_STEPS} steps")
+
+    def _flow(self, tau: float) -> np.ndarray:
+        """[X; Phi], the right half of the flow of V from s to tau."""
+        if self._generator is None:
+            return self._exp_V(tau - self.s)[:, self._D:]
+        k = max(int(np.searchsorted(self._edges, tau, side="right")) - 1, 0)
+        a = float(self._edges[k])
+        if tau == a:
+            return self._R[k]
+        omega = _magnus([self._generator(a + c * (tau - a)) for c in _GAUSS],
+                        tau - a)
+        return Exponential(omega)(1.0) @ self._R[k]
 
     def _check(self, tau: float) -> None:
         lo, hi = min(self.s, self.t), max(self.s, self.t)
@@ -96,7 +237,26 @@ class MomentTrajectory:
         if tau == self.s:
             return np.eye(2 * self.n)
         self._check(tau)
-        return self._flow.matriciant(tau)
+        A = self._A.get(tau)
+        if A is None:
+            A = (self._exp_A(tau - self.s) if self._generator is None
+                 else self._flow(tau)[self._D + self._m:, self._m:].copy())
+            A.flags.writeable = False
+            self._A[tau] = A
+        return A
+
+    def _mean_action(self, tau: float) -> tuple[np.ndarray, float]:
+        self._check(tau)
+        out = self._za.get(tau)
+        if out is None:
+            m, D = self._m, self._D
+            R = self._flow(tau)
+            u = R[D:D + m, :m] @ self._u0
+            S = u @ (R[:m, :m] @ self._u0) + np.sum(
+                R[D + m:, m:] * (R[m:D, m:] @ self.g0.Delta))
+            u.flags.writeable = False
+            out = self._za[tau] = (u[:D - m], float(S))
+        return out
 
     def between(self, a: float, b: float) -> np.ndarray:
         """A(b, a) through the group property, using the exact symplectic
@@ -108,8 +268,7 @@ class MomentTrajectory:
         return self(self.t)
 
     def z(self, tau: float) -> np.ndarray:
-        self._check(tau)
-        return self._flow.mean_action(tau)[0]
+        return self._mean_action(tau)[0]
 
     def Delta(self, tau: float) -> np.ndarray:
         A = self(tau)
@@ -117,8 +276,7 @@ class MomentTrajectory:
         return 0.5 * (D + D.T)
 
     def action(self, tau: float) -> float:
-        self._check(tau)
-        return self._flow.mean_action(tau)[1]
+        return self._mean_action(tau)[1]
 
     def point(self, tau: float) -> MomentPoint:
         return MomentPoint(self.z(tau), self.Delta(tau))
@@ -133,158 +291,17 @@ class MomentTrajectory:
 Matriciant = MomentTrajectory
 
 
-class _IntegratedFlow:
-    """(z, A, S) read from the dense output of one ``solve_ivp`` run; with
-    ``sol`` None, the empty interval at s."""
-
-    def __init__(self, sol, g0: MomentPoint, s: float):
-        self._sol = sol
-        self._g0 = g0
-        self.nodes = np.array([s]) if sol is None else sol.t
-
-    def _y(self, tau: float) -> np.ndarray:
-        if self._sol is None:
-            d = self._g0.z.shape[0]
-            return np.concatenate([self._g0.z, np.eye(d).ravel(), [0.0]])
-        return self._sol.sol(tau)
-
-    def matriciant(self, tau: float) -> np.ndarray:
-        d = self._g0.z.shape[0]
-        return self._y(tau)[d: d + d * d].reshape(d, d)
-
-    def mean_action(self, tau: float) -> tuple[np.ndarray, float]:
-        y = self._y(tau)
-        return y[: self._g0.z.shape[0]], float(y[-1])
-
-
-class _ExactFlow:
-    """(z, A, S) in closed form for a model with constant Hzz and a drive
-    given as data (``model.drive``).
-
-    The means follow a constant linear system in u = (z, cos w_k t,
-    sin w_k t, ..., 1), u(tau) = exp(M_u (tau - s)) u(s), and A(tau, s) =
-    exp(G_A (tau - s)) with G_A = J h_eff.  The action rate is a quadratic
-    form of u plus -(kt/2) tr(Www A Delta0 A^T); with G = blockdiag(M_u,
-    G_A) and Q the matching block-diagonal form, the Van Loan exponential
-    exp([[-G^T, Q], [0, G]] h) = [[., X], [0, exp(G h)]] gives the integral
-    of exp(G r)^T Q exp(G r) over [0, h] as exp(G h)^T X.  Results are
-    memoized by time and returned read-only.
-    """
-
-    def __init__(self, model: QuadraticModel, kappa_tilde: float,
-                 g0: MomentPoint, s: float, t: float):
-        n = model.n
-        d = 2 * n
-        J = symplectic_unit(n)
-        h0, terms = model.drive
-        m = d + 2 * len(terms) + 1
-        # Hz(t) = H_u u and z = u[:d]
-        H_u = np.zeros((d, m))
-        M_u = np.zeros((m, m))
-        u0 = np.zeros(m)
-        u0[:d] = g0.z
-        for k, (omega, cos_vec, sin_vec) in enumerate(terms):
-            i = d + 2 * k
-            H_u[:, i], H_u[:, i + 1] = cos_vec, sin_vec
-            M_u[i, i + 1], M_u[i + 1, i] = -omega, omega
-            u0[i], u0[i + 1] = math.cos(omega * s), math.sin(omega * s)
-        H_u[:, -1] = h0
-        u0[-1] = 1.0
-        M_m = mean_drift_hessian(model, kappa_tilde, s)
-        M_u[:d, :d] = J @ M_m
-        M_u[:d, d:] = J @ H_u[:, d:]
-        G_A = J @ effective_hessian(model, kappa_tilde, s)
-
-        # S' = p.x' - z^T M_a z / 2 - Hz.z over z = P u
-        P = np.eye(d, m)
-        rate = H_u + M_m @ P
-        rate[n:] = 0.0  # x' = (Hz + M_m z)[:n], paired with p
-        B = P.T @ (rate - 0.5 * action_hessian(model, kappa_tilde, s) @ P
-                   - H_u)
-        D = m + d
-        G = np.zeros((D, D))
-        G[:m, :m], G[m:, m:] = M_u, G_A
-        V = np.zeros((2 * D, 2 * D))
-        V[:D, :D], V[D:, D:] = -G.T, G
-        V[:m, D:D + m] = 0.5 * (B + B.T)
-        V[m:D, D + m:] = -0.5 * kappa_tilde * model.Www
-
-        self._s, self._m, self._d, self._D = s, m, d, D
-        self._u0, self._delta0 = u0, g0.Delta
-        self._exp_A, self._exp_V = Exponential(G_A), Exponential(V)
-        self._A: dict[float, np.ndarray] = {}
-        self._za: dict[float, tuple[np.ndarray, float]] = {}
-        # rho, the spectral radius of J h_eff, is the flow's fastest angular
-        # rate; the branch tracker halves any step that still turns too far
-        rho = float(np.max(np.abs(np.linalg.eigvals(G_A))))
-        steps = max(1, math.ceil(abs(t - s) * rho / 0.5))
-        self.nodes = np.linspace(s, t, steps + 1)
-
-    def matriciant(self, tau: float) -> np.ndarray:
-        A = self._A.get(tau)
-        if A is None:
-            A = self._A[tau] = self._exp_A(tau - self._s)
-            A.flags.writeable = False
-        return A
-
-    def mean_action(self, tau: float) -> tuple[np.ndarray, float]:
-        out = self._za.get(tau)
-        if out is None:
-            m, D = self._m, self._D
-            E = self._exp_V(tau - self._s)
-            u = E[D:D + m, D:D + m] @ self._u0
-            S = u @ (E[:m, D:D + m] @ self._u0) + np.sum(
-                E[D + m:, D + m:] * (E[m:D, D + m:] @ self._delta0))
-            u.flags.writeable = False
-            out = self._za[tau] = (u[:self._d], float(S))
-        return out
-
-
 def integrate_moments(model: QuadraticModel, kappa_tilde: float,
                       g0: MomentPoint, s: float, t: float,
                       rtol: float = RTOL_DEFAULT,
                       atol: float = ATOL_DEFAULT) -> MomentTrajectory:
     """The means, the fundamental matrix and the phase action over [s, t]
-    (backward if t < s).
-
-    A model with constant Hzz and a drive given as data (``model.drive``
-    set: every model built by ``model_1d``, ``model_3d``,
-    ``harmonic_model``, ``free_model`` and ``build_model``) evolves in
-    closed form, by matrix exponentials; ``rtol``/``atol`` then do not
-    apply.  A model with a callable Hzz or Hz is integrated in one
-    ``solve_ivp`` (DOP853) run at ``rtol``/``atol``.
-    """
-    if model.drive is not None:
-        return MomentTrajectory(model, kappa_tilde, g0,
-                                _ExactFlow(model, kappa_tilde, g0, s, t),
-                                s, t)
-    n = model.n
-    d = 2 * n
-    J = symplectic_unit(n)
-
-    def rhs(tau, y):
-        z = y[:d]
-        A = y[d: d + d * d].reshape(d, d)
-        zdot = J @ (model.Hz(tau) + mean_drift_hessian(model, kappa_tilde, tau) @ z)
-        Adot = J @ effective_hessian(model, kappa_tilde, tau) @ A
-        sdot = float(z[:n] @ zdot[n:]) - action_hamiltonian(
-            model, kappa_tilde, tau, z, A @ g0.Delta @ A.T)
-        return np.concatenate([zdot, Adot.ravel(), [sdot]])
-
-    if t == s:
-        return MomentTrajectory(model, kappa_tilde, g0,
-                                _IntegratedFlow(None, g0, s), s, t)
-
-    y0 = np.concatenate([g0.z, np.eye(d).ravel(), [0.0]])
-    sol = solve_ivp(rhs, (s, t), y0, method="DOP853", dense_output=True,
-                    rtol=rtol, atol=atol)
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise IntegrationError(f"moment integration failed: {sol.message}")
-    # cheap endpoint residual guard against silent integrator trouble
-    if not np.all(np.isfinite(rhs(t, sol.y[:, -1]))):
-        raise IntegrationError("moment system right-hand side is non-finite")
-    return MomentTrajectory(model, kappa_tilde, g0,
-                            _IntegratedFlow(sol, g0, s), s, t)
+    (backward if t < s).  ``rtol``/``atol`` apply to a model with a callable
+    Hzz or Hz only: its Magnus steps are refined until the estimated error
+    of the flow at every node is at most ``atol`` + ``rtol`` times the
+    flow's largest entry, or raise ``IntegrationError`` past 10 000 steps.
+    A model with constant Hzz and a drive given as data is exact."""
+    return MomentTrajectory(model, kappa_tilde, g0, s, t, rtol, atol)
 
 
 # Pade-13 coefficients and the 1-norm bound below which the degree-13

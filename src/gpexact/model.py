@@ -333,27 +333,6 @@ def mean_drift_hessian(model: QuadraticModel, kappa_tilde: float,
     return model.Hzz(t) + kappa_tilde * (model.Wzz + model.Wzw)
 
 
-def action_hessian(model: QuadraticModel, kappa_tilde: float,
-                   t: float) -> np.ndarray:
-    """Matrix of the mean's quadratic energy in the phase action:
-    Hzz(t) + kt*(Wzz + 2 Wzw + Www)."""
-    return model.Hzz(t) + kappa_tilde * (model.Wzz + 2.0 * model.Wzw
-                                         + model.Www)
-
-
-def action_hamiltonian(model: QuadraticModel, kappa_tilde: float, t: float,
-                       z: np.ndarray, Delta: np.ndarray) -> float:
-    """Scalar energy entering the phase action along the moment trajectory.
-
-    The second-moment trace couples through Www: averaging the two-body
-    potential over the second argument leaves (kt/2) tr(Www Delta).
-    """
-    M = action_hessian(model, kappa_tilde, t)
-    val = 0.5 * float(z @ M @ z) + float(model.Hz(t) @ z)
-    val += 0.5 * kappa_tilde * float(np.trace(model.Www @ Delta))
-    return val
-
-
 def _field(spec: dict, key: str, default=0.0, shape=()):
     """Numeric field of a model spec: a float, or an array of ``shape``."""
     try:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -34,6 +36,18 @@ def displaced_gaussian(model_1d, params_1d, axis_2048):
     om = params_1d.Omega(KAPPA)
     return gx.gaussian_packet((axis_2048,), 1.0, [1.0], [0.2],
                               [params_1d.m * om])
+
+
+@pytest.fixture(scope="session")
+def parametric_model():
+    """A callable Hzz(t) = diag(1/m, m w(t)^2), m = 1.2, with the
+    interaction blocks of the 1D setup: a model without ``drive`` data."""
+    def hzz(t):
+        return np.diag([1.0 / 1.2, 1.2 * (1.0 + 0.3 * math.sin(1.3 * t))])
+
+    W = np.diag([0.0, 1.0])
+    return gx.make_model(1, 1.0, 1.2, KAPPA, hzz, np.zeros(2), 0.2 * W,
+                         0.1 * W, 0.3 * W)
 
 
 def forced_oscillator_mean(params, kappa_tilde, p0, x0, t):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -195,23 +200,27 @@ def test_moment_point_validation():
         gx.MomentPoint(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
-def test_dense_output_satisfies_the_equations(model_1d, params_1d):
+@pytest.mark.parametrize("name", ["model_1d", "parametric_model"])
+def test_dense_output_satisfies_the_equations(request, name):
     """Finite-difference the dense output and compare with the stated
-    right-hand side, at a scale set by the integration tolerance."""
+    right-hand side, at a scale set by the integration tolerance: the one
+    exponential of a constant generator, and Magnus sub-steps between the
+    nodes of a callable Hzz."""
     from gpexact.model import mean_drift_hessian, effective_hessian, \
         symplectic_unit
+    model = request.getfixturevalue(name)
     g0 = gx.MomentPoint(np.array([0.3, 1.0]),
                         np.array([[0.8, 0.1], [0.1, 0.6]]))
-    traj = gx.integrate_moments(model_1d, KAPPA, g0, 0.0, 2.0)
+    traj = gx.integrate_moments(model, KAPPA, g0, 0.0, 2.0)
     J = symplectic_unit(1)
     h = 1e-5
     for t in (0.4, 1.2, 1.9):
         zdot_fd = (traj.z(t + h) - traj.z(t - h)) / (2 * h)
-        zdot = J @ (model_1d.Hz(t)
-                    + mean_drift_hessian(model_1d, KAPPA, t) @ traj.z(t))
+        zdot = J @ (model.Hz(t)
+                    + mean_drift_hessian(model, KAPPA, t) @ traj.z(t))
         assert np.max(np.abs(zdot_fd - zdot)) < 1e-8
         Ddot_fd = (traj.Delta(t + h) - traj.Delta(t - h)) / (2 * h)
-        B = J @ effective_hessian(model_1d, KAPPA, t)
+        B = J @ effective_hessian(model, KAPPA, t)
         D = traj.Delta(t)
         assert np.max(np.abs(Ddot_fd - (B @ D + D @ B.T))) < 1e-8
 
@@ -246,6 +255,7 @@ def test_closed_form_matches_integrated_trajectory(case):
         assert np.max(np.abs(exact.Delta(tau) - ode.Delta(tau))) <= 1e-9
         assert abs(exact.action(tau) - ode.action(tau)) <= 1e-9
         assert symplectic_defect(exact(tau)) <= 1e-12
+        assert symplectic_defect(ode(tau)) <= 1e-13
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -267,27 +277,83 @@ def test_round_trip_on_both_paths(case):
 
 
 def test_closed_form_path_skips_the_integrator(monkeypatch, params_1d):
-    """Models with constant Hzz and a drive given as data never reach
-    solve_ivp; a callable Hzz does."""
+    """Models with constant Hzz and a drive given as data build their
+    generator once per trajectory, with nodes 0.5 / rho(J h_eff) apart; a
+    callable Hzz samples it at every Magnus node."""
     calls = []
-    solve = gx.ehrenfest.solve_ivp
+    hessian = gx.ehrenfest.effective_hessian
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return hessian(*args, **kwargs)
 
-    monkeypatch.setattr(gx.ehrenfest, "solve_ivp", counted)
+    monkeypatch.setattr(gx.ehrenfest, "effective_hessian", counted)
     g0 = gx.MomentPoint(np.array([0.1, 0.4]), np.diag([0.6, 0.5]))
     g3 = gx.MomentPoint(np.zeros(6), 0.5 * np.eye(6))
     for model, point in ((gx.model_1d(params_1d, kappa=KAPPA), g0),
                          (gx.model_3d(gx.Example3DParams(), kappa=KAPPA), g3),
                          (gx.harmonic_model(omega=1.2), g0),
                          (gx.free_model(), g0)):
+        calls.clear()
         traj = gx.integrate_moments(model, KAPPA, point, 0.0, 2.0)
         gx.build_kernel_context(model, KAPPA, traj, 0.0, 2.0)
-    assert calls == []
+        assert calls == [1]
+        rho = np.max(np.abs(np.linalg.eigvals(
+            gx.model.symplectic_unit(model.n)
+            @ gx.effective_hessian(model, KAPPA, 0.0))))
+        steps = max(1, int(np.ceil(2.0 * rho / 0.5)))
+        assert np.array_equal(traj.step_times, np.linspace(0.0, 2.0,
+                                                           steps + 1))
     hzz = gx.harmonic_model(omega=1.2).Hzz(0.0)
     callable_model = gx.make_model(1, 1.0, 1.0, 0.0, lambda t: hzz,
                                    np.zeros(2))
+    calls.clear()
     gx.integrate_moments(callable_model, 0.0, g0, 0.0, 2.0)
-    assert calls == [1]
+    assert len(calls) > 1
+
+
+def test_magnus_path_is_symplectic_and_accurate(parametric_model):
+    """The callable-Hzz oscillator to t = 8 at the default rtol: A is
+    symplectic to roundoff at every node, and (z, A, S) agree with a DOP853
+    run of the same equations at rtol 1e-13."""
+    from scipy.integrate import solve_ivp
+    model, kt, T = parametric_model, KAPPA, 8.0
+    g0 = gx.MomentPoint(np.array([0.3, 0.8]),
+                        np.array([[0.7, 0.1], [0.1, 0.5]]))
+    traj = gx.integrate_moments(model, kt, g0, 0.0, T)
+    J = gx.model.symplectic_unit(1)
+
+    def rhs(tau, y):
+        z, A = y[:2], y[2:6].reshape(2, 2)
+        zdot = J @ (model.Hz(tau)
+                    + gx.mean_drift_hessian(model, kt, tau) @ z)
+        M = model.Hzz(tau) + kt * (model.Wzz + 2 * model.Wzw + model.Www)
+        energy = 0.5 * z @ M @ z + model.Hz(tau) @ z + 0.5 * kt * np.trace(
+            model.Www @ A @ g0.Delta @ A.T)
+        return np.concatenate([zdot, (J @ gx.effective_hessian(
+            model, kt, tau) @ A).ravel(), [z[0] * zdot[1] - energy]])
+
+    ref = solve_ivp(rhs, (0.0, T), np.concatenate([g0.z, np.eye(2).ravel(),
+                                                    [0.0]]),
+                    method="DOP853", dense_output=True, rtol=1e-13,
+                    atol=1e-15)
+    assert max(symplectic_defect(traj(tau))
+               for tau in traj.step_times) <= 1e-14
+    for tau in np.concatenate([traj.step_times, np.linspace(0.1, T, 17)]):
+        y = ref.sol(tau)
+        assert np.max(np.abs(traj.z(tau) - y[:2])) <= 1e-9
+        assert np.max(np.abs(traj(tau) - y[2:6].reshape(2, 2))) <= 1e-9
+        assert abs(traj.action(tau) - y[6]) <= 1e-9
+
+
+def test_import_leaves_the_ode_solvers_out():
+    """The trajectory needs no scipy.integrate; importing the package does
+    not load it."""
+    src = str(Path(gx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gpexact; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -331,20 +331,13 @@ def test_long_time_roundtrip_is_exact(model_1d, params_1d):
     assert gx.l2_distance(back, psi) <= 1e-12
 
 
-def test_parametric_oscillator_vs_oracle(axis_2048):
+def test_parametric_oscillator_vs_oracle(axis_2048, parametric_model):
     """A callable Hzz(t) = diag(1/m, m w(t)^2), with the interaction blocks
-    of the 1D setup, takes the integrated trajectory; the oracle samples
-    Hzz at every step."""
-    m = 1.2
-
-    def hzz(t):
-        return np.diag([1.0 / m, m * (1.0 + 0.3 * math.sin(1.3 * t))])
-
-    W = np.diag([0.0, 1.0])
-    model = gx.make_model(1, 1.0, m, KAPPA, hzz, np.zeros(2), 0.2 * W,
-                          0.1 * W, 0.3 * W)
+    of the 1D setup, takes the Magnus trajectory; the oracle samples Hzz at
+    every step."""
+    model = parametric_model
     assert model.drive is None
-    psi = gx.gaussian_packet((axis_2048,), 1.0, [0.8], [0.3], [m])
+    psi = gx.gaussian_packet((axis_2048,), 1.0, [0.8], [0.3], [model.mass])
     t = 3.6  # past the first conjugate point
     out = gx.evolve(model, psi, t)
     ref = gx.split_step_evolve(model, psi, t, gx.OracleConfig(dt=5e-4))
