@@ -117,7 +117,10 @@ class MomentTrajectory:
     ``step_times`` are the nodes along which the branch of the propagator
     is tracked: 0.5 / rho(J h_eff) apart for a constant V, the Magnus steps
     otherwise.  Results are read-only.  Calling the trajectory returns
-    A(tau, s); ``Matriciant`` is the same class under the name of that role.
+    A(tau, s), memoized by time; ``matriciants(times)`` returns it for an
+    array of times in one stacked evaluation, without the memo (the branch
+    tracker reads every node of a leg this way).  ``Matriciant`` is the
+    same class under the name of that role.
     """
 
     def __init__(self, model: QuadraticModel, kappa_tilde: float,
@@ -175,6 +178,10 @@ class MomentTrajectory:
             self.step_times = np.linspace(
                 s, t, max(1, math.ceil(turns / 0.5)) + 1)
         else:
+            if turns > math.pi * _MAX_STEPS:  # Magnus needs rho h < pi
+                raise IntegrationError(
+                    f"{_MAX_STEPS} Magnus steps over [{s:.6g}, {t:.6g}] "
+                    f"would each turn by {turns / _MAX_STEPS:.3g} > pi")
             self._edges, self._R = self._refine(
                 min(max(1, math.ceil(turns / 2)), _MAX_STEPS // 2), rtol, atol)
             self.step_times = self._edges[::1 if t >= s else -1]
@@ -244,6 +251,19 @@ class MomentTrajectory:
             A.flags.writeable = False
             self._A[tau] = A
         return A
+
+    def matriciants(self, times) -> np.ndarray:
+        """A(tau, s) for each of ``times``, stacked, without filling the
+        memo of ``__call__``: one batched exponential for a constant
+        generator; else the stored node flows, with one Magnus sub-step
+        for each time that is not a node."""
+        times = np.asarray(times, dtype=float)
+        for tau in (times.min(), times.max()):
+            self._check(tau)
+        if self._generator is None:
+            return self._exp_A.stacked(times - self.s)
+        return np.array([self._flow(tau)[self._D + self._m:, self._m:]
+                         for tau in times.tolist()])
 
     def _mean_action(self, tau: float) -> tuple[np.ndarray, float]:
         self._check(tau)
@@ -341,21 +361,44 @@ class Exponential:
         if h == 0.0:
             return np.eye(self._shape[0])
         k = max(0, math.ceil(math.log2(abs(h) * self._norm / _THETA13)))
-        w = _PADE13 * (h * self._norm / 2.0 ** k) ** _DEGREES
-        V = (w[0::2] @ self._even).reshape(self._shape)
-        U = (w[1::2] @ self._odd).reshape(self._shape)
-        E = np.linalg.solve(V - U, V + U)
+        E = self._pade(_PADE13 * (h * self._norm / 2.0 ** k) ** _DEGREES)
         for _ in range(k):
             E = E @ E
-        if not np.all(np.isfinite(E)):
-            raise IntegrationError("matrix exponential overflowed")
-        return E
+        return _finite(E)
+
+    def stacked(self, hs) -> np.ndarray:
+        """exp(G h) for each of ``hs`` in one stacked evaluation; each h
+        keeps its own scaling exponent k and takes k squarings."""
+        hs = np.asarray(hs, dtype=float)
+        frac, k = np.frexp(np.abs(hs) * (self._norm / _THETA13))
+        k = np.maximum(k - (frac == 0.5), 0)  # ceil(log2(.)), exactly
+        E = self._pade(_PADE13 * (hs * self._norm / 2.0 ** k)[:, None]
+                       ** _DEGREES)
+        for j in range(int(k.max())):
+            E = np.where((k > j)[:, None, None], E @ E, E)
+        return _finite(E)
+
+    def _pade(self, w: np.ndarray) -> np.ndarray:
+        """The approximant for the weights w[..., :] of G^0..G^13."""
+        shape = w.shape[:-1] + self._shape
+        V = (w[..., 0::2] @ self._even).reshape(shape)
+        U = (w[..., 1::2] @ self._odd).reshape(shape)
+        return np.linalg.solve(V - U, V + U)
+
+
+def _finite(E: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(E)):
+        raise IntegrationError("matrix exponential overflowed")
+    return E
 
 
 def symplectic_inverse(A: np.ndarray) -> np.ndarray:
+    """-J A^T J, written out by blocks."""
     n = A.shape[0] // 2
-    J = symplectic_unit(n)
-    return -J @ A.T @ J
+    inv = np.empty_like(A)
+    inv[:n, :n], inv[:n, n:] = A[n:, n:].T, -A[:n, n:].T
+    inv[n:, :n], inv[n:, n:] = -A[n:, :n].T, A[:n, :n].T
+    return inv
 
 
 def integrate_variations(model: QuadraticModel, kappa_tilde: float,

@@ -11,13 +11,16 @@ l1..l4 of A(t, s), and the accumulated phase action:
 
 with dx = x - X(t), dy = y - X(s).  The square-root branch is read off the
 Lagrangian frame of the leg alone (Littlejohn, Phys. Rep. 138, 1986): the
-frame F = A(tau, a)[:, :n] gives the never-singular U = X + iP, whose
-determinant phase Theta = 2 arg det U is unwrapped over the trajectory's
-nodes, and with the eigen-angles phi of the unitary U conj(U)^(-1) at the
-end of the leg it fixes the winding integer m = round((sum phi - Theta) /
-2 pi) and arg det(-2*pi*i*hbar*l3) = pi (n/2 + m).  No sample of det l3,
-no short-time asymptote, and neither the sign of Hpp nor the direction of
-time enter the branch; a leg crosses any number of conjugate points.
+frame F = A(tau, a)[:, :n] gives the never-singular U = X + iP.  The
+frames at all of the trajectory's nodes on the leg are one stacked
+evaluation, and the determinant phase Theta = 2 arg det U is the sum of
+their increments, an interval being halved only where its increment
+exceeds pi/4.  With the eigen-angles phi of the unitary U conj(U)^(-1) at
+the end of the leg it fixes the winding integer m = round((sum phi -
+Theta) / 2 pi) and arg det(-2*pi*i*hbar*l3) = pi (n/2 + m).  No sample of
+det l3, no short-time asymptote, and neither the sign of Hpp nor the
+direction of time enter the branch; a leg crosses any number of conjugate
+points.
 
 The signed number of conjugate points of a leg (its Maslov index) is the
 same winding shifted by the directions of Hpp that leave the caustic at
@@ -87,42 +90,63 @@ def _frame_winding(traj: Matriciant, a: float, b: float) -> int:
 
     The leg frame F = A(tau, a)[:, :n] spans a Lagrangian plane, so
     U = X + iP (position and momentum rows of F) is never singular and
-    W = U conj(U)^(-1) is unitary.  The phase Theta = 2 arg det U = arg
-    det W is unwrapped over the trajectory's nodes (``step_times``),
-    halving any step whose increment exceeds pi/4, and compared with the
-    principal eigen-angles phi of W at b.
+    W = U conj(U)^(-1) is unitary.  The frames at the trajectory's nodes
+    (``step_times``) inside the leg come from one stacked evaluation, the
+    frame at b from the memoized A(b) that the context reads as well; their
+    determinants are one stacked ``det``, and the phase Theta = 2 arg det U
+    = arg det W is the sum of the increments between them.  Only an
+    increment beyond pi/4 falls back to halving its interval.  Theta is
+    compared with the principal eigen-angles phi of W at b, read off the
+    same stack.
     """
     n = traj.n
     frame_a = symplectic_inverse(traj(a))[:, :n]
 
-    def det_u(tau: float) -> complex:
-        F = traj(tau) @ frame_a
-        return complex(np.linalg.det(F[n:] + 1j * F[:n]))
+    def frame_u(A: np.ndarray) -> np.ndarray:
+        F = A @ frame_a
+        return F[..., n:, :] + 1j * F[..., :n, :]
 
     lo, hi = min(a, b), max(a, b)
-    nodes = [tau for tau in sorted(traj.step_times, reverse=bool(b < a))
-             if lo < tau < hi] + [b]
-    tau0, u0, half_theta = a, 1j ** n, 0.0
-    for node in nodes:
-        pending = [(node, det_u(node))]
-        while pending:
-            tau1, u1 = pending[-1]
-            step = float(np.angle(u1 / u0))
-            if abs(step) > math.pi / 4:
-                if len(pending) > 50:
-                    raise IntegrationError(
-                        "frame determinant phase does not resolve on the leg")
-                mid = 0.5 * (tau0 + tau1)
-                pending.append((mid, det_u(mid)))
-                continue
-            half_theta += step
-            tau0, u0 = pending.pop()
-    theta = n * math.pi + 2.0 * half_theta
+    times = sorted(traj.step_times.tolist(), reverse=bool(b < a))
+    times = [tau for tau in times if lo < tau < hi]
+    A = traj(b)[None]  # memoized: the context reads A(b) too
+    if times:
+        A = np.concatenate((traj.matriciants(times), A))
+    U = frame_u(A)
+    dets = np.linalg.det(U)
+    starts = np.concatenate(([1j ** n], dets[:-1]))
+    steps = np.angle(dets / starts)
+    times.append(b)
+    for i in np.flatnonzero(np.abs(steps) > math.pi / 4):
+        steps[i] = _halved_step(
+            lambda tau: complex(np.linalg.det(
+                frame_u(traj.matriciants([tau])[0]))),
+            times[i - 1] if i else a, starts[i], times[i], dets[i])
+    theta = n * math.pi + 2.0 * float(steps.sum())
 
-    F = traj(b) @ frame_a
-    U = F[n:] + 1j * F[:n]
-    sum_phi = float(np.sum(np.angle(np.linalg.eigvals(U @ np.linalg.inv(U.conj())))))
+    W = U[-1] @ np.linalg.inv(U[-1].conj())
+    sum_phi = float(np.sum(np.angle(np.linalg.eigvals(W))))
     return round((sum_phi - theta) / (2.0 * math.pi))
+
+
+def _halved_step(det_u, tau0: float, u0: complex, tau1: float,
+                 u1: complex) -> float:
+    """The phase of det U from tau0 to tau1 as a sum of increments of at
+    most pi/4, halving the interval where an increment exceeds it."""
+    total, pending = 0.0, [(tau1, u1)]
+    while pending:
+        tau, u = pending[-1]
+        step = float(np.angle(u / u0))
+        if abs(step) > math.pi / 4:
+            if len(pending) > 50:
+                raise IntegrationError(
+                    "frame determinant phase does not resolve on the leg")
+            mid = 0.5 * (tau0 + tau)
+            pending.append((mid, det_u(mid)))
+            continue
+        total += step
+        tau0, u0 = pending.pop()
+    return total
 
 
 def conjugate_point_units(traj: Matriciant, a: float, b: float) -> int:

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import gpexact as gx
-from gpexact.errors import PlanError, ResolutionError
+from gpexact.errors import IntegrationError, PlanError, ResolutionError
 from gpexact.ehrenfest import blocks_to_matriciant, symplectic_defect
 
 from conftest import KAPPA, driven_models, forced_oscillator_mean
@@ -344,6 +346,19 @@ def test_magnus_path_is_symplectic_and_accurate(parametric_model):
         assert np.max(np.abs(traj.z(tau) - y[:2])) <= 1e-9
         assert np.max(np.abs(traj(tau) - y[2:6].reshape(2, 2))) <= 1e-9
         assert abs(traj.action(tau) - y[6]) <= 1e-9
+
+
+def test_magnus_interval_past_convergence_fails_fast(parametric_model):
+    """An interval on which even the largest step count leaves rho h > pi
+    raises before any Magnus step is taken: no overflow, no pilot run."""
+    g0 = gx.MomentPoint(np.array([0.3, 0.8]),
+                        np.array([[0.7, 0.1], [0.1, 0.5]]))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError):
+            gx.integrate_moments(parametric_model, KAPPA, g0, 0.0, 1e5)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_import_leaves_the_ode_solvers_out():

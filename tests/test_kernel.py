@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
+from gpexact import kernel
+from gpexact.ehrenfest import symplectic_inverse
 from gpexact.errors import CausticError
 from gpexact.kernel import conjugate_point_units
 
-from conftest import KAPPA
+from conftest import KAPPA, driven_models, signed_models
 
 
 def make_context(model, kt, g0, s, t, rtol=1e-12, atol=1e-14):
@@ -350,3 +352,114 @@ def test_branch_for_negative_momentum_block():
         mix = make_context(mixed, 0.0, plain_point(2), 0.0, t)[0].prefactor
         assert neg == pytest.approx(bwd, abs=1e-10)
         assert mix == pytest.approx(fwd * bwd, abs=1e-10)
+
+
+# -- the stacked branch tracker against the tracker one node at a time -----
+
+def winding_node_by_node(traj, a, b):
+    """The winding of the leg a -> b with one ``traj(tau)`` and one det per
+    node, halving every step whose phase increment exceeds pi/4."""
+    n = traj.n
+    frame_a = symplectic_inverse(traj(a))[:, :n]
+
+    def det_u(tau):
+        F = traj(tau) @ frame_a
+        return complex(np.linalg.det(F[n:] + 1j * F[:n]))
+
+    lo, hi = min(a, b), max(a, b)
+    nodes = [tau for tau in sorted(traj.step_times, reverse=bool(b < a))
+             if lo < tau < hi] + [b]
+    tau0, u0, half_theta = a, 1j ** n, 0.0
+    for node in nodes:
+        pending = [(node, det_u(node))]
+        while pending:
+            tau1, u1 = pending[-1]
+            step = float(np.angle(u1 / u0))
+            if abs(step) > math.pi / 4:
+                assert len(pending) <= 50
+                mid = 0.5 * (tau0 + tau1)
+                pending.append((mid, det_u(mid)))
+                continue
+            half_theta += step
+            tau0, u0 = pending.pop()
+    theta = n * math.pi + 2.0 * half_theta
+    F = traj(b) @ frame_a
+    U = F[n:] + 1j * F[:n]
+    W = U @ np.linalg.inv(U.conj())
+    return round((float(np.sum(np.angle(np.linalg.eigvals(W)))) - theta)
+                 / (2.0 * math.pi))
+
+
+def legs_of(T, fa, fb):
+    """The whole interval both ways, and a sub-leg with ends off the nodes
+    both ways, as the planner's bisection makes them."""
+    return [(0.0, T), (T, 0.0), (fa * T, fb * T), (fb * T, fa * T)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(driven_models(), st.floats(0.05, 0.45), st.floats(0.55, 0.95))
+def test_stacked_winding_matches_node_by_node(case, fa, fb):
+    """Drive as data (one batched exponential) and as a closure (stored
+    Magnus node flows, a sub-step off the nodes), in either direction."""
+    data, closure, g0, T = case
+    for model in (data, closure):
+        traj = gx.integrate_moments(model, model.kappa, g0, 0.0, T)
+        for a, b in legs_of(T, fa, fb):
+            assert kernel._frame_winding(traj, a, b) == \
+                winding_node_by_node(traj, a, b)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(signed_models(), st.floats(0.05, 0.45), st.floats(0.55, 0.95))
+def test_stacked_winding_matches_node_by_node_signed(case, fa, fb):
+    model, T = case
+    traj = gx.integrate_variations(model, model.kappa, 0.0, T)
+    for a, b in legs_of(T, fa, fb):
+        assert kernel._frame_winding(traj, a, b) == \
+            winding_node_by_node(traj, a, b)
+
+
+def test_winding_falls_back_to_halving_on_thinned_nodes(monkeypatch, model_1d,
+                                                        parametric_model):
+    """With only the ends of a leg across Omega t = pi as nodes, the phase
+    increments exceed pi/4 and are halved: the winding is the same as on
+    the full node set."""
+    halved = []
+    step = kernel._halved_step
+
+    def counted(*args):
+        halved.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(kernel, "_halved_step", counted)
+    g0 = plain_point()
+    for model in (model_1d, parametric_model):
+        traj = gx.integrate_moments(model, KAPPA, g0, 0.0, 4.5)
+        full = kernel._frame_winding(traj, 0.0, 4.5)
+        assert not halved and full == winding_node_by_node(traj, 0.0, 4.5)
+        traj.step_times = traj.step_times[[0, -1]]
+        assert kernel._frame_winding(traj, 0.0, 4.5) == full
+        assert halved
+        halved.clear()
+
+
+def test_branch_samples_do_not_grow_with_the_nodes(monkeypatch, model_1d):
+    """A leg's context asks the trajectory's memoized ``__call__`` for the
+    ends of the leg only; the node frames come from one stacked
+    evaluation."""
+    calls = []
+    call = gx.ehrenfest.MomentTrajectory.__call__
+
+    def counted(traj, tau):
+        calls.append(tau)
+        return call(traj, tau)
+
+    monkeypatch.setattr(gx.ehrenfest.MomentTrajectory, "__call__", counted)
+    counts = []
+    for T, nodes in ((1.0, 4), (7.5, 17)):
+        traj = gx.integrate_moments(model_1d, KAPPA, plain_point(), 0.0, T)
+        assert len(traj.step_times) == nodes
+        calls.clear()
+        gx.build_kernel_context(model_1d, KAPPA, traj, 0.0, T)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
