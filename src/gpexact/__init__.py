@@ -9,10 +9,9 @@ from .errors import (CausticError, GpexactError, IntegrationError, ModelError,
                      StabilityError)
 from .evolution import (EvolveOptions, EvolutionPlan, evolve, evolve_composed,
                         evolve_inverse, plan_evolution, superpose)
-from .kernel import (ActionValue, KernelContext, action_integral,
-                     build_kernel_context, closed_form_kernel_1d,
-                     closed_form_kernel_3d, green_function,
-                     oscillator_kernel_factor)
+from .kernel import (KernelContext, build_kernel_context,
+                     closed_form_kernel_1d, closed_form_kernel_3d,
+                     green_function, oscillator_kernel_factor)
 from .model import (Example1DParams, Example3DParams, QuadraticModel,
                     build_model, effective_hessian, free_model,
                     harmonic_model, make_model, mean_drift_hessian,

@@ -29,7 +29,7 @@ from .moments import constants_of_motion, norm_squared
 from .oracle import OracleConfig, split_step_evolve
 from .state import Axis, GridState, gaussian_packet, l2_distance, l2_norm, \
     load_state, write_csv
-from .symmetry import fock_state, ladder_apply, quasi_energy
+from .symmetry import _params_1d, fock_state, ladder_apply, quasi_energy
 
 log = logging.getLogger("gpexact")
 
@@ -224,12 +224,13 @@ def _write_quasi_energies(model, out: Path, levels: int) -> list[float]:
 
 
 def _task_quasi_energy(cfg, model, psi, times, out, tols, opts) -> list[dict]:
-    if model.example.omega == 0.0:
+    omega = _params_1d(model).omega
+    if omega == 0.0:
         raise GpexactError("the quasi-energy task needs a drive: model "
                            "field 'omega' must be nonzero")
     energies = _write_quasi_energies(
         model, out, _field(cfg, "spectrum_levels", int, 3, lo=1))
-    T = 2.0 * math.pi / model.example.omega
+    T = 2.0 * math.pi / omega
     f0 = fock_state(model, 0, 0.0, axis=psi.axes[0])
     one_period = evolve(model, f0, T, opts)
     target = np.exp(-1j * energies[0] * T) * f0.psi

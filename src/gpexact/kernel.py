@@ -14,13 +14,13 @@ Lagrangian frame of the leg alone (Littlejohn, Phys. Rep. 138, 1986): the
 frame F = A(tau, a)[:, :n] gives the never-singular U = X + iP.  The
 frames at all of the trajectory's nodes on the leg are one stacked
 evaluation, and the determinant phase Theta = 2 arg det U is the sum of
-their increments, an interval being halved only where its increment
-exceeds pi/4.  With the eigen-angles phi of the unitary U conj(U)^(-1) at
-the end of the leg it fixes the winding integer m = round((sum phi -
-Theta) / 2 pi) and arg det(-2*pi*i*hbar*l3) = pi (n/2 + m).  No sample of
-det l3, no short-time asymptote, and neither the sign of Hpp nor the
-direction of time enter the branch; a leg crosses any number of conjugate
-points.
+their increments; every interval whose increment exceeds pi/4 is halved
+in one stacked round, until none does.  With the eigen-angles phi of the
+unitary U conj(U)^(-1) at the end of the leg it fixes the winding integer
+m = round((sum phi - Theta) / 2 pi) and arg det(-2*pi*i*hbar*l3) =
+pi (n/2 + m).  No sample of det l3, no short-time asymptote, and neither
+the sign of Hpp nor the direction of time enter the branch; a leg crosses
+any number of conjugate points.
 
 The signed number of conjugate points of a leg (its Maslov index) is the
 same winding shifted by the directions of Hpp that leave the caustic at
@@ -34,27 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehrenfest import (Matriciant, MomentTrajectory, matriciant_blocks,
-                        symplectic_inverse)
+from .ehrenfest import MomentTrajectory, matriciant_blocks, symplectic_inverse
 from .errors import CausticError, IntegrationError, ModelError
 from .model import Example1DParams, QuadraticModel
 from .state import write_csv
-
-
-@dataclass(frozen=True)
-class ActionValue:
-    """Accumulated phase action S(t) - S(s) along the moment trajectory."""
-
-    S: float
-
-
-def action_integral(model: QuadraticModel, kappa_tilde: float,
-                    traj: MomentTrajectory, s: float, t: float) -> ActionValue:
-    """Action difference read from the trajectory's built-in quadrature,
-    which is integrated at the same tolerance as the moments themselves."""
-    if traj.model is not model or traj.kappa_tilde != kappa_tilde:
-        raise ValueError("trajectory was built for a different model/coupling")
-    return ActionValue(traj.action(t) - traj.action(s))
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,7 @@ class KernelContext:
         return self.model.n
 
 
-def _frame_winding(traj: Matriciant, a: float, b: float) -> int:
+def _frame_winding(traj: MomentTrajectory, a: float, b: float) -> int:
     """Winding integer m = round((sum phi - Theta) / 2 pi) of the leg a -> b.
 
     The leg frame F = A(tau, a)[:, :n] spans a Lagrangian plane, so
@@ -94,10 +77,10 @@ def _frame_winding(traj: Matriciant, a: float, b: float) -> int:
     (``step_times``) inside the leg come from one stacked evaluation, the
     frame at b from the memoized A(b) that the context reads as well; their
     determinants are one stacked ``det``, and the phase Theta = 2 arg det U
-    = arg det W is the sum of the increments between them.  Only an
-    increment beyond pi/4 falls back to halving its interval.  Theta is
-    compared with the principal eigen-angles phi of W at b, read off the
-    same stack.
+    = arg det W is the sum of the increments between them.  While an
+    increment exceeds pi/4, every such interval is halved in one round: its
+    midpoint frames are one more stacked evaluation and ``det``.  Theta is
+    compared with the principal eigen-angles phi of W at b.
     """
     n = traj.n
     frame_a = symplectic_inverse(traj(a))[:, :n]
@@ -107,21 +90,25 @@ def _frame_winding(traj: Matriciant, a: float, b: float) -> int:
         return F[..., n:, :] + 1j * F[..., :n, :]
 
     lo, hi = min(a, b), max(a, b)
-    times = sorted(traj.step_times.tolist(), reverse=bool(b < a))
-    times = [tau for tau in times if lo < tau < hi]
+    times = np.array([a] + [tau for tau in sorted(
+        traj.step_times.tolist(), reverse=bool(b < a)) if lo < tau < hi] + [b])
     A = traj(b)[None]  # memoized: the context reads A(b) too
-    if times:
-        A = np.concatenate((traj.matriciants(times), A))
+    if len(times) > 2:
+        A = np.concatenate((traj.matriciants(times[1:-1]), A))
     U = frame_u(A)
-    dets = np.linalg.det(U)
-    starts = np.concatenate(([1j ** n], dets[:-1]))
-    steps = np.angle(dets / starts)
-    times.append(b)
-    for i in np.flatnonzero(np.abs(steps) > math.pi / 4):
-        steps[i] = _halved_step(
-            lambda tau: complex(np.linalg.det(
-                frame_u(traj.matriciants([tau])[0]))),
-            times[i - 1] if i else a, starts[i], times[i], dets[i])
+    dets = np.concatenate(([1j ** n], np.linalg.det(U)))
+    for rounds in range(51):
+        steps = np.angle(dets[1:] / dets[:-1])
+        wide = np.flatnonzero(np.abs(steps) > math.pi / 4)
+        if not wide.size:
+            break
+        if rounds == 50:
+            raise IntegrationError(
+                "frame determinant phase does not resolve on the leg")
+        mids = 0.5 * (times[wide] + times[wide + 1])
+        times = np.insert(times, wide + 1, mids)
+        dets = np.insert(dets, wide + 1,
+                         np.linalg.det(frame_u(traj.matriciants(mids))))
     theta = n * math.pi + 2.0 * float(steps.sum())
 
     W = U[-1] @ np.linalg.inv(U[-1].conj())
@@ -129,27 +116,7 @@ def _frame_winding(traj: Matriciant, a: float, b: float) -> int:
     return round((sum_phi - theta) / (2.0 * math.pi))
 
 
-def _halved_step(det_u, tau0: float, u0: complex, tau1: float,
-                 u1: complex) -> float:
-    """The phase of det U from tau0 to tau1 as a sum of increments of at
-    most pi/4, halving the interval where an increment exceeds it."""
-    total, pending = 0.0, [(tau1, u1)]
-    while pending:
-        tau, u = pending[-1]
-        step = float(np.angle(u / u0))
-        if abs(step) > math.pi / 4:
-            if len(pending) > 50:
-                raise IntegrationError(
-                    "frame determinant phase does not resolve on the leg")
-            mid = 0.5 * (tau0 + tau)
-            pending.append((mid, det_u(mid)))
-            continue
-        total += step
-        tau0, u0 = pending.pop()
-    return total
-
-
-def conjugate_point_units(traj: Matriciant, a: float, b: float) -> int:
+def conjugate_point_units(traj: MomentTrajectory, a: float, b: float) -> int:
     """Signed count of conjugate points on the leg a -> b (the Maslov index
     of the leg), each weighted by its order.
 

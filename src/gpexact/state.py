@@ -48,9 +48,6 @@ class Axis:
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def shifted(self, offset: float) -> "Axis":
-        return Axis(self.lo + offset, self.hi + offset, self.num)
-
 
 @dataclass(frozen=True, eq=False)
 class GridState:

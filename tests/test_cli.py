@@ -280,6 +280,7 @@ CUSTOM_1D = {"example": "custom", "n": 1, "hbar": 1.0, "m": 1.0,
     ({"initial_state": {"kind": "fock", "n": -1}}, "at least 0"),
     ({"spectrum_levels": 0, "tasks": ["quasi-energy"]}, "at least 1"),
     ({"model": CUSTOM_1D, "tasks": ["kernel-crosscheck"]}, "Example1DParams"),
+    ({"model": CUSTOM_1D, "tasks": ["quasi-energy"]}, "Example1DParams"),
     ({"grid": {"n": 256.5}}, "integer"),
     ({"initial_state": {"kind": "gaussian", "x0": NAN}}, "finite"),
     ({"initial_state": {"kind": "gaussian", "p0": INF}}, "finite"),
@@ -301,7 +302,8 @@ CUSTOM_1D = {"example": "custom", "n": 1, "hbar": 1.0, "m": 1.0,
     ({"tolerances": {"norm": -1}}, "positive"),
     ({"tolerances": {"roundtrip": 0}}, "positive"),
 ], ids=["negative-fock-level", "no-spectrum-levels",
-        "custom-model-kernel-crosscheck", "fractional-grid-size",
+        "custom-model-kernel-crosscheck", "custom-model-quasi-energy",
+        "fractional-grid-size",
         "nan-x0", "infinite-p0", "negative-infinite-x0", "infinite-grid-hi",
         "nan-schedule", "infinite-schedule", "empty-schedule",
         "negative-alpha", "zero-alpha", "zero-mass-1d", "zero-mass-3d",

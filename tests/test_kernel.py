@@ -29,15 +29,15 @@ def test_action_free_particle():
     p0 = 0.8
     g0 = plain_point(z=[p0, 0.0])
     traj = gx.integrate_moments(model, 0.0, g0, 0.2, 1.9)
-    val = gx.action_integral(model, 0.0, traj, 0.2, 1.9)
-    assert val.S == pytest.approx(p0 ** 2 * 1.7 / (2 * 1.4), rel=1e-10)
+    assert traj.action(1.9) - traj.action(0.2) == \
+        pytest.approx(p0 ** 2 * 1.7 / (2 * 1.4), rel=1e-10)
 
 
 def test_action_harmonic_at_rest():
     model = gx.harmonic_model(omega=1.1)
     g0 = gx.MomentPoint(np.zeros(2), np.diag([0.55, 1.0 / (2 * 1.1)]))
     traj = gx.integrate_moments(model, 0.0, g0, 0.0, 2.0)
-    assert gx.action_integral(model, 0.0, traj, 0.0, 2.0).S == \
+    assert traj.action(2.0) - traj.action(0.0) == \
         pytest.approx(0.0, abs=1e-12)
 
 
@@ -52,7 +52,7 @@ def test_action_secular_rate_matches_quasi_energy(model_1d, params_1d):
             np.diag([(params_1d.m * om) ** 2 * sxx, sxx]))
         T = 2.0 * math.pi / params_1d.omega
         traj = gx.integrate_moments(model_1d, KAPPA, g0, 0.0, T)
-        dS = gx.action_integral(model_1d, KAPPA, traj, 0.0, T).S
+        dS = traj.action(T) - traj.action(0.0)
         expected = om * (n + 0.5) - dS / T
         assert expected == pytest.approx(gx.quasi_energy(model_1d, n),
                                          rel=1e-9)
@@ -419,28 +419,49 @@ def test_stacked_winding_matches_node_by_node_signed(case, fa, fb):
             winding_node_by_node(traj, a, b)
 
 
+def count_matriciants(monkeypatch) -> list:
+    """Spy on ``MomentTrajectory.matriciants``: one entry per stacked call."""
+    calls = []
+    stacked = gx.ehrenfest.MomentTrajectory.matriciants
+
+    def counted(traj, times):
+        calls.append(times)
+        return stacked(traj, times)
+
+    monkeypatch.setattr(gx.ehrenfest.MomentTrajectory, "matriciants", counted)
+    return calls
+
+
 def test_winding_falls_back_to_halving_on_thinned_nodes(monkeypatch, model_1d,
                                                         parametric_model):
     """With only the ends of a leg across Omega t = pi as nodes, the phase
-    increments exceed pi/4 and are halved: the winding is the same as on
-    the full node set."""
-    halved = []
-    step = kernel._halved_step
-
-    def counted(*args):
-        halved.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(kernel, "_halved_step", counted)
+    increments exceed pi/4 and are halved in stacked rounds: the winding
+    is the same as on the full node set."""
+    calls = count_matriciants(monkeypatch)
     g0 = plain_point()
     for model in (model_1d, parametric_model):
         traj = gx.integrate_moments(model, KAPPA, g0, 0.0, 4.5)
+        calls.clear()
         full = kernel._frame_winding(traj, 0.0, 4.5)
-        assert not halved and full == winding_node_by_node(traj, 0.0, 4.5)
+        assert len(calls) == 1 and full == winding_node_by_node(traj, 0.0, 4.5)
         traj.step_times = traj.step_times[[0, -1]]
+        calls.clear()
         assert kernel._frame_winding(traj, 0.0, 4.5) == full
-        assert halved
-        halved.clear()
+        assert len(calls) > 1
+
+
+def test_nd_winding_refines_in_stacked_rounds(monkeypatch):
+    """A 3D leg whose det phase turns by more than pi/4 between nodes is
+    refined in whole rounds, not one exponential per midpoint."""
+    model = gx.model_3d(gx.Example3DParams(), kappa=0.5)
+    g0 = gx.MomentPoint(np.zeros(6), 0.5 * np.eye(6))
+    traj = gx.integrate_moments(model, 0.5, g0, 0.0, 2.5)
+    calls = count_matriciants(monkeypatch)
+    for (a, b), m in (((0.0, 2.5), 0), ((2.5, 0.0), -3)):
+        calls.clear()
+        assert kernel._frame_winding(traj, a, b) == m
+        assert len(calls) <= 2
+        assert winding_node_by_node(traj, a, b) == m
 
 
 def test_branch_samples_do_not_grow_with_the_nodes(monkeypatch, model_1d):

@@ -8,12 +8,12 @@ from gpexact import (cli, ehrenfest, evolution, kernel, model, moments,
                      oracle, state, symmetry)
 
 PUBLIC_NAMES = [
-    "ActionValue", "Axis", "CausticError", "EvolutionPlan", "EvolveOptions",
+    "Axis", "CausticError", "EvolutionPlan", "EvolveOptions",
     "Example1DParams", "Example3DParams", "FockSolution", "GpexactError",
     "GridState", "IntegrationError", "IntertwinedOperator", "KernelContext",
     "Matriciant", "ModelError", "MomentPoint", "MomentTrajectory",
     "OracleConfig", "PlanError", "QuadraticModel", "ResolutionError",
-    "ResonanceError", "StabilityError", "StateConstants", "action_integral",
+    "ResonanceError", "StabilityError", "StateConstants",
     "apply_effective_hamiltonian", "apply_symmetry", "build_kernel_context",
     "build_model", "check_resolved", "closed_form_kernel_1d",
     "closed_form_kernel_3d", "constants_of_motion", "effective_coupling",
