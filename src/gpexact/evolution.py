@@ -4,14 +4,17 @@ superposition on grid states.
 The operator integrates the moment system from the input state's own moment
 record, builds the Gaussian propagator for the resulting trajectory, and
 applies it by trapezoid quadrature on the uniform grid.  The sampled kernel
-is a discrete linear canonical transform whose cross term dx^T l3^(-1) dy
-is a Bluestein chirp convolution: O(N log N) per uncoupled axis, and
-O(N^3 log N) per slice for an axis pair coupled through l3^(-1).  A leg
-may cross conjugate points, its branch read off the trajectory's frame; the
-plan splits the interval, and composes the legs of the one trajectory, only
-where a leg ends within the caustic tolerance of a conjugate point or its
-sampled kernel would alias.  Every leg's output passes the input resolution
-gate, so a returned state is a valid input of every other operation.
+is a discrete linear canonical transform whose cross term dx^T l3^(-1) dy is
+a Bluestein chirp convolution: O(N log N) per uncoupled axis.  An axis pair
+coupled through l3^(-1) is contracted in Fourier space, its cross factor
+folded into the lag kernel of one axis: per slice of the other axes, N^2
+forward transforms, one contraction and N inverse transforms, O(N^3 log N)
+time in O(N^3) memory.  A leg may cross conjugate points, its branch read
+off the trajectory's frame; the plan splits the interval, and composes the
+legs of the one trajectory, only where a leg ends within the caustic
+tolerance of a conjugate point or its sampled kernel would alias.  Every
+leg's output passes the input resolution gate, so a returned state is a
+valid input of every other operation.
 """
 
 from __future__ import annotations
@@ -128,23 +131,34 @@ def _chirp(offsets: tuple[np.ndarray, ...], lin: np.ndarray, quad: np.ndarray,
     return np.exp(1j * phase / hbar)
 
 
-def _chirp_z(f: np.ndarray, c: float, n_out: int,
-             twist: np.ndarray | float = 1.0) -> np.ndarray:
-    """sum_j exp(i c i j) (twist * f)[..., j] for i = 0..n_out-1.
+def _bluestein(c: float, n_in: int, n_out: int):
+    """Setup of sum_j exp(i c i j) f[j], j < n_in, i < n_out, by Bluestein's
+    identity i j = (i^2 + j^2 - (i - j)^2) / 2: with w[m] = exp(i c m^2 / 2)
+    the sum is w[i] sum_j conj(w[i - j]) w[j] f[j], one FFT convolution at
+    a length that holds every lag k = i - j without wrap-around.
 
-    Bluestein's identity i j = (i^2 + j^2 - (i - j)^2) / 2 turns the sum
-    into one FFT convolution with the lag chirp exp(-i c k^2 / 2), at a
-    length that holds every lag k = i - j without wrap-around.
+    Returns w, at index m + n_in - 1 for m from -(n_in - 1) to max(n_in,
+    n_out) - 1; the lag k held by each slot of the convolution (lag k sits
+    at slot k mod size); and the lag chirp conj(w[k]) in those slots, zero
+    on the padding.
     """
-    n_in = f.shape[-1]
     size = sp_fft.next_fast_len(n_in + n_out - 1)
-    k = np.arange(-(n_in - 1), max(n_in, n_out))
-    w = np.exp(0.5j * c * k.astype(float) ** 2)  # index k + n_in - 1
+    m = np.arange(-(n_in - 1), max(n_in, n_out))
+    w = np.exp(0.5j * c * m.astype(float) ** 2)
+    k = np.arange(size)
+    k[n_out:] -= size
     lags = np.zeros(size, dtype=complex)
-    lags[k[:n_in - 1 + n_out] % size] = w[:n_in - 1 + n_out].conj()
-    shape = np.broadcast_shapes(f.shape, np.shape(twist))
-    buf = np.zeros(shape[:-1] + (size,), dtype=complex)
-    np.multiply(f, twist * w[n_in - 1:2 * n_in - 1], out=buf[..., :n_in])
+    lags[m[:n_in - 1 + n_out] % size] = w[:n_in - 1 + n_out].conj()
+    return w, k, lags
+
+
+def _chirp_z(f: np.ndarray, c: float, n_out: int) -> np.ndarray:
+    """sum_j exp(i c i j) f[..., j] for i = 0..n_out-1, by one Bluestein
+    convolution along the last axis."""
+    n_in = f.shape[-1]
+    w, _, lags = _bluestein(c, n_in, n_out)
+    buf = np.zeros(f.shape[:-1] + lags.shape, dtype=complex)
+    np.multiply(f, w[n_in - 1:2 * n_in - 1], out=buf[..., :n_in])
     spec = sp_fft.fft(buf, overwrite_x=True)
     spec *= sp_fft.fft(lags)
     out = sp_fft.ifft(spec, overwrite_x=True)[..., :n_out]
@@ -155,21 +169,40 @@ def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
                   n_out: tuple[int, ...]) -> np.ndarray:
     """sum over (j_a, j_b) of exp{i (C_aa i_a j_a + C_ab i_a j_b + C_ba i_b
     j_a + C_bb i_b j_b)} f for two coupled axes, slice by slice over the
-    other axes: the j_a sum is a chirp-z whose frequency is offset by
-    C_ba i_b, the j_b sum is contracted directly.  O(N^3 log N) time and
-    O(N^3) memory per slice.
+    other axes.
+
+    With C_ab i_a j_b = C_ab (i_a - j_a) j_b + C_ab j_a j_b the i_a
+    dependence of the cross factor joins the Bluestein lag kernel of axis
+    a, L[j_b, k] = conj(w[k]) exp(i C_ab k j_b), so the j_b sum is taken in
+    Fourier space, before the inverse transform:
+
+        out[i_a, i_b] = w[i_a] IFFT( sum_j_b L^[j_b] FFT_j_a( exp{i (C_ba
+            i_b j_a + C_bb i_b j_b + C_ab j_a j_b)} w[j_a] f[j_a, j_b] ) ).
+
+    Per slice: n_b,out * n_b,in forward transforms in place in one work
+    buffer, one contraction against L^ and n_b,out inverse transforms.
     """
     g = np.moveaxis(f, (a, b), (-2, -1))
+    na_in, nb_in = g.shape[-2:]
     na_out, nb_out = n_out[a], n_out[b]
-    ja, jb = np.arange(g.shape[-2]), np.arange(g.shape[-1])
-    ia, ib = np.arange(na_out), np.arange(nb_out)
-    twist = np.exp(1j * C[b, a] * np.outer(ib, ja))  # [i_b, j_a]
-    direct = np.exp(1j * jb[:, None, None] * (C[a, b] * ia[None, None, :]
-                                              + C[b, b] * ib[None, :, None]))
+    w, k, lags = _bluestein(C[a, a], na_in, na_out)
+    ja, jb, ib = np.arange(na_in), np.arange(nb_in), np.arange(nb_out)
+    lag_hat = sp_fft.fft(lags * np.exp(1j * C[a, b] * np.outer(jb, k)))
+    tilt = np.exp(1j * C[b, a] * np.outer(ib, ja))[:, None, :]  # [i_b, ., j_a]
+    shear = np.exp(1j * C[b, b] * np.outer(ib, jb))[:, :, None]  # [i_b, j_b, .]
+    cross = np.exp(1j * C[a, b] * np.outer(jb, ja)) \
+        * w[na_in - 1:2 * na_in - 1]  # [j_b, j_a]
+    w_out = w[na_in - 1:na_in - 1 + na_out, None]
+    buf = np.empty((nb_out, nb_in, lags.size), dtype=complex)
+    head, pad = buf[..., :na_in], buf[..., na_in:]
     out = np.empty(g.shape[:-2] + (na_out, nb_out), dtype=complex)
     for s in np.ndindex(g.shape[:-2]):
-        h = _chirp_z(g[s].T[:, None, :], C[a, a], na_out, twist)
-        out[s] = np.einsum("jba,jba->ab", direct, h)  # h[j_b, i_b, i_a]
+        np.multiply(tilt, g[s].T * cross, out=head)
+        head *= shear
+        pad.fill(0.0)  # the in-place transform of the last slice wrote here
+        spec = np.einsum("bjk,jk->kb", sp_fft.fft(buf, overwrite_x=True),
+                         lag_hat)
+        out[s] = w_out * sp_fft.ifft(spec, axis=0, overwrite_x=True)[:na_out]
     return np.moveaxis(out, (-2, -1), (a, b))
 
 

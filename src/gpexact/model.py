@@ -171,8 +171,8 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
 
     Constant matrices are checked once here and returned frozen on every
     call; callables are checked on every call, the momentum block of Hzz
-    included.  A model without callables or drive terms records its own
-    spec, so :func:`model_to_spec` can serialize it.
+    included.  A model without callables or an ``example`` records its own
+    spec, drive terms included, so :func:`model_to_spec` can serialize it.
     """
     if n not in (1, 2, 3):
         raise ModelError("spatial dimension must be 1, 2 or 3")
@@ -206,7 +206,10 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
         return mat
 
     def vector(name: str, vec) -> np.ndarray:
-        vec = np.asarray(vec, dtype=float)
+        try:
+            vec = np.asarray(vec, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ModelError(f"{name} must hold {d} numbers") from err
         if vec.shape != (d,) or not np.all(np.isfinite(vec)):
             raise ModelError(f"{name} must hold {d} finite entries, "
                              f"got {vec.shape}")
@@ -216,6 +219,11 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
         return vector("Hz", Hz(t) if callable(Hz) else np.ravel(Hz))
 
     terms = []
+    try:
+        drive = list(drive)
+    except TypeError as err:
+        raise ModelError("drive must be a sequence of (omega, cos_vec, "
+                         "sin_vec) terms") from err
     for term in drive:
         try:
             omega, cos_vec, sin_vec = term
@@ -248,7 +256,7 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
     hz(0.0)
 
     data = not callable(Hzz) and not callable(Hz)
-    if spec is None and data and not terms:
+    if spec is None and data and example is None:
         spec = {
             "example": "custom", "n": n, "hbar": hbar, "m": mass,
             "kappa": kappa,
@@ -258,6 +266,8 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
             "Wzw": Wzw.reshape(d * d).tolist(),
             "Www": Www.reshape(d * d).tolist(),
         }
+        if terms:
+            spec["drive"] = [[w, c.tolist(), s.tolist()] for w, c, s in terms]
     return QuadraticModel(n, hbar, mass, kappa, hzz, hz, Wzz, Wzw, Www,
                           example=example, spec=spec,
                           drive=(const_hz, tuple(terms)) if data else None)
@@ -374,7 +384,8 @@ def build_model(spec: dict) -> QuadraticModel:
                 for key in ("Hzz", "Wzz", "Wzw", "Www")}
         model = make_model(n, hbar, _field(spec, "m", 1.0), kappa,
                            mats["Hzz"], _field(spec, "Hz", np.zeros(d), (d,)),
-                           mats["Wzz"], mats["Wzw"], mats["Www"])
+                           mats["Wzz"], mats["Wzw"], mats["Www"],
+                           drive=spec.get("drive", ()))
     else:
         raise ModelError(f"unknown example kind {kind!r}")
     object.__setattr__(model, "spec", dict(spec))
@@ -384,10 +395,12 @@ def build_model(spec: dict) -> QuadraticModel:
 def model_to_spec(model: QuadraticModel) -> dict:
     """Serialize a model back to the JSON schema; round-trips bitwise.
 
-    Models with time-dependent Hzz/Hz serialize only through the spec they
-    were built from (``build_model``, or the ``spec`` argument).
+    Models with callable Hzz/Hz, and example models built outside
+    :func:`build_model`, serialize only through the spec they were built
+    from (``build_model``, or the ``spec`` argument).
     """
     if model.spec is None:
-        raise ModelError("model has time-dependent Hzz/Hz and no spec; it "
-                         "cannot be serialized")
+        raise ModelError("model has no spec (callable Hzz/Hz, or an example "
+                         "built outside build_model); it cannot be "
+                         "serialized")
     return dict(model.spec)

@@ -90,7 +90,9 @@ def test_config_without_model_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("model", [
     {"example": "custom"},           # no dimension
     {"example": "1d", "m": "abc"},   # non-numeric parameter
-], ids=["custom-without-n", "non-numeric-mass"])
+    {"example": "custom", "n": 1, "Hzz": [1.0, 0.0, 0.0, 1.0],
+     "drive": [[0.5, [0.0, "x"], [0.0, 0.0]]]},  # malformed drive
+], ids=["custom-without-n", "non-numeric-mass", "custom-malformed-drive"])
 def test_malformed_model_spec_fails_cleanly(tmp_path, capsys, model):
     cfg = dict(SCENARIO, model=model)
     code = main(["scenario", "--config", write_config(tmp_path, cfg),

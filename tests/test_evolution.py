@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
 from gpexact.errors import CausticError, PlanError, ResolutionError
-from gpexact.evolution import (EvolveOptions, _apply_kernel, _recentered,
-                               plan_evolution)
+from gpexact.evolution import (EvolveOptions, _apply_kernel,
+                               _chirp_z_pair, _recentered, plan_evolution)
 from gpexact.kernel import conjugate_point_units
 
 from conftest import KAPPA, forced_oscillator_mean, oracle_models, \
@@ -429,6 +429,40 @@ def test_3d_kernel_application_matches_dense_quadrature(h_field):
         got = _apply_kernel(ctx, state, axes_out)
         ref = dense_kernel_apply(ctx, state, axes_out)
         assert relative_l2(got, ref) <= 1e-12
+
+
+def brute_force_pair(f, C, a, b, n_out):
+    """The coupled-pair sum with its full exp{i (C_aa i_a j_a + C_ab i_a j_b
+    + C_ba i_b j_a + C_bb i_b j_b)} tensor formed."""
+    i_a, i_b, j_a, j_b = np.ix_(np.arange(n_out[a]), np.arange(n_out[b]),
+                                np.arange(f.shape[a]), np.arange(f.shape[b]))
+    phase = (C[a, a] * i_a * j_a + C[a, b] * i_a * j_b
+             + C[b, a] * i_b * j_a + C[b, b] * i_b * j_b)
+    g = np.moveaxis(f, (a, b), (-2, -1))
+    out = np.einsum("ABab,...ab->...AB", np.exp(1j * phase), g)
+    return np.moveaxis(out, (-2, -1), (a, b))
+
+
+@pytest.mark.parametrize("shape, n_out, pair", [
+    ((11, 9), (14, 6), (0, 1)),
+    ((11, 9), (7, 13), (0, 1)),
+    ((9, 7, 10), (12, 5, 10), (0, 1)),
+    ((9, 7, 10), (6, 9, 10), (0, 1)),
+    ((9, 7, 10), (12, 7, 6), (0, 2)),
+    ((9, 7, 10), (5, 7, 13), (0, 2)),
+    ((9, 7, 10), (9, 10, 7), (1, 2)),
+    ((9, 7, 10), (9, 4, 12), (1, 2)),
+])
+def test_chirp_z_pair_matches_brute_force_sum(shape, n_out, pair):
+    """Uneven grids, output larger and smaller than the input on each axis
+    of the pair, and a cross term with all four entries nonzero."""
+    rng = np.random.default_rng(sum(shape) + sum(n_out))
+    n = len(shape)
+    C = rng.uniform(0.1, 0.7, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = _chirp_z_pair(f, C, *pair, n_out)
+    assert got.shape == n_out
+    assert relative_l2(got, brute_force_pair(f, C, *pair, n_out)) <= 1e-12
 
 
 def test_fully_coupled_3d_cross_term_rejected():

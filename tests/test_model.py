@@ -94,6 +94,53 @@ def test_custom_spec_roundtrip_bitwise():
     assert np.array_equal(m1.Wzz, m2.Wzz)
 
 
+DRIVEN_SPEC = {"example": "custom", "n": 1, "hbar": 1.0, "m": 1.0,
+               "kappa": 0.5, "Hzz": [1.0, 0.0, 0.0, 1.0],
+               "Wzz": [0.0, 0.0, 0.0, 0.2], "Wzw": [0.0, 0.0, 0.0, 0.1],
+               "Www": [0.0, 0.0, 0.0, 0.3],
+               "drive": [[0.5, [0.0, -0.1], [0.0, 0.0]]]}
+
+
+def test_custom_drive_matches_the_example_model(model_1d):
+    """The README's 1D model written as a custom JSON model with a drive."""
+    custom = gx.build_model(DRIVEN_SPEC)
+    for t in (0.0, 0.9, 3.7):
+        assert np.array_equal(custom.Hz(t), model_1d.Hz(t))
+        assert np.array_equal(custom.Hzz(t), model_1d.Hzz(t))
+
+
+def test_driven_custom_model_roundtrips_bitwise():
+    drive = [(0.7, [0.0, 0.0, 0.1, -0.2], [0.3, 0.0, 0.0, 0.05]),
+             (1.9, [0.0, 0.4, 0.0, 0.0], [0.0, 0.0, -0.15, 0.0])]
+    m1 = gx.make_model(2, 1.0, 1.0, 0.3, np.diag([1.0, 1.0, 2.0, 0.5]),
+                       [0.1, 0.0, 0.2, 0.0], Wzz=np.diag([0, 0, 0.2, 0.2]),
+                       drive=drive)
+    spec = gx.model_to_spec(m1)
+    assert spec["drive"] == [[w, list(c), list(s)] for w, c, s in drive]
+    m2 = gx.build_model(spec)
+    for t in (0.0, 0.4, 2.3):
+        assert np.array_equal(m1.Hz(t), m2.Hz(t))
+        assert np.array_equal(m1.Hzz(t), m2.Hzz(t))
+    assert np.array_equal(m1.Wzz, m2.Wzz)
+    assert gx.model_to_spec(m2) == spec
+
+
+@pytest.mark.parametrize("drive", [
+    0.5,                                      # not a list
+    [[0.5, [0.0, 1.0]]],                      # two entries, not three
+    [0.5, [0.0, 1.0], [0.0, 0.0]],            # one term, not a list of them
+    [[0.5, [0.0, 1.0, 2.0], [0.0, 0.0]]],     # wrong length of cos_vec
+    [[0.5, ["a", "b"], [0.0, 0.0]]],          # non-numeric sin/cos entries
+    [[0.5, {"x": 1}, [0.0, 0.0]]],            # not an array at all
+    [["fast", [0.0, 1.0], [0.0, 0.0]]],       # non-numeric frequency
+    [[float("nan"), [0.0, 1.0], [0.0, 0.0]]],  # non-finite frequency
+    [[0.5, [0.0, float("inf")], [0.0, 0.0]]],  # non-finite amplitude
+])
+def test_malformed_custom_drive_rejected(drive):
+    with pytest.raises(ModelError):
+        gx.build_model(dict(DRIVEN_SPEC, drive=drive))
+
+
 def test_rejects_bad_models():
     with pytest.raises(ModelError):
         gx.make_model(4, 1.0, 1.0, 0.0, np.eye(8), np.zeros(8))
