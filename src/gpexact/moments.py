@@ -35,7 +35,7 @@ def _moment_pass(state: GridState, z: np.ndarray | None = None,
     if nrm == 0.0:
         raise ResolutionError("zero-norm state has no moments")
     pts = state.grids()
-    dpsi = [momentum_apply(state, a) for a in range(n)]  # p_a psi
+    dpsi = [momentum_apply(state, psi, a) for a in range(n)]  # p_a psi
     if z is None:
         z = np.empty(2 * n)
         for a in range(n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fftn, ifftn
 
-from .errors import ModelError, StabilityError
+from .errors import ModelError, ResolutionError, StabilityError
 from .model import QuadraticModel
 from .moments import constants_of_motion
 from .state import GridState, check_resolved, momentum_apply
@@ -75,7 +75,12 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
         return psi
     n = model.n
     hbar = model.hbar
-    kt = constants_of_motion(model, psi).kappa_tilde
+    w = psi.weight
+    # the norm sets the coupling, as in the moment record
+    norm0 = float(w * np.sum(np.abs(psi.psi) ** 2))
+    if norm0 == 0.0:
+        raise ResolutionError("zero-norm state has no mean field")
+    kt = model.kappa * norm0
     kt_Wa = kt * Wa
 
     steps = max(1, round(abs(t - s) / cfg.dt))
@@ -87,7 +92,6 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     # kinetic multipliers
     axes = psi.axes
     shape = tuple(ax.num for ax in axes)
-    w = psi.weight
     x = np.stack([g.ravel() for g in psi.grids(sparse=False)])
     mono = np.vstack([(x[:, None] * x[None, :]).reshape(n * n, -1), x])
     k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in axes),
@@ -96,7 +100,6 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     kin_full = np.exp(-1j * hbar * k2 * dt / (2.0 * model.mass))
     phase = np.empty(x.shape[1], dtype=np.complex128)
 
-    norm0 = float(w * np.sum(np.abs(psi.psi) ** 2))
     spec = fftn(psi.psi)
     spec *= kin_half
     for step in range(steps):
@@ -136,8 +139,10 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
 def apply_effective_hamiltonian(model: QuadraticModel, state: GridState,
                                 validate: bool = True) -> np.ndarray:
     """Act with the full mean-field Hamiltonian on the state, the moment
-    record taken from the state itself (spectral momentum operators, Weyl
-    ordering for the mixed terms)."""
+    record taken from the state itself: scal + <hz, dz> + 1/2 <dz, hzz dz>
+    in the centered operators dz = z - <z> (spectral momenta).  The double
+    sum runs over both orders of every pair, and hzz is symmetric, so it is
+    exactly the Weyl ordering of the mixed p-x terms."""
     n = state.n
     cons = constants_of_motion(model, state, validate=validate)
     kt = cons.kappa_tilde
@@ -149,34 +154,21 @@ def apply_effective_hamiltonian(model: QuadraticModel, state: GridState,
     M = model.Hzz(t) + kt * (model.Wzz + 2.0 * model.Wzw + model.Www)
     scal = 0.5 * float(z @ M @ z) + float(model.Hz(t) @ z) \
         + 0.5 * kt * float(np.trace(model.Www @ Delta))
-
-    psi = state.psi
     pts = state.grids()
-    dx = [pts[a] - z[n + a] for a in range(n)]
-    dpsi = [momentum_apply(state, a) - z[a] * psi for a in range(n)]
 
-    out = scal * psi.astype(np.complex128)
-    for a in range(n):
-        out = out + hz[a] * dpsi[a] + hz[n + a] * (dx[a] * psi)
-    # second momentum derivatives, computed pairwise
-    for a in range(n):
-        da = GridState(state.axes, dpsi[a], state.t, state.hbar)
-        for b in range(n):
-            hpp = hzz[a, b]
-            if hpp != 0.0:
-                dd = momentum_apply(da, b) - z[b] * dpsi[a]
-                out = out + 0.5 * hpp * dd
-            hpx = hzz[a, n + b]
-            if hpx != 0.0:
-                # Weyl ordering: (dp dx + dx dp)/2
-                mixed = GridState(state.axes, dx[b] * psi, state.t, state.hbar)
-                term = momentum_apply(mixed, a) - z[a] * (dx[b] * psi)
-                out = out + 0.5 * hpx * (term + dx[b] * dpsi[a])
-    for a in range(n):
-        for b in range(n):
-            hxx = hzz[n + a, n + b]
-            if hxx != 0.0:
-                out = out + 0.5 * hxx * (dx[a] * dx[b] * psi)
+    def centered(i, arr):
+        """(z_i - <z_i>) arr: spectral for a momentum, pointwise for a
+        position."""
+        if i < n:
+            return momentum_apply(state, arr, i) - z[i] * arr
+        return (pts[i - n] - z[i]) * arr
+
+    c = [centered(i, state.psi) for i in range(2 * n)]
+    out = scal * state.psi
+    for i in range(2 * n):
+        out = out + hz[i] * c[i]
+    for i, j in zip(*np.nonzero(hzz)):
+        out = out + 0.5 * hzz[i, j] * centered(i, c[j])
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import fft, fftfreq, fftn, ifft
 
 from .errors import ResolutionError
 
@@ -42,7 +43,7 @@ class Axis:
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.num, d=self.delta)
+        return 2.0 * np.pi * fftfreq(self.num, d=self.delta)
 
     @property
     def center(self) -> float:
@@ -93,14 +94,16 @@ class GridState:
         return replace(self, t=t)
 
 
-def momentum_apply(state: GridState, axis: int) -> np.ndarray:
-    """Apply the momentum operator -i*hbar*d/dx_axis spectrally."""
+def momentum_apply(state: GridState, psi: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the momentum operator -i*hbar*d/dx_axis spectrally to ``psi``,
+    any amplitude array on the state's grid (the state supplies only the
+    grid and hbar): the package's one spectral derivative."""
     k = state.axes[axis].wavenumbers
     shape = [1] * state.n
     shape[axis] = state.axes[axis].num
-    spec = np.fft.fft(state.psi, axis=axis)
+    spec = fft(psi, axis=axis)
     spec *= (state.hbar * k).reshape(shape)
-    return np.fft.ifft(spec, axis=axis)
+    return ifft(spec, axis=axis)
 
 
 def boundary_tail_fraction(state: GridState) -> float:
@@ -118,7 +121,7 @@ def boundary_tail_fraction(state: GridState) -> float:
 
 def spectral_tail_fraction(state: GridState) -> float:
     """Spectral mass fraction beyond 3/4 of the Nyquist band (aliasing guard)."""
-    spec = np.abs(np.fft.fftn(state.psi)) ** 2
+    spec = np.abs(fftn(state.psi)) ** 2
     total = float(spec.sum())
     if total == 0.0:
         return 0.0
@@ -148,10 +151,7 @@ def support_radius(state: GridState, center: np.ndarray) -> float:
     SUPPORT_CUT*max|psi|."""
     dens = np.abs(state.psi)
     mask = dens > SUPPORT_CUT * dens.max()
-    pts = state.grids(sparse=False)
-    r2 = np.zeros(state.psi.shape)
-    for a in range(state.n):
-        r2 += (pts[a] - center[a]) ** 2
+    r2 = sum((g - c) ** 2 for g, c in zip(state.grids(), center))
     return float(np.sqrt(r2[mask].max()))
 
 

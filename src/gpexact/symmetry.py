@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+from scipy.fft import fft, ifft
 from scipy.special import eval_hermite, gammaln
 
 from .ehrenfest import MomentPoint, integrate_moments
@@ -59,7 +60,7 @@ def apply_polynomial(op: IntertwinedOperator, state: GridState) -> GridState:
     def letter(ch, arr):
         if ch == "x":
             return dx * arr
-        return momentum_apply(state.with_psi(arr), 0) - p0[0] * arr
+        return momentum_apply(state, arr, 0) - p0[0] * arr
 
     out = np.zeros_like(state.psi)
     for coeff, word in op.terms:
@@ -116,10 +117,10 @@ def one_parameter_family(model: QuadraticModel, generator, alpha: float,
         p0, x0 = first_moments(psi0)
         hbar = psi0.hbar
         # exp(i a u dx) exp(i a v dp) with the central commutator phase
-        spec = np.fft.fft(psi0.psi)
+        spec = fft(psi0.psi)
         k = psi0.axes[0].wavenumbers
         spec *= np.exp(1j * alpha * v * hbar * k)  # shift by alpha*v*hbar
-        arr = np.fft.ifft(spec)
+        arr = ifft(spec)
         arr = arr * np.exp(-1j * alpha * v * p0)
         arr = arr * np.exp(1j * alpha * u * (psi0.axes[0].points - x0))
         arr = arr * np.exp(1j * (alpha * w0 + 0.5 * hbar * alpha ** 2 * u * v))

@@ -162,9 +162,9 @@ def test_moment_record_applies_each_momentum_once(model_1d, monkeypatch):
     from gpexact.state import momentum_apply
     calls = []
 
-    def spy(state, axis):
+    def spy(state, psi, axis):
         calls.append(axis)
-        return momentum_apply(state, axis)
+        return momentum_apply(state, psi, axis)
 
     monkeypatch.setattr(moments, "momentum_apply", spy)
     psi = _unnormalized_state(3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gpexact as gx
-from gpexact.errors import ModelError
+from gpexact.errors import ModelError, ResolutionError
 
 from conftest import KAPPA
 
@@ -111,6 +111,34 @@ def test_residual_of_fock_triple(model_1d):
     assert slope >= 1.9
 
 
+def test_residual_second_order_2d_rotation():
+    """The 2D model with an antisymmetric p-x rotation coupling, so the
+    mixed Weyl-ordered terms of the Hamiltonian are exercised.  The packet
+    is anisotropic: on an isotropic one those terms leave the residual
+    unchanged."""
+    rot = 0.2
+    hzz = np.array([[1.0, 0.0, 0.0, rot],
+                    [0.0, 1.0, -rot, 0.0],
+                    [0.0, -rot, 1.0 + rot ** 2, 0.0],
+                    [rot, 0.0, 0.0, 1.0 + rot ** 2]])
+
+    def position_block(c):
+        return np.block([[np.zeros((2, 2)), np.zeros((2, 2))],
+                         [np.zeros((2, 2)), c * np.eye(2)]])
+
+    model = gx.make_model(2, 1.0, 1.0, 0.5, hzz, np.zeros(4),
+                          position_block(0.2), position_block(0.1),
+                          position_block(0.3))
+    om = math.sqrt(1.0 + rot ** 2 + 0.5 * 0.2)
+    axes = (gx.Axis(-9.0, 9.0, 80), gx.Axis(-9.0, 9.0, 80))
+    psi = gx.gaussian_packet(axes, 1.0, [0.5, -0.3], [0.2, 0.1],
+                             [0.7 * om, 1.3 * om])
+    dts = [8e-3, 4e-3, 2e-3]
+    res = [residual_of_evolved_triple(model, psi, 0.9, dt) for dt in dts]
+    slope = np.polyfit(np.log(dts), np.log(res), 1)[0]
+    assert slope >= 1.9
+
+
 def test_grid_mismatch_rejected(model_1d, axis_1024, axis_2048):
     p1 = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
     p2 = gx.gaussian_packet((axis_2048,), 1.0, [0.0], [0.0], [1.0])
@@ -124,6 +152,14 @@ def test_phase_step_bound_enforced(model_1d, axis_1024, params_1d):
     from gpexact.errors import StabilityError
     with pytest.raises(StabilityError):
         gx.split_step_evolve(model_1d, psi, 1.0, gx.OracleConfig(dt=0.5))
+
+
+def test_oracle_rejects_zero_state(model_1d, axis_1024):
+    """Both tails of a zero state read 0, so the norm check refuses it."""
+    zero = gx.GridState((axis_1024,), np.zeros(axis_1024.num, dtype=complex),
+                        0.0, 1.0)
+    with pytest.raises(ResolutionError):
+        gx.split_step_evolve(model_1d, zero, 0.5)
 
 
 def test_momentum_drive_rejected_before_the_state(axis_1024):
