@@ -243,13 +243,12 @@ def _task_kernel(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     cons = constants_of_motion(model, psi)
     t = times[-1]
     traj = integrate_moments(model, cons.kappa_tilde, cons.point, psi.t, t)
-    ctx = build_kernel_context(model, cons.kappa_tilde, traj, psi.t, t)
+    ctx = build_kernel_context(traj, psi.t, t)
     rng = np.random.default_rng(0)
     xs = rng.normal(scale=1.5, size=100)
     ys = rng.normal(scale=1.5, size=100)
     got = green_function(ctx, xs, ys)
-    ref = closed_form_kernel_1d(model.example, cons.kappa_tilde, traj,
-                                xs, ys, t, psi.t)
+    ref = closed_form_kernel_1d(traj, xs, ys, t, psi.t)
     return [_check("kernel_crosscheck",
                    float(np.max(np.abs(got - ref))), tols["kernel"])]
 

@@ -80,10 +80,11 @@ def _alias_images_ok(model: QuadraticModel, l3: np.ndarray,
     return True
 
 
-def plan_evolution(model: QuadraticModel, kappa_tilde: float,
-                   traj: MomentTrajectory, state: GridState, s: float, t: float,
+def plan_evolution(traj: MomentTrajectory, state: GridState,
                    opts: EvolveOptions) -> EvolutionPlan:
-    n = model.n
+    """Split the trajectory's interval [s, t] into legs that the grid of
+    ``state`` carries without aliasing and that end off the caustics."""
+    model, n, s, t = traj.model, traj.n, traj.s, traj.t
     r0 = support_radius(state, traj.position(s))
     sxx0 = float(np.trace(traj.Delta(s)[n:, n:]))
 
@@ -101,7 +102,7 @@ def plan_evolution(model: QuadraticModel, kappa_tilde: float,
         if _alias_images_ok(model, l3, state.axes, axes_out,
                             traj.position(b), r_in(a)):
             try:
-                legs.append(build_kernel_context(model, kappa_tilde, traj, a, b))
+                legs.append(build_kernel_context(traj, a, b))
                 return
             except CausticError:
                 why = "conjugate point"
@@ -258,35 +259,28 @@ def _recentered(axes: tuple[Axis, ...], center: np.ndarray) -> tuple[Axis, ...]:
     return tuple(out)
 
 
-def _propagate(model: QuadraticModel, state: GridState, g0, kappa_tilde: float,
-               target: float, opts: EvolveOptions) -> GridState:
-    s = state.t
-    if target == s:
-        return state
-    traj = integrate_moments(model, kappa_tilde, g0, s, target)
-    plan = plan_evolution(model, kappa_tilde, traj, state, s, target, opts)
-    current = state
-    for leg in plan.legs:
-        axes_out = _recentered(current.axes, leg.X_t) \
-            if opts.recenter else current.axes
-        psi = _apply_kernel(leg, current, axes_out)
-        current = GridState(axes_out, psi, leg.t, current.hbar)
-        try:
-            check_resolved(current)
-        except ResolutionError as err:
-            raise ResolutionError(f"state unresolved after leg "
-                                  f"[{leg.s:.4g}, {leg.t:.4g}]: {err}") from err
-    return current
-
-
 def evolve(model: QuadraticModel, psi: GridState, t: float,
            opts: EvolveOptions | None = None) -> GridState:
     """Propagate a localized state from its own time label to t; raises
     ResolutionError rather than return a state it would refuse as input."""
     opts = opts or EvolveOptions()
     cons = constants_of_motion(model, psi)
+    if t == psi.t:
+        return psi
     kt = cons.kappa_tilde if opts.kappa_tilde is None else opts.kappa_tilde
-    return _propagate(model, psi, cons.point, kt, t, opts)
+    traj = integrate_moments(model, kt, cons.point, psi.t, t)
+    current = psi
+    for leg in plan_evolution(traj, psi, opts).legs:
+        axes_out = _recentered(current.axes, leg.X_t) \
+            if opts.recenter else current.axes
+        psi_out = _apply_kernel(leg, current, axes_out)
+        current = GridState(axes_out, psi_out, leg.t, current.hbar)
+        try:
+            check_resolved(current)
+        except ResolutionError as err:
+            raise ResolutionError(f"state unresolved after leg "
+                                  f"[{leg.s:.4g}, {leg.t:.4g}]: {err}") from err
+    return current
 
 
 def evolve_inverse(model: QuadraticModel, Psi: GridState, s: float,

@@ -1,7 +1,9 @@
 """Gaussian propagator of the moment-linearized equation.
 
-The kernel is assembled from the endpoint moments, the matriciant blocks
-l1..l4 of A(t, s), and the accumulated phase action:
+The kernel of a leg is read off one moment trajectory alone, which fixes
+the model, the coupling family kappa_tilde and the interval: it is
+assembled from the endpoint moments, the matriciant blocks l1, l3, l4 of
+A(t, s), and the accumulated phase action:
 
     G(x, y) = det(-2*pi*i*hbar*l3)^(-1/2)
               * exp{ (i/hbar) [ dS + <P(t), dx> - <P(s), dy>
@@ -36,7 +38,7 @@ import numpy as np
 
 from .ehrenfest import MomentTrajectory, matriciant_blocks, symplectic_inverse
 from .errors import CausticError, IntegrationError, ModelError
-from .model import Example1DParams, QuadraticModel
+from .model import Example1DParams, Example3DParams, QuadraticModel
 from .state import write_csv
 
 
@@ -45,17 +47,13 @@ class KernelContext:
     """Everything needed to evaluate the propagator between two fixed times."""
 
     model: QuadraticModel
-    kappa_tilde: float
     s: float
     t: float
     P_s: np.ndarray
     X_s: np.ndarray
     P_t: np.ndarray
     X_t: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
     l3: np.ndarray
-    l4: np.ndarray
     action_diff: float
     prefactor: complex
     det_l3: float
@@ -129,29 +127,29 @@ def conjugate_point_units(traj: MomentTrajectory, a: float, b: float) -> int:
     nonnegative both ways.
     """
     m = _frame_winding(traj, a, b)
-    negative = _momentum_block_negatives(traj.model, traj.kappa_tilde, a)
+    negative = _momentum_block_negatives(traj, a)
     return m + negative if b > a else negative - traj.n - m
 
 
-def _momentum_block_negatives(model: QuadraticModel, kappa_tilde: float,
-                              t: float) -> int:
-    """Number of negative eigenvalues of the effective Hpp at time t."""
-    n = model.n
-    hpp = model.momentum_block(t) + kappa_tilde * model.Wzz[:n, :n]
+def _momentum_block_negatives(traj: MomentTrajectory, t: float) -> int:
+    """Number of negative eigenvalues of the trajectory's effective Hpp at
+    time t."""
+    model, n = traj.model, traj.n
+    hpp = model.momentum_block(t) + traj.kappa_tilde * model.Wzz[:n, :n]
     return int(np.sum(np.linalg.eigvalsh(hpp) < 0.0))
 
 
-def build_kernel_context(model: QuadraticModel, kappa_tilde: float,
-                         traj: MomentTrajectory, a: float,
+def build_kernel_context(traj: MomentTrajectory, a: float,
                          b: float) -> KernelContext:
-    """Assemble the propagator context for the leg a -> b of a trajectory;
-    raises CausticError when |det l3| is at most the free-particle value
-    scaled down by 1e-8."""
+    """Assemble the propagator context for the leg a -> b of a trajectory,
+    whose model and coupling family it carries; raises CausticError when
+    |det l3| is at most the free-particle value scaled down by 1e-8."""
+    model = traj.model
     n = model.n
     hbar = model.hbar
 
     A = traj.between(a, b)
-    l1, l2, l3, l4 = matriciant_blocks(A)
+    l1, _, l3, l4 = matriciant_blocks(A)
     det_l3 = float(np.linalg.det(l3))
     if abs(det_l3) <= 1e-8 * max(abs(b - a), 1e-6) ** n / model.mass ** n:
         raise CausticError(
@@ -171,10 +169,9 @@ def build_kernel_context(model: QuadraticModel, kappa_tilde: float,
     inv_l3 = np.linalg.inv(l3)
     dS = traj.action(b) - traj.action(a)
     return KernelContext(
-        model=model, kappa_tilde=kappa_tilde, s=a, t=b,
+        model=model, s=a, t=b,
         P_s=traj.momentum(a), X_s=traj.position(a),
-        P_t=traj.momentum(b), X_t=traj.position(b),
-        l1=l1, l2=l2, l3=l3, l4=l4,
+        P_t=traj.momentum(b), X_t=traj.position(b), l3=l3,
         action_diff=dS, prefactor=prefactor, det_l3=det_l3,
         m_xx=inv_l3 @ l4, m_xy=inv_l3, m_yy=l1 @ inv_l3)
 
@@ -232,15 +229,16 @@ def oscillator_kernel_factor(dx, dy, tau: float, p_t: float, p_s: float,
     return pref * np.exp(1j * phase / hbar)
 
 
-def closed_form_kernel_1d(params, kappa_tilde: float, traj: MomentTrajectory,
-                          x, y, t: float, s: float) -> np.ndarray | complex:
+def closed_form_kernel_1d(traj: MomentTrajectory, x, y, t: float,
+                          s: float) -> np.ndarray | complex:
     """Driven-oscillator propagator for the 1D setup, assembled from the
     closed-form factor and the trajectory action."""
+    params = traj.model.example
     if not isinstance(params, Example1DParams):
         raise ModelError("the closed-form 1D kernel needs a model built from "
                          "Example1DParams")
     hbar = traj.model.hbar
-    omega = params.Omega(kappa_tilde)
+    omega = params.Omega(traj.kappa_tilde)
     tau = t - s
     dx = np.asarray(x, dtype=float) - traj.position(t)[0]
     dy = np.asarray(y, dtype=float) - traj.position(s)[0]
@@ -253,12 +251,16 @@ def closed_form_kernel_1d(params, kappa_tilde: float, traj: MomentTrajectory,
         else out
 
 
-def closed_form_kernel_3d(params, kappa_tilde: float, traj: MomentTrajectory,
-                          x, y, t: float, s: float) -> np.ndarray | complex:
+def closed_form_kernel_3d(traj: MomentTrajectory, x, y, t: float,
+                          s: float) -> np.ndarray | complex:
     """Magnetic-trap propagator for the 3D setup: two in-plane factors at
     omega_1, an axial factor at omega_2, and the magnetic cross term."""
+    params = traj.model.example
+    if not isinstance(params, Example3DParams):
+        raise ModelError("the closed-form 3D kernel needs a model built from "
+                         "Example3DParams")
     hbar = traj.model.hbar
-    w1, w2 = params.frequencies(kappa_tilde)
+    w1, w2 = params.frequencies(traj.kappa_tilde)
     wh = params.omega_H
     tau = t - s
     scalar = np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1

@@ -16,7 +16,7 @@ from scipy.fft import fft, fftfreq, fftn, ifft
 
 from .errors import ResolutionError
 
-TAIL_TOL = 1e-10
+TAIL_TOL = 1e-16  # mass fraction: 1e-8 in L2 amplitude, the round-trip unit
 SPECTRAL_TOL = 1e-10
 SUPPORT_CUT = 1e-12
 
@@ -131,7 +131,7 @@ def spectral_tail_fraction(state: GridState) -> float:
         shape = [1] * state.n
         shape[a] = ax.num
         inner &= (k < 0.75 * k.max()).reshape(shape)
-    return 1.0 - float(spec[inner].sum()) / total
+    return float(spec[~inner].sum()) / total
 
 
 def check_resolved(state: GridState) -> None:

@@ -182,10 +182,10 @@ def test_criterion_8_kernel_crosschecks(setup):
         count += 1
         traj = gx.integrate_moments(model, KAPPA, g0, 0.0, t,
                                     rtol=1e-12, atol=1e-14)
-        ctx = gx.build_kernel_context(model, KAPPA, traj, 0.0, t)
+        ctx = gx.build_kernel_context(traj, 0.0, t)
         x, y = rng.normal(scale=1.5), rng.normal(scale=1.5)
         got = gx.green_function(ctx, x, y)
-        ref = gx.closed_form_kernel_1d(params, KAPPA, traj, x, y, t, 0.0)
+        ref = gx.closed_form_kernel_1d(traj, x, y, t, 0.0)
         worst_1d = max(worst_1d, abs(got - ref))
     ok = report(8, "kernel_1d_crosscheck", worst_1d, 1e-9)
 
@@ -205,11 +205,11 @@ def test_criterion_8_kernel_crosschecks(setup):
         count += 1
         traj = gx.integrate_moments(m3, kt3, g3, 0.0, t,
                                     rtol=1e-12, atol=1e-14)
-        ctx = gx.build_kernel_context(m3, kt3, traj, 0.0, t)
+        ctx = gx.build_kernel_context(traj, 0.0, t)
         x = rng.normal(scale=1.0, size=3)
         y = rng.normal(scale=1.0, size=3)
         got = gx.green_function(ctx, x, y)
-        ref = gx.closed_form_kernel_3d(p3, kt3, traj, x, y, t, 0.0)
+        ref = gx.closed_form_kernel_3d(traj, x, y, t, 0.0)
         worst_3d = max(worst_3d, abs(got - ref))
     ok &= report(8, "kernel_3d_crosscheck", worst_3d, 1e-9)
 
@@ -218,7 +218,7 @@ def test_criterion_8_kernel_crosschecks(setup):
     gf = gx.MomentPoint(np.array([0.6, -0.2]), np.diag([0.5, 0.5]))
     traj = gx.integrate_moments(free, 0.0, gf, 0.0, 1.3,
                                 rtol=1e-12, atol=1e-14)
-    ctx = gx.build_kernel_context(free, 0.0, traj, 0.0, 1.3)
+    ctx = gx.build_kernel_context(traj, 0.0, 1.3)
     xs, ys = rng.normal(size=50), rng.normal(size=50)
     ref = np.sqrt(1.4 / (2j * np.pi * 1.3)) \
         * np.exp(1j * 1.4 * (xs - ys) ** 2 / (2 * 1.3))
@@ -231,7 +231,7 @@ def test_criterion_8_kernel_crosschecks(setup):
     tau = 1e-3
     cons = gx.constants_of_motion(gx.free_model(), psi)
     traj = gx.integrate_moments(gx.free_model(), 0.0, cons.point, 0.0, tau)
-    ctx = gx.build_kernel_context(gx.free_model(), 0.0, traj, 0.0, tau)
+    ctx = gx.build_kernel_context(traj, 0.0, tau)
     idx = np.arange(12288, 20480, 512)
     vals = np.array([ax.delta * np.sum(gx.green_function(
         ctx, np.full(ax.num, ax.points[i]), ax.points) * psi.psi)

@@ -278,6 +278,22 @@ def test_round_trip_on_both_paths(case):
         assert gx.l2_distance(back, psi) <= 1e-8
 
 
+def test_output_cut_by_the_box_is_refused():
+    """A draw of the round trip above whose exact output holds 8.6e-17 of
+    its mass beyond x2 = 8, 9.3e-9 in L2: its outermost plane holds 1.7e-15,
+    so the leg-output gate refuses it instead of returning it cut off (the
+    round trip would then miss by 1.3e-8)."""
+    hzz = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.06640625, 0.0, 0.28125],
+                    [0.0, 0.0, 0.75, 0.0], [0.0, 0.28125, 0.0, 1.0]])
+    Wzz = np.zeros((4, 4))
+    Wzz[3, 3] = 0.25
+    model = gx.make_model(2, 1.0, 1.0, -1.0, hzz, np.zeros(4), Wzz)
+    axes = tuple(gx.Axis(-8.0, 8.0, 64) for _ in range(2))
+    psi = gx.gaussian_packet(axes, 1.0, [0.3] * 2, [0.1] * 2, [1.0] * 2)
+    with pytest.raises(ResolutionError, match="boundary tail"):
+        gx.evolve(model, psi, 1.0)
+
+
 def test_closed_form_path_skips_the_integrator(monkeypatch, params_1d):
     """Models with constant Hzz and a drive given as data build their
     generator once per trajectory, with nodes 0.5 / rho(J h_eff) apart; a
@@ -298,7 +314,7 @@ def test_closed_form_path_skips_the_integrator(monkeypatch, params_1d):
                          (gx.free_model(), g0)):
         calls.clear()
         traj = gx.integrate_moments(model, KAPPA, point, 0.0, 2.0)
-        gx.build_kernel_context(model, KAPPA, traj, 0.0, 2.0)
+        gx.build_kernel_context(traj, 0.0, 2.0)
         assert calls == [1]
         rho = np.max(np.abs(np.linalg.eigvals(
             gx.model.symplectic_unit(model.n)

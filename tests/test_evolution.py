@@ -116,8 +116,7 @@ def test_plan_splits_near_caustic(model_1d, params_1d, displaced_gaussian):
     cons = gx.constants_of_motion(model_1d, displaced_gaussian)
     traj = gx.integrate_moments(model_1d, cons.kappa_tilde, cons.point,
                                 0.0, t_c)
-    plan = plan_evolution(model_1d, cons.kappa_tilde, traj,
-                          displaced_gaussian, 0.0, t_c, EvolveOptions())
+    plan = plan_evolution(traj, displaced_gaussian, EvolveOptions())
     assert len(plan.splits) >= 2
     assert plan.splits[0][0] == 0.0 and plan.splits[-1][1] == t_c
     for (a0, b0), (a1, _) in zip(plan.splits[:-1], plan.splits[1:]):
@@ -388,7 +387,7 @@ def kernel_legs(draw, n):
     t = draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
     traj = gx.integrate_moments(model, 0.0, g0, 0.0, t)
     try:
-        ctx = gx.build_kernel_context(model, 0.0, traj, 0.0, t)
+        ctx = gx.build_kernel_context(traj, 0.0, t)
     except CausticError:
         assume(False)
     assume(np.max(np.abs(ctx.m_xy)) < 20.0)  # away from conjugate points
@@ -423,7 +422,7 @@ def test_3d_kernel_application_matches_dense_quadrature(h_field):
     state = random_state(axes, 3)
     for t, recenter in ((0.8, True), (-0.6, False)):
         traj = gx.integrate_moments(model, 0.5, g0, 0.0, t)
-        ctx = gx.build_kernel_context(model, 0.5, traj, 0.0, t)
+        ctx = gx.build_kernel_context(traj, 0.0, t)
         assert (ctx.m_xy[0, 1] != 0.0) == (h_field != 0.0)
         axes_out = _recentered(axes, traj.position(t)) if recenter else axes
         got = _apply_kernel(ctx, state, axes_out)
@@ -470,7 +469,7 @@ def test_fully_coupled_3d_cross_term_rejected():
     M = rng.normal(scale=0.4, size=(6, 6))
     model = gx.make_model(3, 1.0, 1.0, 0.0, M @ M.T + np.eye(6), np.zeros(6))
     traj = gx.integrate_variations(model, 0.0, 0.0, 0.5)
-    ctx = gx.build_kernel_context(model, 0.0, traj, 0.0, 0.5)
+    ctx = gx.build_kernel_context(traj, 0.0, 0.5)
     axes = tuple(gx.Axis(-4.0, 4.0, 8) for _ in range(3))
     with pytest.raises(PlanError):
         _apply_kernel(ctx, random_state(axes, 0), axes)

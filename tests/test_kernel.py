@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import gpexact as gx
 from gpexact import kernel
 from gpexact.ehrenfest import symplectic_inverse
-from gpexact.errors import CausticError
+from gpexact.errors import CausticError, ModelError
 from gpexact.kernel import conjugate_point_units
 
 from conftest import KAPPA, driven_models, signed_models
@@ -15,7 +15,7 @@ from conftest import KAPPA, driven_models, signed_models
 
 def make_context(model, kt, g0, s, t, rtol=1e-12, atol=1e-14):
     traj = gx.integrate_moments(model, kt, g0, s, t, rtol=rtol, atol=atol)
-    return gx.build_kernel_context(model, kt, traj, s, t), traj
+    return gx.build_kernel_context(traj, s, t), traj
 
 
 def plain_point(n=1, z=None, width=0.5):
@@ -99,7 +99,7 @@ def test_harmonic_kernel_vs_closed_form_1d(model_1d, params_1d):
         xs = rng.normal(scale=1.5, size=100)
         ys = rng.normal(scale=1.5, size=100)
         got = gx.green_function(ctx, xs, ys)
-        ref = gx.closed_form_kernel_1d(params_1d, KAPPA, traj, xs, ys, t, 0.0)
+        ref = gx.closed_form_kernel_1d(traj, xs, ys, t, 0.0)
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
@@ -112,9 +112,20 @@ def test_closed_form_kernel_past_caustic(model_1d, params_1d):
     ctx, traj = make_context(model_1d, KAPPA, g0, 0.0, t)
     xs = np.linspace(-1.0, 1.0, 17)
     got = gx.green_function(ctx, xs, xs[::-1])
-    ref = gx.closed_form_kernel_1d(params_1d, KAPPA, traj, xs, xs[::-1],
-                                   t, 0.0)
+    ref = gx.closed_form_kernel_1d(traj, xs, xs[::-1], t, 0.0)
     assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_closed_forms_need_their_example(model_1d):
+    """Each closed form reads its parameters off the trajectory's model and
+    refuses a model built from anything else."""
+    traj = gx.integrate_moments(model_1d, KAPPA, plain_point(), 0.0, 1.0)
+    free = gx.integrate_moments(gx.free_model(), 0.0, plain_point(), 0.0, 1.0)
+    for t in (traj, free):
+        with pytest.raises(ModelError, match="Example3DParams"):
+            gx.closed_form_kernel_3d(t, np.zeros(3), np.zeros(3), 1.0, 0.0)
+    with pytest.raises(ModelError, match="Example1DParams"):
+        gx.closed_form_kernel_1d(free, 0.0, 0.0, 1.0, 0.0)
 
 
 def test_quarter_period_pure_cross_kernel():
@@ -146,9 +157,9 @@ def test_hermitian_reversal(model_1d):
     g0 = plain_point(z=[0.2, 0.8])
     for t in (1.1, 3.4):  # the second crosses a conjugate point
         traj = gx.integrate_moments(model_1d, KAPPA, g0, 0.0, t)
-        ctx_f = gx.build_kernel_context(model_1d, KAPPA, traj, 0.0, t)
+        ctx_f = gx.build_kernel_context(traj, 0.0, t)
         traj_b = gx.integrate_moments(model_1d, KAPPA, traj.point(t), t, 0.0)
-        ctx_b = gx.build_kernel_context(model_1d, KAPPA, traj_b, t, 0.0)
+        ctx_b = gx.build_kernel_context(traj_b, t, 0.0)
         xs = np.linspace(-1.5, 1.5, 11)
         ys = np.linspace(-1.0, 2.0, 11)
         fwd = gx.green_function(ctx_f, xs, ys)
@@ -201,7 +212,7 @@ def test_caustic_raises(model_1d, params_1d):
     t = math.pi / om  # conjugate point
     traj = gx.integrate_moments(model_1d, KAPPA, g0, 0.0, t)
     with pytest.raises(CausticError):
-        gx.build_kernel_context(model_1d, KAPPA, traj, 0.0, t)
+        gx.build_kernel_context(traj, 0.0, t)
     with pytest.raises(CausticError):
         gx.oscillator_kernel_factor(0.1, 0.2, t, 0.0, 0.0, 1.0, 1.0, om)
 
@@ -220,11 +231,11 @@ def test_3d_kernel_generic_vs_closed_form():
     rng = np.random.default_rng(21)
     for t in (0.9, 2.4, 3.8):  # last crosses both kinds of conjugate point
         traj = gx.integrate_moments(model, kt, g0, 0.0, t)
-        ctx = gx.build_kernel_context(model, kt, traj, 0.0, t)
+        ctx = gx.build_kernel_context(traj, 0.0, t)
         xs = rng.normal(scale=1.0, size=(50, 3))
         ys = rng.normal(scale=1.0, size=(50, 3))
         got = gx.green_function(ctx, xs, ys)
-        ref = gx.closed_form_kernel_3d(p, kt, traj, xs, ys, t, 0.0)
+        ref = gx.closed_form_kernel_3d(traj, xs, ys, t, 0.0)
         assert np.max(np.abs(got - ref)) < 1e-9
 
 
@@ -234,7 +245,7 @@ def test_3d_closed_form_reduces_without_field():
     traj = gx.integrate_moments(model, kt, g0, 0.0, t)
     xs = np.array([0.3, -0.2, 0.5])
     ys = np.array([-0.1, 0.4, 0.2])
-    full = gx.closed_form_kernel_3d(p, kt, traj, xs, ys, t, 0.0)
+    full = gx.closed_form_kernel_3d(traj, xs, ys, t, 0.0)
     w1, w2 = p.frequencies(kt)
     parts = 1.0
     for a, w in ((0, w1), (1, w1), (2, w2)):
@@ -291,10 +302,6 @@ def stable_legs(draw):
     return model, traj, fa * T, fb * T
 
 
-def det_l3(traj, a, tau):
-    return float(np.linalg.det(gx.matriciant_blocks(traj.between(a, tau))[2]))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(stable_legs())
 def test_leg_count_matches_sign_changes(leg):
@@ -302,7 +309,8 @@ def test_leg_count_matches_sign_changes(leg):
     grid, on legs whose zeros are all simple and resolved by the grid."""
     _, traj, a, b = leg
     taus = a + (b - a) * np.arange(1, 3001) / 3000.0
-    d = np.array([det_l3(traj, a, tau) for tau in taus])
+    A = traj.matriciants(taus) @ symplectic_inverse(traj(a))  # A(tau, a)
+    d = np.linalg.det(-A[:, traj.n:, :traj.n])  # l3 = -A[n:, :n]^T
     scale = np.max(np.abs(d))
     assume(abs(d[-1]) > 1e-3 * scale)
     flips = np.flatnonzero(np.sign(d[:-1]) != np.sign(d[1:]))
@@ -320,7 +328,7 @@ def test_leg_count_matches_sign_changes(leg):
 def test_prefactor_squares_to_inverse_determinant(leg):
     model, traj, a, b = leg
     try:
-        ctx = gx.build_kernel_context(model, 0.0, traj, a, b)
+        ctx = gx.build_kernel_context(traj, a, b)
     except CausticError:
         assume(False)
     D = np.linalg.det(-2j * math.pi * model.hbar * ctx.l3)
@@ -481,6 +489,6 @@ def test_branch_samples_do_not_grow_with_the_nodes(monkeypatch, model_1d):
         traj = gx.integrate_moments(model_1d, KAPPA, plain_point(), 0.0, T)
         assert len(traj.step_times) == nodes
         calls.clear()
-        gx.build_kernel_context(model_1d, KAPPA, traj, 0.0, T)
+        gx.build_kernel_context(traj, 0.0, T)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4
