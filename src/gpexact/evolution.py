@@ -6,15 +6,18 @@ record, builds the Gaussian propagator for the resulting trajectory, and
 applies it by trapezoid quadrature on the uniform grid.  The sampled kernel
 is a discrete linear canonical transform whose cross term dx^T l3^(-1) dy is
 a Bluestein chirp convolution: O(N log N) per uncoupled axis.  An axis pair
-coupled through l3^(-1) is contracted in Fourier space, its cross factor
-folded into the lag kernel of one axis: per slice of the other axes, N^2
-forward transforms, one contraction and N inverse transforms, O(N^3 log N)
-time in O(N^3) memory.  A leg may cross conjugate points, its branch read
-off the trajectory's frame; the plan splits the interval, and composes the
-legs of the one trajectory, only where a leg ends within the caustic
-tolerance of a conjugate point or its sampled kernel would alias.  Every
-leg's output passes the input resolution gate, so a returned state is a
-valid input of every other operation.
+coupled through l3^(-1) is contracted in Fourier space: written through the
+Bluestein lag k = i_a - j_a of one axis, both cross terms split into a lag
+part, which joins a lag-kernel table built once per call (N^2 transforms),
+and parts that depend on the input or on the output indices alone.  All
+slices of the other axes then share one forward transform per line, one
+batched matrix product against the table and one inverse transform per
+line: O(N^4) time in 3D and O(N^3 log N) in 2D, in O(N^3) memory.  A leg
+may cross conjugate points, its branch read off the trajectory's frame; the
+plan splits the interval, and composes the legs of the one trajectory, only
+where a leg ends within the caustic tolerance of a conjugate point or its
+sampled kernel would alias.  Every leg's output passes the input resolution
+gate, so a returned state is a valid input of every other operation.
 """
 
 from __future__ import annotations
@@ -169,42 +172,52 @@ def _chirp_z(f: np.ndarray, c: float, n_out: int) -> np.ndarray:
 def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
                   n_out: tuple[int, ...]) -> np.ndarray:
     """sum over (j_a, j_b) of exp{i (C_aa i_a j_a + C_ab i_a j_b + C_ba i_b
-    j_a + C_bb i_b j_b)} f for two coupled axes, slice by slice over the
-    other axes.
+    j_a + C_bb i_b j_b)} f for two coupled axes, for all slices of the
+    other axes at once.
 
-    With C_ab i_a j_b = C_ab (i_a - j_a) j_b + C_ab j_a j_b the i_a
-    dependence of the cross factor joins the Bluestein lag kernel of axis
-    a, L[j_b, k] = conj(w[k]) exp(i C_ab k j_b), so the j_b sum is taken in
-    Fourier space, before the inverse transform:
+    With the Bluestein lag k = i_a - j_a of axis a, both cross terms split
+    into a lag part and a part free of one output index:
 
-        out[i_a, i_b] = w[i_a] IFFT( sum_j_b L^[j_b] FFT_j_a( exp{i (C_ba
-            i_b j_a + C_bb i_b j_b + C_ab j_a j_b)} w[j_a] f[j_a, j_b] ) ).
+        C_ab i_a j_b = C_ab k j_b + C_ab j_a j_b,
+        C_ba i_b j_a = C_ba i_b i_a - C_ba i_b k.
 
-    Per slice: n_b,out * n_b,in forward transforms in place in one work
-    buffer, one contraction against L^ and n_b,out inverse transforms.
+    So the lag kernel L[i_b, j_b, k] = conj(w[k]) exp{i k (C_ab j_b - C_ba
+    i_b)} carries them, the input no longer depends on i_b, and
+
+        out[i_a, i_b] = w[i_a] exp(i C_ba i_a i_b) IFFT_q( sum_j_b T[i_b,
+            q, j_b] FFT_j_a( exp(i C_ab j_a j_b) w[j_a] f[j_a, j_b] )[q] ),
+
+    with the table T = exp(i C_bb i_b j_b) FFT_k L.  Per call: n_b,out *
+    n_b,in table transforms, one forward transform per input line, one
+    batched matrix product over q and one inverse transform per output
+    line, O(N^4) in 3D and O(N^3 log N) in 2D; at most three arrays of the
+    table's size (table, transformed input, product) live at once.
     """
-    g = np.moveaxis(f, (a, b), (-2, -1))
-    na_in, nb_in = g.shape[-2:]
+    g = np.moveaxis(f, (b, a), (0, 1))  # [j_b, j_a, other axes]
+    nb_in, na_in = g.shape[:2]
     na_out, nb_out = n_out[a], n_out[b]
     w, k, lags = _bluestein(C[a, a], na_in, na_out)
-    ja, jb, ib = np.arange(na_in), np.arange(nb_in), np.arange(nb_out)
-    lag_hat = sp_fft.fft(lags * np.exp(1j * C[a, b] * np.outer(jb, k)))
-    tilt = np.exp(1j * C[b, a] * np.outer(ib, ja))[:, None, :]  # [i_b, ., j_a]
-    shear = np.exp(1j * C[b, b] * np.outer(ib, jb))[:, :, None]  # [i_b, j_b, .]
-    cross = np.exp(1j * C[a, b] * np.outer(jb, ja)) \
-        * w[na_in - 1:2 * na_in - 1]  # [j_b, j_a]
-    w_out = w[na_in - 1:na_in - 1 + na_out, None]
-    buf = np.empty((nb_out, nb_in, lags.size), dtype=complex)
-    head, pad = buf[..., :na_in], buf[..., na_in:]
-    out = np.empty(g.shape[:-2] + (na_out, nb_out), dtype=complex)
-    for s in np.ndindex(g.shape[:-2]):
-        np.multiply(tilt, g[s].T * cross, out=head)
-        head *= shear
-        pad.fill(0.0)  # the in-place transform of the last slice wrote here
-        spec = np.einsum("bjk,jk->kb", sp_fft.fft(buf, overwrite_x=True),
-                         lag_hat)
-        out[s] = w_out * sp_fft.ifft(spec, axis=0, overwrite_x=True)[:na_out]
-    return np.moveaxis(out, (-2, -1), (a, b))
+    ja, jb = np.arange(na_in), np.arange(nb_in)
+    ia, ib = np.arange(na_out), np.arange(nb_out)
+    table = np.exp(-1j * C[b, a] * np.outer(ib, k))[:, :, None] \
+        * (lags[:, None] * np.exp(1j * C[a, b] * np.outer(k, jb)))
+    table *= np.exp(1j * C[b, b] * np.outer(ib, jb))[:, None, :]
+    table = sp_fft.fft(table, axis=1, overwrite_x=True)  # [i_b, q, j_b]
+    in_factor = np.exp(1j * C[a, b] * np.outer(jb, ja)) \
+        * w[na_in - 1:2 * na_in - 1]
+    spec = sp_fft.fft(g.reshape(nb_in, na_in, -1) * in_factor[..., None],
+                      n=lags.size, axis=1, overwrite_x=True)  # [j_b, q, .]
+    prod = np.empty((nb_out, lags.size, spec.shape[-1]), dtype=complex)
+    # each q-matrix of the transposed views has unit stride along its rows,
+    # so BLAS takes them as they are: no transpose copies
+    np.matmul(table.transpose(1, 0, 2), spec.transpose(1, 0, 2),
+              out=prod.transpose(1, 0, 2))
+    del table, spec
+    out = sp_fft.ifft(prod, axis=1, overwrite_x=True)[:, :na_out]
+    out *= (np.exp(1j * C[b, a] * np.outer(ib, ia))
+            * w[na_in - 1:na_in - 1 + na_out])[..., None]
+    out = out.reshape((nb_out, na_out) + g.shape[2:])
+    return np.moveaxis(out, (0, 1), (b, a))
 
 
 def _apply_kernel(ctx: KernelContext, state: GridState,
@@ -237,8 +250,9 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
              if max(reach[a, b], reach[b, a]) > _DROP_PHASE]
     if len(pairs) > 1:
-        raise PlanError("the kernel cross term couples all three axes; only "
-                        "one coupled axis pair is supported")
+        raise PlanError("the kernel cross term couples the axis pairs "
+                        f"{', '.join(map(str, pairs))}; only one coupled "
+                        "axis pair is supported")
 
     f = state.psi * _chirp(dy, m_xy.T @ x0 - ctx.P_s, ctx.m_yy, hbar)
     for a in sorted(set(range(n)).difference(*pairs)):  # uncoupled axes
@@ -273,7 +287,10 @@ def evolve(model: QuadraticModel, psi: GridState, t: float,
     for leg in plan_evolution(traj, psi, opts).legs:
         axes_out = _recentered(current.axes, leg.X_t) \
             if opts.recenter else current.axes
-        psi_out = _apply_kernel(leg, current, axes_out)
+        try:
+            psi_out = _apply_kernel(leg, current, axes_out)
+        except PlanError as err:
+            raise PlanError(f"leg [{leg.s:.4g}, {leg.t:.4g}]: {err}") from err
         current = GridState(axes_out, psi_out, leg.t, current.hbar)
         try:
             check_resolved(current)

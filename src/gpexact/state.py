@@ -106,16 +106,19 @@ def momentum_apply(state: GridState, psi: np.ndarray, axis: int) -> np.ndarray:
     return ifft(spec, axis=axis)
 
 
-def boundary_tail_fraction(state: GridState) -> float:
-    """Largest per-hyperface mass fraction sitting on the outermost grid plane."""
+def boundary_tail_fraction(state: GridState) -> tuple[float, int, str]:
+    """Largest per-hyperface mass fraction sitting on the outermost grid
+    plane, with the axis and the face ("lower" or "upper") that holds it."""
     dens = np.abs(state.psi) ** 2
     total = float(dens.sum())
+    worst = (0.0, 0, "lower")
     if total == 0.0:
-        return 0.0
-    worst = 0.0
+        return worst
     for a in range(state.n):
-        for idx in (0, -1):
-            worst = max(worst, float(dens.take(idx, axis=a).sum()) / total)
+        for idx, face in ((0, "lower"), (-1, "upper")):
+            frac = float(dens.take(idx, axis=a).sum()) / total
+            if frac > worst[0]:
+                worst = (frac, a, face)
     return worst
 
 
@@ -136,10 +139,11 @@ def spectral_tail_fraction(state: GridState) -> float:
 
 def check_resolved(state: GridState) -> None:
     """ResolutionError unless both tails lie below their tolerances."""
-    tail = boundary_tail_fraction(state)
+    tail, axis, face = boundary_tail_fraction(state)
     if tail >= TAIL_TOL:
         raise ResolutionError(
-            f"boundary tail mass fraction {tail:.3e} exceeds {TAIL_TOL:.1e}")
+            f"boundary tail mass fraction {tail:.3e} on the {face} face of "
+            f"axis {axis} exceeds {TAIL_TOL:.1e}")
     alias = spectral_tail_fraction(state)
     if alias >= SPECTRAL_TOL:
         raise ResolutionError(

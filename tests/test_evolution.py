@@ -451,13 +451,29 @@ def brute_force_pair(f, C, a, b, n_out):
     ((9, 7, 10), (5, 7, 13), (0, 2)),
     ((9, 7, 10), (9, 10, 7), (1, 2)),
     ((9, 7, 10), (9, 4, 12), (1, 2)),
+    pytest.param((9, 7, 10), (12, 5, 10), (0, 1), id="C_ab=0"),
+    pytest.param((9, 7, 10), (9, 10, 7), (1, 2), id="C_ba=0"),
+    pytest.param((11, 9), (14, 6), (0, 1), id="large-C"),
+    pytest.param((9, 7, 10), (5, 7, 13), (0, 2), id="large-C-3d"),
+    pytest.param((6, 5, 23), (8, 4, 23), (0, 1), id="slices>n_b"),
+    pytest.param((21, 7, 6), (21, 5, 9), (1, 2), id="slices>n_b-first"),
 ])
-def test_chirp_z_pair_matches_brute_force_sum(shape, n_out, pair):
+def test_chirp_z_pair_matches_brute_force_sum(shape, n_out, pair, request):
     """Uneven grids, output larger and smaller than the input on each axis
-    of the pair, and a cross term with all four entries nonzero."""
+    of the pair, and a cross term with all four entries nonzero; the named
+    cases zero one cross entry (only one of the two cross terms of the lag
+    kernel), draw |C| up to 3 (lag phases that wrap many times), or hold
+    more slices than the pair's second axis has points."""
     rng = np.random.default_rng(sum(shape) + sum(n_out))
     n = len(shape)
-    C = rng.uniform(0.1, 0.7, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    case = request.node.callspec.id
+    scale = 3.0 if case.startswith("large-C") else 0.7
+    C = rng.uniform(0.1, scale, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    a, b = pair
+    if case == "C_ab=0":
+        C[a, b] = 0.0
+    elif case == "C_ba=0":
+        C[b, a] = 0.0
     f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     got = _chirp_z_pair(f, C, *pair, n_out)
     assert got.shape == n_out
@@ -471,8 +487,20 @@ def test_fully_coupled_3d_cross_term_rejected():
     traj = gx.integrate_variations(model, 0.0, 0.0, 0.5)
     ctx = gx.build_kernel_context(traj, 0.0, 0.5)
     axes = tuple(gx.Axis(-4.0, 4.0, 8) for _ in range(3))
-    with pytest.raises(PlanError):
+    with pytest.raises(PlanError, match=r"couples the axis pairs \(0, 1\), "
+                                        r"\(0, 2\), \(1, 2\)"):
         _apply_kernel(ctx, random_state(axes, 0), axes)
+    # inside evolve the error names the leg it stopped on
+    coupling = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
+    hzz = np.block([[np.eye(3), np.zeros((3, 3))],
+                    [np.zeros((3, 3)), coupling]])
+    model = gx.make_model(3, 1.0, 1.0, 0.0, hzz, np.zeros(6))
+    axes = tuple(gx.Axis(-8.0, 8.0, 48) for _ in range(3))
+    psi = gx.gaussian_packet(axes, 1.0, [0.0] * 3, [0.0] * 3, [1.0] * 3)
+    with pytest.raises(PlanError, match=r"^leg \[0, 1\.2\]: .* couples the "
+                                        r"axis pairs \(0, 1\), \(0, 2\), "
+                                        r"\(1, 2\)"):
+        gx.evolve(model, psi, 1.2)
 
 
 def _packet(n, x0=0.3, p0=0.1, alpha=1.0):

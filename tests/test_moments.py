@@ -186,6 +186,18 @@ def test_unresolved_state_rejected():
         gx.norm_squared(wide)
 
 
+@pytest.mark.parametrize("center, where", [
+    ([0.0, 2.0], "upper face of axis 1"),
+    ([-2.0, 0.0], "lower face of axis 0"),
+])
+def test_boundary_gate_names_the_face(center, where):
+    axes = tuple(gx.Axis(-3.0, 3.0, 32) for _ in range(2))
+    psi = gx.gaussian_packet(axes, 1.0, center, [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ResolutionError, match=f"boundary tail .* on the "
+                                              f"{where} exceeds"):
+        gx.check_resolved(psi)
+
+
 def test_aliasing_rejected():
     axis = gx.Axis(-12.0, 12.0, 64)
     fast = gx.gaussian_packet((axis,), 1.0, [0.0], [7.0], [1.0])
