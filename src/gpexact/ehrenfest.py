@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, ModelError
 from .model import (QuadraticModel, effective_hessian, mean_drift_hessian,
                     symplectic_unit)
 from .state import write_csv
@@ -38,6 +38,9 @@ class MomentPoint:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
         D = np.asarray(self.Delta, dtype=float)
+        if z.ndim != 1 or not z.size or z.size % 2:
+            raise ValueError("z must be a vector (p, x) of even length, "
+                             f"not of shape {z.shape}")
         d = z.shape[0]
         if D.shape != (d, d):
             raise ValueError("Delta must be square of the same phase-space size")
@@ -130,6 +133,9 @@ class MomentTrajectory:
             model, kappa_tilde, g0, s, t
         self.n = n = model.n
         d = 2 * n
+        if g0.n != n:
+            raise ModelError(f"moment point is {g0.n}-D (z of length "
+                             f"{2 * g0.n}) but the model is {n}-D")
         J = symplectic_unit(n)
         h0, terms = model.drive or (None, ())
         m = d + 2 * len(terms) + 1

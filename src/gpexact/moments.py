@@ -1,13 +1,15 @@
 """Norms and symmetrized phase-space moments of grid states.
 
 A state's moment record (its norm, its means z and its centered second
-moments Delta) is read in one pass: |psi|^2, the norm, the grids and each
-p_a psi are formed once, z is read off them and Delta from z.  Means follow
-the normalized convention <A> = <psi|A|psi>/|psi|^2, also for unnormalized
-inputs.  Momentum operators act spectrally; position moments use the
-trapezoid rule, which is spectrally accurate for states that decay inside
-the box.  Every function here holds its input to :func:`check_resolved`;
-only :func:`constants_of_motion` can be told to skip that gate.
+moments Delta) is read in one pass from the 2n images z_i psi, each formed
+once by :func:`centered_apply`, the one centered phase-space operator
+(spectral momenta, pointwise positions): z_i = Re<psi, z_i psi>/|psi|^2 and,
+with c_i = z_i - <z_i>, Delta_ij = 1/2 <c_i c_j + c_j c_i> = Re<c_i psi,
+c_j psi>/|psi|^2, the real part of a Gram matrix.  Means are normalized by
+|psi|^2, also for unnormalized inputs; sums are trapezoid rules, spectrally
+accurate for states that decay inside the box.  Every function here holds
+its input to :func:`check_resolved`; only :func:`constants_of_motion` can be
+told to skip that gate.
 """
 
 from __future__ import annotations
@@ -22,45 +24,45 @@ from .model import QuadraticModel
 from .state import GridState, check_resolved, momentum_apply
 
 
+def centered_apply(state: GridState, arr: np.ndarray, i: int,
+                   center: float) -> np.ndarray:
+    """(z_i - center) arr for the phase-space coordinate z = (p, x) on the
+    state's grid: spectral for a momentum (i < n), a product with the points
+    of axis i - n for a position."""
+    n = state.n
+    if i >= n:
+        return (state.grids()[i - n] - center) * arr
+    out = momentum_apply(state, arr, i)
+    if center:
+        out -= center * arr
+    return out
+
+
 def _moment_pass(state: GridState, z: np.ndarray | None = None,
                  second: bool = True
                  ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """(norm^2, z, Delta) in one pass; z is computed unless given, and
     Delta is None unless ``second``."""
-    n = state.n
+    d = 2 * state.n
+    if z is not None and np.shape(z) != (d,):
+        raise ValueError(f"center z must have shape ({d},), not {np.shape(z)}")
     w = state.weight
     psi = state.psi
-    dens = np.abs(psi) ** 2
-    nrm = float(w * dens.sum())
+    nrm = float(w * np.sum(np.abs(psi) ** 2))
     if nrm == 0.0:
         raise ResolutionError("zero-norm state has no moments")
-    pts = state.grids()
-    dpsi = [momentum_apply(state, psi, a) for a in range(n)]  # p_a psi
+    img = [centered_apply(state, psi, i, 0.0) for i in range(d)]  # z_i psi
     if z is None:
-        z = np.empty(2 * n)
-        for a in range(n):
-            z[n + a] = float(w * np.sum(dens * pts[a])) / nrm
-            z[a] = float(np.real(w * np.vdot(psi, dpsi[a]))) / nrm
+        z = np.array([w * np.vdot(psi, c).real / nrm for c in img])
     if not second:
         return nrm, z, None
-    dx = [pts[a] - z[n + a] for a in range(n)]
-    for a in range(n):
-        dpsi[a] -= z[a] * psi  # now (p_a - <p_a>) psi
-
-    spp = np.empty((n, n))
-    spx = np.empty((n, n))
-    sxx = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            spp[a, b] = spp[b, a] = float(
-                np.real(w * np.vdot(dpsi[a], dpsi[b]))) / nrm
-            sxx[a, b] = sxx[b, a] = float(
-                w * np.sum(dens * dx[a] * dx[b])) / nrm
-        for b in range(n):
-            spx[a, b] = float(
-                np.real(w * np.vdot(psi, dx[b] * dpsi[a]))) / nrm
-    out = np.block([[spp, spx], [spx.T, sxx]])
-    return nrm, z, 0.5 * (out + out.T)
+    for c, zi in zip(img, z):
+        c -= zi * psi  # now (z_i - <z_i>) psi
+    Delta = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            Delta[i, j] = Delta[j, i] = w * np.vdot(img[i], img[j]).real / nrm
+    return nrm, z, Delta
 
 
 def norm_squared(state: GridState) -> float:

@@ -22,8 +22,8 @@ from scipy.fft import fftn, ifftn
 
 from .errors import ModelError, ResolutionError, StabilityError
 from .model import QuadraticModel
-from .moments import constants_of_motion
-from .state import GridState, check_resolved, momentum_apply
+from .moments import centered_apply, constants_of_motion
+from .state import GridState, check_resolved
 
 
 NORM_DRIFT_TOL = 1e-6  # largest relative norm drift over a run
@@ -154,21 +154,12 @@ def apply_effective_hamiltonian(model: QuadraticModel, state: GridState,
     M = model.Hzz(t) + kt * (model.Wzz + 2.0 * model.Wzw + model.Www)
     scal = 0.5 * float(z @ M @ z) + float(model.Hz(t) @ z) \
         + 0.5 * kt * float(np.trace(model.Www @ Delta))
-    pts = state.grids()
-
-    def centered(i, arr):
-        """(z_i - <z_i>) arr: spectral for a momentum, pointwise for a
-        position."""
-        if i < n:
-            return momentum_apply(state, arr, i) - z[i] * arr
-        return (pts[i - n] - z[i]) * arr
-
-    c = [centered(i, state.psi) for i in range(2 * n)]
+    c = [centered_apply(state, state.psi, i, z[i]) for i in range(2 * n)]
     out = scal * state.psi
     for i in range(2 * n):
         out = out + hz[i] * c[i]
     for i, j in zip(*np.nonzero(hzz)):
-        out = out + 0.5 * hzz[i, j] * centered(i, c[j])
+        out = out + 0.5 * hzz[i, j] * centered_apply(state, c[j], i, z[i])
     return out
 
 

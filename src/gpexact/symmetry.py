@@ -24,8 +24,8 @@ from .ehrenfest import MomentPoint, integrate_moments
 from .errors import ModelError, ResonanceError
 from .evolution import EvolveOptions, evolve, evolve_inverse
 from .model import Example1DParams, QuadraticModel
-from .moments import first_moments
-from .state import Axis, GridState, l2_norm, momentum_apply
+from .moments import centered_apply, first_moments
+from .state import Axis, GridState, l2_norm
 
 ANNIHILATED_CUT = 1e-9
 
@@ -47,26 +47,18 @@ class IntertwinedOperator:
 
 
 def apply_polynomial(op: IntertwinedOperator, state: GridState) -> GridState:
-    center = op.center
-    if center is None:
-        z = first_moments(state)
-        center = (z[:state.n], z[state.n:])
-    p0, x0 = np.atleast_1d(center[0]), np.atleast_1d(center[1])
     if state.n != 1:
         raise ModelError("polynomial grid operators are implemented in 1D")
-    x = state.axes[0].points
-    dx = x - x0[0]
-
-    def letter(ch, arr):
-        if ch == "x":
-            return dx * arr
-        return momentum_apply(state, arr, 0) - p0[0] * arr
-
+    if op.center is None:
+        c = first_moments(state)
+    else:
+        c = [np.atleast_1d(v)[0] for v in op.center]
     out = np.zeros_like(state.psi)
     for coeff, word in op.terms:
-        cur = np.array(state.psi)
+        cur = state.psi
         for ch in reversed(word):
-            cur = letter(ch, cur)
+            i = "px".index(ch)  # z = (p, x)
+            cur = centered_apply(state, cur, i, c[i])
         out = out + coeff * cur
     return state.with_psi(out)
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 import gpexact as gx
-from gpexact.errors import IntegrationError, PlanError, ResolutionError
+from gpexact.errors import (IntegrationError, ModelError, PlanError,
+                            ResolutionError)
 from gpexact.ehrenfest import blocks_to_matriciant, symplectic_defect
 
 from conftest import KAPPA, driven_models, forced_oscillator_mean
@@ -195,11 +196,17 @@ def test_trajectory_csv_export(tmp_path, model_1d):
     assert "Delta01" in header and "Delta11" in header
 
 
-def test_moment_point_validation():
+def test_moment_point_validation(model_1d):
     with pytest.raises(ValueError):
         gx.MomentPoint(np.zeros(2), np.array([[0.0, 0.5], [-0.5, 0.0]]))
     with pytest.raises(ValueError):
         gx.MomentPoint(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    for z in (np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="even length"):
+            gx.MomentPoint(z, np.eye(2))
+    g0 = gx.MomentPoint(np.zeros(6), np.eye(6))
+    with pytest.raises(ModelError, match="3-D .* model is 1-D"):
+        gx.integrate_moments(model_1d, KAPPA, g0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("name", ["model_1d", "parametric_model"])

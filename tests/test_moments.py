@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_hermite
 
 import gpexact as gx
 from gpexact.errors import ResolutionError
+from gpexact.model import symplectic_unit
 
 from conftest import KAPPA
 
@@ -155,6 +157,73 @@ def test_moment_record_matches_the_moment_functions(model_1d, n):
     assert np.array_equal(cons.point.z, z)
     assert np.array_equal(cons.point.Delta, gx.second_moments(psi))
     assert np.array_equal(cons.point.Delta, gx.second_moments(psi, z))
+
+
+@pytest.mark.parametrize("n, num, half, seed", [(2, 96, 9.0, 5),
+                                                 (3, 48, 8.0, 6)],
+                         ids=["2d", "3d"])
+def test_chirped_gaussian_cross_blocks(n, num, half, seed):
+    """A Gaussian of inverse widths A = diag(alpha) chirped by
+    exp(i dx^T B dx / 2 hbar): p psi = (p0 + (B + iA) dx) psi, so
+    Sigma_xx = hbar/2 A^-1, Sigma_px = B Sigma_xx and
+    Sigma_pp = hbar/2 A + B Sigma_xx B, about z = (p0, x0)."""
+    rng = np.random.default_rng(seed)
+    hbar = 1.0
+    alpha = rng.uniform(0.8, 1.4, n)
+    B = rng.uniform(-0.3, 0.3, (n, n))
+    B = B + B.T
+    x0, p0 = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)
+    base = gx.gaussian_packet((gx.Axis(-half, half, num),) * n, hbar, x0, p0,
+                              alpha)
+    dx = [g - c for g, c in zip(base.grids(), x0)]
+    chirp = sum(B[a, b] * dx[a] * dx[b] for a in range(n) for b in range(n))
+    psi = base.with_psi(base.psi * np.exp(0.5j * chirp / hbar))
+    sxx = 0.5 * hbar * np.diag(1.0 / alpha)
+    spx = B @ sxx
+    want = np.block([[0.5 * hbar * np.diag(alpha) + spx @ B, spx],
+                     [spx.T, sxx]])
+    assert np.max(np.abs(spx - spx.T)) > 1e-4  # a transposed block shows
+    z = gx.first_moments(psi)
+    assert np.max(np.abs(z - np.concatenate([p0, x0]))) < 1e-12
+    assert np.max(np.abs(gx.second_moments(psi) - want)) < 1e-12
+
+
+@st.composite
+def three_gaussians(draw):
+    """A resolved superposition of three random Gaussian packets on a 2D or
+    3D grid of 48 points per axis over [-8, 8)."""
+    n = draw(st.sampled_from([2, 3]))
+    axes = (gx.Axis(-8.0, 8.0, 48),) * n
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n,
+                                      max_size=n)))
+
+    psi = 0.0
+    for _ in range(3):
+        packet = gx.gaussian_packet(axes, 1.0, vec(-1.0, 1.0), vec(-0.5, 0.5),
+                                    vec(0.8, 1.25))
+        coeff = draw(st.floats(0.3, 1.0)) \
+            * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        psi = psi + coeff * packet.psi
+    return packet.with_psi(psi)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(three_gaussians())
+def test_moment_record_obeys_the_uncertainty_relation(psi):
+    """Delta + (i hbar / 2) J is the Gram matrix <c_i psi, c_j psi> / |psi|^2
+    of the centered operators, so it has no negative eigenvalue."""
+    d = gx.second_moments(psi)
+    gram = d + 0.5j * psi.hbar * symplectic_unit(psi.n)
+    assert np.linalg.eigvalsh(gram).min() >= -1e-12 * np.max(np.abs(d))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_second_moments_reject_a_center_of_the_wrong_length(axis_1024, size):
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.4], [0.6], [1.2])
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        gx.second_moments(psi, np.zeros(size))
 
 
 def test_moment_record_applies_each_momentum_once(model_1d, monkeypatch):
