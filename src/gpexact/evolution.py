@@ -4,8 +4,10 @@ superposition on grid states.
 The operator integrates the moment system from the input state's own moment
 record, builds the Gaussian propagator for the resulting trajectory, and
 applies it by trapezoid quadrature on the uniform grid.  The sampled kernel
-is a discrete linear canonical transform whose cross term dx^T l3^(-1) dy is
-a Bluestein chirp convolution: O(N log N) per uncoupled axis.  An axis pair
+is a discrete linear canonical transform.  Its one-body chirps are products
+of 1D and 2D factors, one per axis and one per axis pair, never summed over
+the full grid; its cross term dx^T l3^(-1) dy is a Bluestein chirp
+convolution: O(N log N) per uncoupled axis.  An axis pair
 coupled through l3^(-1) is contracted in Fourier space: written through the
 Bluestein lag k = i_a - j_a of one axis, both cross terms split into a lag
 part, which joins a lag-kernel table built once per call (N^2 transforms),
@@ -126,13 +128,35 @@ def plan_evolution(traj: MomentTrajectory, state: GridState,
 _DROP_PHASE = 1e-13
 
 
-def _chirp(offsets: tuple[np.ndarray, ...], lin: np.ndarray, quad: np.ndarray,
-           hbar: float) -> np.ndarray:
-    """exp{(i/hbar) [lin.d - d^T quad d / 2]} on the sparse grid of
-    per-axis offsets d."""
-    phase = sum((lin[a] - 0.5 * sum(q * db for q, db in zip(quad[a], offsets)))
-                * da for a, da in enumerate(offsets))
-    return np.exp(1j * phase / hbar)
+def _chirp(f: np.ndarray, offsets: tuple[np.ndarray, ...], lin: np.ndarray,
+           quad: np.ndarray, hbar: float, scalar: complex = 1.0) -> np.ndarray:
+    """scalar f exp{(i/hbar) [lin.d - d^T quad d / 2]} on the sparse grid of
+    per-axis offsets d, as a new C-contiguous array.
+
+    The chirp is never summed over the full grid: it is the product of n 1D
+    factors exp{(i/hbar) (lin_a - quad_aa d_a / 2) d_a}, the scalar folded
+    into the first, and n(n-1)/2 2D factors exp{-(i/2hbar) (quad_ab +
+    quad_ba) d_a d_b}.  Each 1D factor joins the first 2D factor that
+    spans its axis, so f is multiplied once per 2D factor (once in 1D).
+    """
+    n = len(offsets)
+    ones = [np.exp(1j * ((lin[a] - 0.5 * (quad[a, a] * d)) * d) / hbar)
+            for a, d in enumerate(offsets)]
+    ones[0] = scalar * ones[0]
+    tables = [np.exp(-0.5j * (quad[a, b] + quad[b, a])
+                     * (offsets[a] * offsets[b]) / hbar)
+              for a in range(n) for b in range(a + 1, n)]
+    for fac in ones:
+        for i, tab in enumerate(tables):
+            if np.broadcast_shapes(tab.shape, fac.shape) == tab.shape:
+                tables[i] = tab * fac
+                break
+        else:
+            tables.append(fac)
+    out = np.multiply(f, tables[0], order="C")
+    for tab in tables[1:]:
+        out *= tab
+    return out
 
 
 def _bluestein(c: float, n_in: int, n_out: int):
@@ -190,23 +214,27 @@ def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
     with the table T = exp(i C_bb i_b j_b) FFT_k L.  Per call: n_b,out *
     n_b,in table transforms, one forward transform per input line, one
     batched matrix product over q and one inverse transform per output
-    line, O(N^4) in 3D and O(N^3 log N) in 2D; at most three arrays of the
-    table's size (table, transformed input, product) live at once.
+    line, O(N^4) in 3D and O(N^3 log N) in 2D.  The input is dropped
+    after its forward transform, before the table is built, so at most
+    three arrays of the table's size (transformed input, table, product)
+    live at once.
     """
     g = np.moveaxis(f, (b, a), (0, 1))  # [j_b, j_a, other axes]
     nb_in, na_in = g.shape[:2]
+    other = g.shape[2:]
     na_out, nb_out = n_out[a], n_out[b]
     w, k, lags = _bluestein(C[a, a], na_in, na_out)
     ja, jb = np.arange(na_in), np.arange(nb_in)
     ia, ib = np.arange(na_out), np.arange(nb_out)
-    table = np.exp(-1j * C[b, a] * np.outer(ib, k))[:, :, None] \
-        * (lags[:, None] * np.exp(1j * C[a, b] * np.outer(k, jb)))
-    table *= np.exp(1j * C[b, b] * np.outer(ib, jb))[:, None, :]
-    table = sp_fft.fft(table, axis=1, overwrite_x=True)  # [i_b, q, j_b]
     in_factor = np.exp(1j * C[a, b] * np.outer(jb, ja)) \
         * w[na_in - 1:2 * na_in - 1]
     spec = sp_fft.fft(g.reshape(nb_in, na_in, -1) * in_factor[..., None],
                       n=lags.size, axis=1, overwrite_x=True)  # [j_b, q, .]
+    del f, g  # the input is not needed past its transform
+    table = np.exp(-1j * C[b, a] * np.outer(ib, k))[:, :, None] \
+        * (lags[:, None] * np.exp(1j * C[a, b] * np.outer(k, jb)))
+    table *= np.exp(1j * C[b, b] * np.outer(ib, jb))[:, None, :]
+    table = sp_fft.fft(table, axis=1, overwrite_x=True)  # [i_b, q, j_b]
     prod = np.empty((nb_out, lags.size, spec.shape[-1]), dtype=complex)
     # each q-matrix of the transposed views has unit stride along its rows,
     # so BLAS takes them as they are: no transpose copies
@@ -216,7 +244,7 @@ def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
     out = sp_fft.ifft(prod, axis=1, overwrite_x=True)[:, :na_out]
     out *= (np.exp(1j * C[b, a] * np.outer(ib, ia))
             * w[na_in - 1:na_in - 1 + na_out])[..., None]
-    out = out.reshape((nb_out, na_out) + g.shape[2:])
+    out = out.reshape((nb_out, na_out) + other)
     return np.moveaxis(out, (0, 1), (b, a))
 
 
@@ -254,15 +282,21 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
                         f"{', '.join(map(str, pairs))}; only one coupled "
                         "axis pair is supported")
 
-    f = state.psi * _chirp(dy, m_xy.T @ x0 - ctx.P_s, ctx.m_yy, hbar)
+    chirp_in = (dy, m_xy.T @ x0 - ctx.P_s, ctx.m_yy, hbar)
+    if pairs:
+        (a, b), = pairs
+        # a temporary argument, passed by position and not through a local,
+        # is referenced by the pair alone, which frees it after its forward
+        # transform (CPython 3.11+ hands such arguments to the callee)
+        f = _chirp_z_pair(_chirp(state.psi, *chirp_in), C, a, b, n_out)
+    else:
+        f = _chirp(state.psi, *chirp_in)
     for a in sorted(set(range(n)).difference(*pairs)):  # uncoupled axes
         f = np.moveaxis(_chirp_z(np.moveaxis(f, a, -1), C[a, a], n_out[a]),
                         -1, a)
-    if pairs:
-        f = _chirp_z_pair(f, C, *pairs[0], n_out)
     scalar = ctx.prefactor * state.weight \
         * np.exp(1j * (ctx.action_diff - x0 @ m_xy @ y0) / hbar)
-    return f * (scalar * _chirp(dx, ctx.P_t + m_xy @ y0, ctx.m_xx, hbar))
+    return _chirp(f, dx, ctx.P_t + m_xy @ y0, ctx.m_xx, hbar, scalar)
 
 
 def _recentered(axes: tuple[Axis, ...], center: np.ndarray) -> tuple[Axis, ...]:

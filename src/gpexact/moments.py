@@ -1,15 +1,22 @@
 """Norms and symmetrized phase-space moments of grid states.
 
 A state's moment record (its norm, its means z and its centered second
-moments Delta) is read in one pass from the 2n images z_i psi, each formed
-once by :func:`centered_apply`, the one centered phase-space operator
-(spectral momenta, pointwise positions): z_i = Re<psi, z_i psi>/|psi|^2 and,
-with c_i = z_i - <z_i>, Delta_ij = 1/2 <c_i c_j + c_j c_i> = Re<c_i psi,
-c_j psi>/|psi|^2, the real part of a Gram matrix.  Means are normalized by
-|psi|^2, also for unnormalized inputs; sums are trapezoid rules, spectrally
-accurate for states that decay inside the box.  Every function here holds
-its input to :func:`check_resolved`; only :func:`constants_of_motion` can be
-told to skip that gate.
+moments Delta_ij = 1/2 <c_i c_j + c_j c_i> = Re<c_i psi, c_j psi>/|psi|^2,
+c_i = z_i - <z_i>) is read in one pass.  Each entry is a sum of terms in
+at most two axes, so on the product grid only per-axis and per-pair data
+enter.  The momentum half comes from the n spectral images p_a psi:
+z_p = Re<psi, p_a psi>/|psi|^2, and, centered in place, their Gram matrix
+is the pp block.  The position means and the xx block come from the 1D and
+2D marginals of |psi|^2, contracted with the centered axis offsets
+x_a - z_a; the px block from the 1D marginals of the real currents
+Re(conj(psi) (p_a - z_a) psi), exact about any given center.  Delta is
+positive semidefinite to roundoff.  :func:`centered_apply` is the one
+centered phase-space operator (spectral momenta, pointwise positions) for
+the operators that act with it.  Means are normalized by |psi|^2, also for
+unnormalized inputs; sums are trapezoid rules, spectrally accurate for
+states that decay inside the box.  Every function here holds its input to
+:func:`check_resolved`; only :func:`constants_of_motion` can be told to
+skip that gate.
 """
 
 from __future__ import annotations
@@ -38,30 +45,51 @@ def centered_apply(state: GridState, arr: np.ndarray, i: int,
     return out
 
 
+def _marginal(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Sum of ``arr`` over every axis not in ``keep``; ``arr`` itself if
+    there is none."""
+    other = tuple(a for a in range(arr.ndim) if a not in keep)
+    return arr.sum(axis=other) if other else arr
+
+
 def _moment_pass(state: GridState, z: np.ndarray | None = None,
                  second: bool = True
                  ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """(norm^2, z, Delta) in one pass; z is computed unless given, and
     Delta is None unless ``second``."""
-    d = 2 * state.n
+    n = state.n
+    d = 2 * n
     if z is not None and np.shape(z) != (d,):
         raise ValueError(f"center z must have shape ({d},), not {np.shape(z)}")
     w = state.weight
     psi = state.psi
-    nrm = float(w * np.sum(np.abs(psi) ** 2))
+    dens = np.abs(psi) ** 2
+    nrm = float(w * np.sum(dens))
     if nrm == 0.0:
         raise ResolutionError("zero-norm state has no moments")
-    img = [centered_apply(state, psi, i, 0.0) for i in range(d)]  # z_i psi
+    img = [momentum_apply(state, psi, a) for a in range(n)]  # p_a psi
+    marg = [_marginal(dens, (a,)) for a in range(n)]
+    x = [ax.points for ax in state.axes]
     if z is None:
-        z = np.array([w * np.vdot(psi, c).real / nrm for c in img])
+        z = np.array([w * np.vdot(psi, c).real / nrm for c in img]
+                     + [w * (m @ xa) / nrm for m, xa in zip(marg, x)])
     if not second:
         return nrm, z, None
-    for c, zi in zip(img, z):
-        c -= zi * psi  # now (z_i - <z_i>) psi
+    u = [xa - za for xa, za in zip(x, z[n:])]  # centered axis offsets
     Delta = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            Delta[i, j] = Delta[j, i] = w * np.vdot(img[i], img[j]).real / nrm
+    for a, c in enumerate(img):
+        c -= z[a] * psi  # now (p_a - z_a) psi
+        for b in range(a + 1):
+            Delta[a, b] = Delta[b, a] = w * np.vdot(img[b], c).real / nrm
+        current = (np.conj(psi) * c).real
+        for b in range(n):
+            Delta[a, n + b] = Delta[n + b, a] \
+                = w * (_marginal(current, (b,)) @ u[b]) / nrm
+    for a in range(n):
+        Delta[n + a, n + a] = w * (marg[a] @ u[a] ** 2) / nrm
+        for b in range(a + 1, n):
+            Delta[n + a, n + b] = Delta[n + b, n + a] \
+                = w * (u[a] @ _marginal(dens, (a, b)) @ u[b]) / nrm
     return nrm, z, Delta
 
 

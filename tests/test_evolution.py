@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
 from gpexact.errors import CausticError, PlanError, ResolutionError
-from gpexact.evolution import (EvolveOptions, _apply_kernel,
+from gpexact.evolution import (EvolveOptions, _apply_kernel, _chirp,
                                _chirp_z_pair, _recentered, plan_evolution)
 from gpexact.kernel import conjugate_point_units
 
@@ -428,6 +428,35 @@ def test_3d_kernel_application_matches_dense_quadrature(h_field):
         got = _apply_kernel(ctx, state, axes_out)
         ref = dense_kernel_apply(ctx, state, axes_out)
         assert relative_l2(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chirp_factors_match_the_quadratic_form(n):
+    """The chirp from its 1D and 2D factors against one exp of the whole
+    form (lin.d - d^T Q d / 2) / hbar, for a non-symmetric Q (only its
+    symmetric part enters) and an input strided along every axis; in 1D the
+    one factor is that expression itself."""
+    rng = np.random.default_rng(40 + n)
+    hbar = 0.7
+    shape = (12, 9, 10)[:n]
+    d = np.meshgrid(*(np.sort(rng.uniform(-3.0, 3.0, m)) for m in shape),
+                    indexing="ij", sparse=True)
+    lin = rng.uniform(-2.0, 2.0, n)
+    Q = rng.uniform(-1.5, 1.5, (n, n))
+    scalar = 0.8 * np.exp(0.3j)
+    size = tuple(2 * m for m in shape)
+    big = rng.normal(size=size) + 1j * rng.normal(size=size)
+    f = big[(slice(None, None, 2),) * n]
+    assert not f.flags.c_contiguous
+    phase = sum((lin[a] - 0.5 * sum(Q[a, b] * d[b] for b in range(n)))
+                * d[a] for a in range(n))
+    want = f * (scalar * np.exp(1j * phase / hbar))
+    got = _chirp(f, tuple(d), lin, Q, hbar, scalar)
+    assert got.flags.c_contiguous
+    if n == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def brute_force_pair(f, C, a, b, n_out):

@@ -8,6 +8,7 @@ from scipy.special import eval_hermite
 import gpexact as gx
 from gpexact.errors import ResolutionError
 from gpexact.model import symplectic_unit
+from gpexact.moments import centered_apply
 
 from conftest import KAPPA
 
@@ -217,6 +218,40 @@ def test_moment_record_obeys_the_uncertainty_relation(psi):
     d = gx.second_moments(psi)
     gram = d + 0.5j * psi.hbar * symplectic_unit(psi.n)
     assert np.linalg.eigvalsh(gram).min() >= -1e-12 * np.max(np.abs(d))
+
+
+def gram_record(psi, z=None):
+    """The moment record by definition: the 2n images z_i psi from
+    centered_apply, the means Re<psi, z_i psi>/|psi|^2 unless z is given,
+    and Delta_ij = Re<c_i psi, c_j psi>/|psi|^2 for c_i = z_i - z[i]."""
+    d = 2 * psi.n
+    nrm = psi.weight * np.vdot(psi.psi, psi.psi).real
+    if z is None:
+        z = np.array([psi.weight * np.vdot(psi.psi, centered_apply(
+            psi, psi.psi, i, 0.0)).real / nrm for i in range(d)])
+    c = [centered_apply(psi, psi.psi, i, z[i]) for i in range(d)]
+    return z, np.array([[psi.weight * np.vdot(ci, cj).real / nrm
+                         for cj in c] for ci in c])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(three_gaussians(), st.lists(st.floats(-0.6, 0.6), min_size=6,
+                                   max_size=6))
+def test_moment_record_matches_its_gram_reference(psi, shift):
+    """Means and Delta from the marginals and the momentum currents against
+    the Gram matrix of all 2n centered images, about the state's own mean
+    and about a center off it (where Delta gains the outer product of the
+    offset in every block, p-x included)."""
+    want_z, want = gram_record(psi)
+    spread = np.max(np.abs(want))
+    z = gx.first_moments(psi)
+    assert np.max(np.abs(z - want_z)) <= 1e-12 * math.sqrt(spread)
+    got = gx.second_moments(psi)
+    assert np.max(np.abs(got - want)) <= 1e-12 * spread
+    off = want_z + np.array(shift[:2 * psi.n])
+    _, want = gram_record(psi, off)
+    got = gx.second_moments(psi, off)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("size", [1, 3])
