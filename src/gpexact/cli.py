@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GpexactError
-from .evolution import EvolveOptions, evolve, evolve_inverse
+from .evolution import evolve, evolve_inverse
 from .kernel import build_kernel_context, closed_form_kernel_1d
 from .ehrenfest import integrate_moments, write_moment_series
 from .model import build_model
@@ -41,7 +41,6 @@ DEFAULT_TOLS = {
     "quasi_energy": 1e-5,
     "kernel": 1e-9,
 }
-
 
 _REQUIRED = object()
 
@@ -77,6 +76,16 @@ def _field(spec, key: str, kind=float, default=_REQUIRED,
     return out
 
 
+def _known(spec, names, where: str) -> None:
+    """Reject an object ``spec`` with a field that is not in ``names``."""
+    if not isinstance(spec, dict):
+        raise GpexactError(f"{where} must be an object")
+    unknown = [key for key in spec if key not in names]
+    if unknown:
+        raise GpexactError(f"{where} has unknown field(s) "
+                           + ", ".join(map(repr, unknown)))
+
+
 def _positive(spec, key: str, default, where: str = "config"):
     """Number field ``key`` of ``spec`` that must be positive when given."""
     val = _field(spec, key, float, default, where)
@@ -101,6 +110,7 @@ def _check(name: str, value: float, tol: float) -> dict:
 
 def _build_axis(cfg: dict, grid_override: int | None) -> Axis:
     grid = _field(cfg, "grid", dict, {})
+    _known(grid, ("lo", "hi", "n"), "grid")
     num = _field(grid, "n", int, 2048, "grid") if grid_override is None \
         else grid_override
     try:
@@ -111,12 +121,24 @@ def _build_axis(cfg: dict, grid_override: int | None) -> Axis:
 
 
 def _build_model(cfg: dict):
+    """The model of a config, after its top-level fields are checked
+    against the ones some subcommand reads."""
+    _known(cfg, ("model", "grid", "initial_state", "schedule", "tasks",
+                 "tolerances", "oracle_dt", "ladder_levels",
+                 "spectrum_levels", "fock_n", "fock_t"), "config")
     return build_model(_field(cfg, "model", dict))
+
+
+_STATE_FIELDS = {"gaussian": ("x0", "p0", "norm_sq", "alpha"), "fock": ("n",),
+                 "superposition": ("parts",), "file": ("path",)}
 
 
 def _build_state(spec: dict, model, axis: Axis) -> GridState:
     where = "initial_state"
     kind = _field(spec, "kind", str, "gaussian", where)
+    if kind not in _STATE_FIELDS:
+        raise GpexactError(f"unknown initial state kind {kind!r}")
+    _known(spec, ("kind",) + _STATE_FIELDS[kind], where)
     if kind == "gaussian":
         x0 = [_field(spec, "x0", float, 1.0, where)]
         p0 = [_field(spec, "p0", float, 0.0, where)]
@@ -133,19 +155,19 @@ def _build_state(spec: dict, model, axis: Axis) -> GridState:
         parts = _field(spec, "parts", list, where=where)
         if not parts:
             raise GpexactError("initial_state field 'parts' is empty")
+        for part in parts:
+            _known(part, ("re", "im", "state"), "parts entry")
         terms = [complex(_field(part, "re", float, 1.0, "parts entry"),
                          _field(part, "im", float, 0.0, "parts entry"))
                  * _build_state(_field(part, "state", dict, _REQUIRED,
                                        "parts entry"), model, axis).psi
                  for part in parts]
         return GridState((axis,), sum(terms[1:], terms[0]), 0.0, model.hbar)
-    if kind == "file":
-        path = _field(spec, "path", str, where=where)
-        try:
-            return load_state(path)
-        except (OSError, KeyError, ValueError) as err:
-            raise GpexactError(f"cannot load {path}: {err}") from err
-    raise GpexactError(f"unknown initial state kind {kind!r}")
+    path = _field(spec, "path", str, where=where)
+    try:
+        return load_state(path)
+    except (OSError, KeyError, ValueError) as err:
+        raise GpexactError(f"cannot load {path}: {err}") from err
 
 
 def _schedule(cfg: dict) -> list[float]:
@@ -158,12 +180,12 @@ def _schedule(cfg: dict) -> list[float]:
     return times
 
 
-def _task_evolve(cfg, model, psi, times, out, tols, opts) -> list[dict]:
+def _task_evolve(cfg, model, psi, times, out, tols) -> list[dict]:
     checks = []
     series = []
     norm0 = norm_squared(psi)
     for k, t in enumerate(times):
-        state = evolve(model, psi, t, opts)
+        state = evolve(model, psi, t)
         cons = constants_of_motion(model, state)
         series.append((t, cons.point.z, cons.point.Delta))
         write_csv(out / f"density_t{k}.csv", ["x", "density"],
@@ -174,17 +196,17 @@ def _task_evolve(cfg, model, psi, times, out, tols, opts) -> list[dict]:
     return checks
 
 
-def _task_roundtrip(cfg, model, psi, times, out, tols, opts) -> list[dict]:
-    state = evolve(model, psi, times[-1], opts)
-    back = evolve_inverse(model, state, psi.t, opts)
+def _task_roundtrip(cfg, model, psi, times, out, tols) -> list[dict]:
+    state = evolve(model, psi, times[-1])
+    back = evolve_inverse(model, state, psi.t)
     return [_check("inverse_roundtrip", l2_distance(back, psi),
                    tols["roundtrip"])]
 
 
-def _task_oracle(cfg, model, psi, times, out, tols, opts) -> list[dict]:
+def _task_oracle(cfg, model, psi, times, out, tols) -> list[dict]:
     dt0 = _positive(cfg, "oracle_dt", 2.5e-4)
     t = times[-1]
-    exact = evolve(model, psi, t, opts)
+    exact = evolve(model, psi, t)
     rows = []
     err = math.nan
     for dt in (4 * dt0, 2 * dt0, dt0):
@@ -198,13 +220,13 @@ def _task_oracle(cfg, model, psi, times, out, tols, opts) -> list[dict]:
             _check("oracle_slope_defect", max(0.0, 1.9 - slope), 0.0)]
 
 
-def _task_ladder(cfg, model, psi, times, out, tols, opts) -> list[dict]:
+def _task_ladder(cfg, model, psi, times, out, tols) -> list[dict]:
     checks = []
     axis = psi.axes[0]
     t = times[0]
     for n in range(_field(cfg, "ladder_levels", int, 2, lo=0)):
         fn = fock_state(model, n, t, axis=axis)
-        up = ladder_apply(model, +1, fn, opts=opts)
+        up = ladder_apply(model, +1, fn)
         ref = fock_state(model, n + 1, t, axis=axis)
         coeff = l2_norm(up)
         checks.append(_check(f"ladder_up_coeff_n{n}",
@@ -223,7 +245,7 @@ def _write_quasi_energies(model, out: Path, levels: int) -> list[float]:
     return energies
 
 
-def _task_quasi_energy(cfg, model, psi, times, out, tols, opts) -> list[dict]:
+def _task_quasi_energy(cfg, model, psi, times, out, tols) -> list[dict]:
     omega = _params_1d(model).omega
     if omega == 0.0:
         raise GpexactError("the quasi-energy task needs a drive: model "
@@ -232,13 +254,13 @@ def _task_quasi_energy(cfg, model, psi, times, out, tols, opts) -> list[dict]:
         model, out, _field(cfg, "spectrum_levels", int, 3, lo=1))
     T = 2.0 * math.pi / omega
     f0 = fock_state(model, 0, 0.0, axis=psi.axes[0])
-    one_period = evolve(model, f0, T, opts)
+    one_period = evolve(model, f0, T)
     target = np.exp(-1j * energies[0] * T) * f0.psi
     phase_err = abs(np.angle(np.vdot(target, one_period.psi)))
     return [_check("quasi_energy_phase", phase_err, tols["quasi_energy"])]
 
 
-def _task_kernel(cfg, model, psi, times, out, tols, opts) -> list[dict]:
+def _task_kernel(cfg, model, psi, times, out, tols) -> list[dict]:
     from .kernel import green_function
     cons = constants_of_motion(model, psi)
     t = times[-1]
@@ -276,6 +298,7 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
     times = _schedule(cfg)
     tols = dict(DEFAULT_TOLS)
     given = _field(cfg, "tolerances", dict, {})
+    _known(given, DEFAULT_TOLS, "tolerances")
     tols.update({k: _positive(given, k, _REQUIRED, "tolerances")
                  for k in given})
     if tol_override is not None:
@@ -283,14 +306,13 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
             raise GpexactError(f"--tol must be a positive number, not "
                                f"{tol_override!r}")
         tols = {k: tol_override for k in tols}
-    opts = EvolveOptions()
 
     checks = []
     for task in _field(cfg, "tasks", list, ["evolve"]):
         if not isinstance(task, str) or task not in TASKS:
             raise GpexactError(f"unknown task {task!r}")
         log.info("running task %s", task)
-        checks.extend(TASKS[task](cfg, model, psi, times, out_dir, tols, opts))
+        checks.extend(TASKS[task](cfg, model, psi, times, out_dir, tols))
     report = emit_report(checks)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -3,13 +3,14 @@
 The first moments follow the classical drift of the mean-field Hamiltonian;
 centered second moments are transported congruently by the fundamental matrix
 (matriciant) A(t,s) of the variational system dA/dt = J h_zz(t) A.  The
-means, A and the phase action are one linear system with a Van Loan block
-generator (Van Loan, IEEE TAC 23, 1978), and a trajectory is its flow: one
-exponential when the generator is constant (``model.drive`` set: the
-built-in setups, ``harmonic_model``, ``free_model``, JSON models and
-``make_model`` without callables), exact to roundoff; else sixth-order
-Magnus steps sized by ``rtol``/``atol``.  Exponentials are a numpy-only
-Pade-13 with scaling and squaring (Higham, SIMAX 26, 2005).
+means, A and the phase action are one linear system whose Van Loan block
+generator (Van Loan, IEEE TAC 23, 1978) is assembled in one place from the
+effective Hessian at a time; a trajectory is its flow.  A model with data
+Hzz and drive (``model.drive`` set: the built-in setups, JSON models,
+``make_model`` without callables) evaluates it once: one exponential, exact
+to roundoff.  Else it is evaluated at the Gauss nodes of sixth-order Magnus
+steps sized by ``rtol``/``atol``.  Exponentials are a numpy-only Pade-13
+with scaling and squaring (Higham, SIMAX 26, 2005).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, ModelError
-from .model import (QuadraticModel, effective_hessian, mean_drift_hessian,
-                    symplectic_unit)
+from .model import QuadraticModel, effective_hessian, symplectic_unit
 from .state import write_csv
 
 RTOL_DEFAULT = 1e-10
@@ -59,16 +59,17 @@ class MomentPoint:
 
 
 def _generator(model: QuadraticModel, kappa_tilde: float, J: np.ndarray,
-               M_m: np.ndarray, M_a: np.ndarray, h_eff: np.ndarray,
-               H_u: np.ndarray, M_u: np.ndarray):
-    """G_A = J h_eff and the Van Loan block V = [[-G^T, Q], [0, G]] from
-    the Hessians at one time, Hz = H_u u, and the drive phases' drift M_u."""
+               h_eff: np.ndarray, H_u: np.ndarray, M_u: np.ndarray):
+    """The Van Loan block V = [[-G^T, Q], [0, G]] at one time, from the
+    effective Hessian there, Hz = H_u u, and the drive phases' drift M_u;
+    G_A = J h_eff is its last d x d block."""
     n, m = model.n, M_u.shape[0]
     d = 2 * n
+    M_m = h_eff + kappa_tilde * model.Wzw  # drift Hessian of the means
+    M_a = h_eff + kappa_tilde * (2.0 * model.Wzw + model.Www)
     M_u = M_u.copy()
     M_u[:d, :d] = J @ M_m
     M_u[:d, d:] = J @ H_u[:, d:]
-    G_A = J @ h_eff
     # S' = p.x' - z^T M_a z / 2 - Hz.z over z = P u
     P = np.eye(d, m)
     rate = H_u + M_m @ P
@@ -76,12 +77,12 @@ def _generator(model: QuadraticModel, kappa_tilde: float, J: np.ndarray,
     B = P.T @ (rate - 0.5 * M_a @ P - H_u)
     D = m + d
     G = np.zeros((D, D))
-    G[:m, :m], G[m:, m:] = M_u, G_A
+    G[:m, :m], G[m:, m:] = M_u, J @ h_eff
     V = np.zeros((2 * D, 2 * D))
     V[:D, :D], V[D:, D:] = -G.T, G
     V[:m, D:D + m] = 0.5 * (B + B.T)
     V[m:D, D + m:] = -0.5 * kappa_tilde * model.Www
-    return G_A, V
+    return V
 
 
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
@@ -112,17 +113,18 @@ class MomentTrajectory:
     and A' = G_A A with G_A = J h_eff; the action rate is a quadratic form
     of u plus -(kt/2) tr(Www A Delta0 A^T).  With G = blockdiag(M_u, G_A)
     and Q the matching forms, the flow of V = [[-G^T, Q], [0, G]] is [[.,
-    X], [0, Phi]], Phi^T X the integral of Phi^T Q Phi.  A constant V is
-    one piece, exp(V (tau - s)), and A = exp(G_A (tau - s)); else the flow
-    is a product of equal sixth-order Magnus steps (Iserles & Norsett,
+    X], [0, Phi]], Phi^T X the integral of Phi^T Q Phi, and A is the G_A
+    block of Phi.  A constant V is one piece, exp(V (tau - s)); else the
+    flow is a product of equal sixth-order Magnus steps (Iserles & Norsett,
     Phil. Trans. R. Soc. A 357, 1999), so A stays symplectic to roundoff,
     with one Magnus sub-step from the last node below tau between nodes.
     ``step_times`` are the nodes along which the branch of the propagator
     is tracked: 0.5 / rho(J h_eff) apart for a constant V, the Magnus steps
-    otherwise.  Results are read-only.  Calling the trajectory returns
-    A(tau, s), memoized by time; ``matriciants(times)`` returns it for an
-    array of times in one stacked evaluation, without the memo (the branch
-    tracker reads every node of a leg this way).  ``Matriciant`` is the
+    otherwise.  Results are read-only.  A, z and S at one time are read off
+    one flow, memoized by time; calling the trajectory returns A(tau, s).
+    ``matriciants(times)`` returns A for an array of times in one stacked
+    evaluation, exp(G_A (tau - s)) for a constant V, without the memo (the
+    branch tracker reads every node of a leg this way).  ``Matriciant`` is the
     same class under the name of that role.
     """
 
@@ -151,29 +153,18 @@ class MomentTrajectory:
             u0[i], u0[i + 1] = math.cos(omega * s), math.sin(omega * s)
         u0[-1] = 1.0
         self._m, self._D, self._u0 = m, m + d, u0
-        self._A, self._za = {}, {}  # memos by time
+        self._at = {}  # (A, z, S) by time
 
-        if h0 is None:
-            kt_zw = kappa_tilde * model.Wzw
-            kt_action = kappa_tilde * (2.0 * model.Wzw + model.Www)
+        def generator(tau: float) -> np.ndarray:  # one Hzz, one Hz
+            H_u[:, -1] = model.Hz(tau) if h0 is None else h0
+            return _generator(model, kappa_tilde, J,
+                              effective_hessian(model, kappa_tilde, tau),
+                              H_u, M_u)
 
-            def generator(tau: float) -> np.ndarray:  # one Hzz, one Hz
-                h = effective_hessian(model, kappa_tilde, tau)
-                H_u[:, -1] = model.Hz(tau)
-                return _generator(model, kappa_tilde, J, h + kt_zw,
-                                  h + kt_action, h, H_u, M_u)[1]
-
-            self._generator = generator
-            G_A = generator(min(s, t))[-d:, -d:]  # one rho for either way
-        else:
-            H_u[:, -1] = h0
-            G_A, V = _generator(
-                model, kappa_tilde, J,
-                mean_drift_hessian(model, kappa_tilde, s),
-                model.Hzz(s) + kappa_tilde * (model.Wzz + 2.0 * model.Wzw
-                                              + model.Www),
-                effective_hessian(model, kappa_tilde, s), H_u, M_u)
-            self._generator = None
+        V = generator(min(s, t))  # one rho for either way
+        G_A = V[-d:, -d:]
+        self._generator = generator if h0 is None else None
+        if h0 is not None:
             self._exp_A, self._exp_V = Exponential(G_A), Exponential(V)
         # rho(J h_eff) is the flow's fastest angular rate: one-piece nodes
         # turn by 0.5 (the branch tracker halves any step that turns too
@@ -249,14 +240,7 @@ class MomentTrajectory:
         """A(tau, s)."""
         if tau == self.s:
             return np.eye(2 * self.n)
-        self._check(tau)
-        A = self._A.get(tau)
-        if A is None:
-            A = (self._exp_A(tau - self.s) if self._generator is None
-                 else self._flow(tau)[self._D + self._m:, self._m:].copy())
-            A.flags.writeable = False
-            self._A[tau] = A
-        return A
+        return self._point(tau)[0]
 
     def matriciants(self, times) -> np.ndarray:
         """A(tau, s) for each of ``times``, stacked, without filling the
@@ -271,17 +255,19 @@ class MomentTrajectory:
         return np.array([self._flow(tau)[self._D + self._m:, self._m:]
                          for tau in times.tolist()])
 
-    def _mean_action(self, tau: float) -> tuple[np.ndarray, float]:
-        self._check(tau)
-        out = self._za.get(tau)
+    def _point(self, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """(A, z, S) at tau, read off one flow and memoized by time."""
+        out = self._at.get(tau)
         if out is None:
+            self._check(tau)
             m, D = self._m, self._D
             R = self._flow(tau)
+            A = R[D + m:, m:].copy()
             u = R[D:D + m, :m] @ self._u0
             S = u @ (R[:m, :m] @ self._u0) + np.sum(
                 R[D + m:, m:] * (R[m:D, m:] @ self.g0.Delta))
-            u.flags.writeable = False
-            out = self._za[tau] = (u[:D - m], float(S))
+            A.flags.writeable = u.flags.writeable = False
+            out = self._at[tau] = (A, u[:D - m], float(S))
         return out
 
     def between(self, a: float, b: float) -> np.ndarray:
@@ -294,7 +280,7 @@ class MomentTrajectory:
         return self(self.t)
 
     def z(self, tau: float) -> np.ndarray:
-        return self._mean_action(tau)[0]
+        return self._point(tau)[1]
 
     def Delta(self, tau: float) -> np.ndarray:
         A = self(tau)
@@ -302,7 +288,7 @@ class MomentTrajectory:
         return 0.5 * (D + D.T)
 
     def action(self, tau: float) -> float:
-        return self._mean_action(tau)[1]
+        return self._point(tau)[2]
 
     def point(self, tau: float) -> MomentPoint:
         return MomentPoint(self.z(tau), self.Delta(tau))
@@ -364,13 +350,9 @@ class Exponential:
         self._even, self._odd = powers[0::2], powers[1::2]
 
     def __call__(self, h: float) -> np.ndarray:
-        if h == 0.0:
+        if h == 0.0:  # exactly I; the approximant is an ulp off
             return np.eye(self._shape[0])
-        k = max(0, math.ceil(math.log2(abs(h) * self._norm / _THETA13)))
-        E = self._pade(_PADE13 * (h * self._norm / 2.0 ** k) ** _DEGREES)
-        for _ in range(k):
-            E = E @ E
-        return _finite(E)
+        return self.stacked([h])[0]
 
     def stacked(self, hs) -> np.ndarray:
         """exp(G h) for each of ``hs`` in one stacked evaluation; each h
@@ -382,7 +364,9 @@ class Exponential:
                        ** _DEGREES)
         for j in range(int(k.max())):
             E = np.where((k > j)[:, None, None], E @ E, E)
-        return _finite(E)
+        if not np.all(np.isfinite(E)):
+            raise IntegrationError("matrix exponential overflowed")
+        return E
 
     def _pade(self, w: np.ndarray) -> np.ndarray:
         """The approximant for the weights w[..., :] of G^0..G^13."""
@@ -390,12 +374,6 @@ class Exponential:
         V = (w[..., 0::2] @ self._even).reshape(shape)
         U = (w[..., 1::2] @ self._odd).reshape(shape)
         return np.linalg.solve(V - U, V + U)
-
-
-def _finite(E: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(E)):
-        raise IntegrationError("matrix exponential overflowed")
-    return E
 
 
 def symplectic_inverse(A: np.ndarray) -> np.ndarray:

@@ -38,7 +38,8 @@ import numpy as np
 
 from .ehrenfest import MomentTrajectory, matriciant_blocks, symplectic_inverse
 from .errors import CausticError, IntegrationError, ModelError
-from .model import Example1DParams, Example3DParams, QuadraticModel
+from .model import (Example1DParams, Example3DParams, QuadraticModel,
+                    effective_hessian)
 from .state import write_csv
 
 
@@ -127,16 +128,10 @@ def conjugate_point_units(traj: MomentTrajectory, a: float, b: float) -> int:
     nonnegative both ways.
     """
     m = _frame_winding(traj, a, b)
-    negative = _momentum_block_negatives(traj, a)
-    return m + negative if b > a else negative - traj.n - m
-
-
-def _momentum_block_negatives(traj: MomentTrajectory, t: float) -> int:
-    """Number of negative eigenvalues of the trajectory's effective Hpp at
-    time t."""
-    model, n = traj.model, traj.n
-    hpp = model.momentum_block(t) + traj.kappa_tilde * model.Wzz[:n, :n]
-    return int(np.sum(np.linalg.eigvalsh(hpp) < 0.0))
+    n = traj.n
+    hpp = effective_hessian(traj.model, traj.kappa_tilde, a)[:n, :n]
+    negative = int(np.sum(np.linalg.eigvalsh(hpp) < 0.0))
+    return m + negative if b > a else negative - n - m
 
 
 def build_kernel_context(traj: MomentTrajectory, a: float,

@@ -11,7 +11,7 @@ through the state-norm-scaled coupling kappa_tilde = kappa * |psi|^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -153,9 +153,6 @@ class QuadraticModel:
     # Hz(t) = h0 + sum(cos_vec cos(omega t) + sin_vec sin(omega t)); None
     # when either is a callable of time
     drive: tuple = field(default=None, repr=False)
-
-    def momentum_block(self, t: float) -> np.ndarray:
-        return self.Hzz(t)[: self.n, : self.n]
 
 
 def make_model(n: int, hbar: float, mass: float, kappa: float,
@@ -357,24 +354,27 @@ def _field(spec: dict, key: str, default=0.0, shape=()):
 
 def build_model(spec: dict) -> QuadraticModel:
     """Build a model from a JSON-style dict (see README for the schema);
-    a malformed spec raises :class:`ModelError`."""
+    a malformed spec, or one with a field its example kind does not read,
+    raises :class:`ModelError`."""
     if not isinstance(spec, dict):
         raise ModelError("model spec must be a JSON object")
     kind = spec.get("example", "custom")
+    if not isinstance(kind, str) or kind not in ("1d", "3d", "custom"):
+        raise ModelError(f"unknown example kind {kind!r}")
+    params_type = {"1d": Example1DParams, "3d": Example3DParams}.get(kind)
+    keys = ([f.name for f in fields(params_type)] if params_type else
+            ["n", "m", "Hzz", "Hz", "Wzz", "Wzw", "Www", "drive"])
+    unknown = [k for k in spec if k not in (*keys, "example", "hbar", "kappa")]
+    if unknown:
+        raise ModelError(f"{kind!r} model has unknown field(s) "
+                         + ", ".join(map(repr, unknown)))
     hbar = _field(spec, "hbar", 1.0)
     kappa = _field(spec, "kappa")
-    if kind == "1d":
-        keys = ("m", "k", "e", "E", "omega", "a", "b", "c")
-        params = Example1DParams(**{k: _field(spec, k) for k in keys
-                                    if k in spec})
-        model = model_1d(params, hbar=hbar, kappa=kappa)
-    elif kind == "3d":
-        keys = ("m", "e", "c_light", "H_field", "E_field", "omega", "k",
-                "V0", "gamma")
-        params = Example3DParams(**{k: _field(spec, k) for k in keys
-                                    if k in spec})
-        model = model_3d(params, hbar=hbar, kappa=kappa)
-    elif kind == "custom":
+    if params_type:
+        params = params_type(**{k: _field(spec, k) for k in keys if k in spec})
+        build = model_1d if kind == "1d" else model_3d
+        model = build(params, hbar=hbar, kappa=kappa)
+    else:
         if spec.get("n") not in (1, 2, 3):
             raise ModelError("custom model needs 'n', the spatial dimension "
                              "1, 2 or 3")
@@ -386,8 +386,6 @@ def build_model(spec: dict) -> QuadraticModel:
                            mats["Hzz"], _field(spec, "Hz", np.zeros(d), (d,)),
                            mats["Wzz"], mats["Wzw"], mats["Www"],
                            drive=spec.get("drive", ()))
-    else:
-        raise ModelError(f"unknown example kind {kind!r}")
     object.__setattr__(model, "spec", dict(spec))
     return model
 

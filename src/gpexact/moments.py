@@ -14,9 +14,8 @@ positive semidefinite to roundoff.  :func:`centered_apply` is the one
 centered phase-space operator (spectral momenta, pointwise positions) for
 the operators that act with it.  Means are normalized by |psi|^2, also for
 unnormalized inputs; sums are trapezoid rules, spectrally accurate for
-states that decay inside the box.  Every function here holds its input to
-:func:`check_resolved`; only :func:`constants_of_motion` can be told to
-skip that gate.
+states that decay inside the box.  Every public function here holds its
+input to :func:`check_resolved`.
 """
 
 from __future__ import annotations
@@ -126,9 +125,8 @@ def effective_coupling(model: QuadraticModel, state: GridState) -> float:
     return model.kappa * norm_squared(state)
 
 
-def constants_of_motion(model: QuadraticModel, state: GridState,
-                        validate: bool = True) -> StateConstants:
-    if validate:
-        check_resolved(state)
+def constants_of_motion(model: QuadraticModel,
+                        state: GridState) -> StateConstants:
+    check_resolved(state)
     nrm, z, Delta = _moment_pass(state)
     return StateConstants(MomentPoint(z, Delta), nrm, model.kappa * nrm)

@@ -22,7 +22,7 @@ from scipy.fft import fftn, ifftn
 
 from .errors import ModelError, ResolutionError, StabilityError
 from .model import QuadraticModel
-from .moments import centered_apply, constants_of_motion
+from .moments import _moment_pass, centered_apply
 from .state import GridState, check_resolved
 
 
@@ -136,18 +136,22 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     return GridState(axes, arr, t, hbar)
 
 
-def apply_effective_hamiltonian(model: QuadraticModel, state: GridState,
-                                validate: bool = True) -> np.ndarray:
+def apply_effective_hamiltonian(model: QuadraticModel,
+                                state: GridState) -> np.ndarray:
     """Act with the full mean-field Hamiltonian on the state, the moment
     record taken from the state itself: scal + <hz, dz> + 1/2 <dz, hzz dz>
     in the centered operators dz = z - <z> (spectral momenta).  The double
     sum runs over both orders of every pair, and hzz is symmetric, so it is
     exactly the Weyl ordering of the mixed p-x terms."""
+    check_resolved(state)
+    return _apply_hamiltonian(model, state)
+
+
+def _apply_hamiltonian(model: QuadraticModel, state: GridState) -> np.ndarray:
+    """:func:`apply_effective_hamiltonian` without the resolution gate."""
     n = state.n
-    cons = constants_of_motion(model, state, validate=validate)
-    kt = cons.kappa_tilde
-    z = cons.point.z
-    Delta = cons.point.Delta
+    nrm, z, Delta = _moment_pass(state)
+    kt = model.kappa * nrm
     t = state.t
     hzz = model.Hzz(t) + kt * model.Wzz
     hz = model.Hz(t) + (model.Hzz(t) + kt * (model.Wzz + model.Wzw)) @ z
@@ -168,7 +172,8 @@ def gpe_residual(model: QuadraticModel, snapshots, dt: float) -> float:
     derivative by central difference, spatial operators spectral.
 
     A diagnostic: it stays evaluatable on deliberately imperfect states, so
-    no resolution gate is applied here.
+    the Hamiltonian is applied without the resolution gate of
+    :func:`apply_effective_hamiltonian`.
     """
     before, mid, after = snapshots
     if before.axes != mid.axes or mid.axes != after.axes:
@@ -177,6 +182,5 @@ def gpe_residual(model: QuadraticModel, snapshots, dt: float) -> float:
             not math.isclose(mid.t - before.t, dt, rel_tol=1e-9):
         raise ValueError("snapshots must be uniformly spaced by dt")
     dpsi_dt = (after.psi - before.psi) / (2.0 * dt)
-    resid = -1j * model.hbar * dpsi_dt \
-        + apply_effective_hamiltonian(model, mid, validate=False)
+    resid = -1j * model.hbar * dpsi_dt + _apply_hamiltonian(model, mid)
     return float(np.sqrt(mid.weight * np.sum(np.abs(resid) ** 2)))

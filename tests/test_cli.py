@@ -171,6 +171,18 @@ def test_fock_subcommand(tmp_path):
     assert len(lines) == 513
 
 
+@pytest.mark.parametrize("command", ["scenario", "evolve", "fock",
+                                     "spectrum"])
+def test_unknown_config_field_rejected_by_every_subcommand(tmp_path, capsys,
+                                                          command):
+    cfg = write_config(tmp_path, dict(SCENARIO, shedule=[0.5]))
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "'shedule'" in err
+
+
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--out", str(tmp_path / "s"), "--grid", "512"])
@@ -257,11 +269,20 @@ def test_tol_override_applies_to_all_checks(tmp_path):
     ({"tolerances": {"oracle": "x"}}, "oracle"),
     ({"oracle_dt": "q", "tasks": ["oracle-compare"]}, "oracle_dt"),
     ({"tasks": "evolve"}, "list"),
+    ({"tolerances": {"orcale": 1e-6}}, "'orcale'"),
+    ({"model": dict(SCENARIO["model"], omgea=0.3)}, "'omgea'"),
+    ({"grid": {"lo": -12.0, "hi": 12.0, "num": 256}}, "'num'"),
+    ({"initial_state": {"kind": "gaussian", "xo": 1.0}}, "'xo'"),
+    ({"initial_state": {"kind": "superposition",
+                        "parts": [{"state": {"kind": "fock"}, "weight": 1}]}},
+     "'weight'"),
 ], ids=["superposition-without-parts", "part-without-state",
         "file-without-path", "missing-file", "non-numeric-x0",
         "initial-state-not-object", "grid-not-object",
         "non-numeric-grid-size", "non-numeric-schedule",
-        "non-numeric-tolerance", "non-numeric-oracle-dt", "tasks-not-list"])
+        "non-numeric-tolerance", "non-numeric-oracle-dt", "tasks-not-list",
+        "unknown-tolerance", "misspelled-model-field",
+        "unknown-grid-field", "unknown-state-field", "unknown-part-field"])
 def test_malformed_scenario_field_fails_cleanly(tmp_path, capsys, fields,
                                                 message):
     cfg = dict(SCENARIO, **fields)

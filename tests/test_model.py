@@ -209,6 +209,21 @@ def test_non_finite_parameters_rejected(key, bad):
         gx.build_model(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"example": "1d", "omgea": 0.3}, "'omgea'"),
+    ({"example": "3d", "a": 0.2}, "'a'"),
+    ({"example": "custom", "n": 1, "Hzz": [1.0, 0.0, 0.0, 1.0],
+      "Wzx": [0.0, 0.0, 0.0, 0.2]}, "'Wzx'"),
+    ({"example": [1.0, "x"]}, "unknown example kind"),
+    ({"example": {"a": 1}}, "unknown example kind"),
+], ids=["misspelled-1d", "1d-field-on-3d", "misspelled-custom",
+        "list-kind", "object-kind"])
+def test_unknown_spec_field_rejected(spec, message):
+    """A field the example kind does not read is named, not ignored."""
+    with pytest.raises(ModelError, match=message):
+        gx.build_model(spec)
+
+
 @pytest.mark.parametrize("field", ["Hzz", "Hz", "Wzz", "Wzw", "Www"])
 def test_non_finite_custom_matrices_rejected(field):
     args = {"Hzz": np.eye(2), "Hz": np.zeros(2), "Wzz": np.zeros((2, 2)),

@@ -99,6 +99,22 @@ def test_residual_detects_perturbation(model_1d, axis_1024, params_1d):
     assert noisy > 10.0 * clean
 
 
+def test_only_the_residual_reads_past_the_gate(model_1d, axis_1024,
+                                               params_1d):
+    """apply_effective_hamiltonian and constants_of_motion refuse a state
+    that the box cuts off; the residual, a diagnostic, still reads it."""
+    om = params_1d.Omega(KAPPA)
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.0], [om])
+    dt = 2e-3
+    before, _, after = [gx.evolve(model_1d, psi, 0.8 + k * dt)
+                        for k in (-1, 0, 1)]
+    edge = gx.gaussian_packet((axis_1024,), 1.0, [11.0], [0.0], [om], t=0.8)
+    for apply in (gx.constants_of_motion, gx.apply_effective_hamiltonian):
+        with pytest.raises(ResolutionError, match="boundary tail"):
+            apply(model_1d, edge)
+    assert np.isfinite(gx.gpe_residual(model_1d, [before, edge, after], dt))
+
+
 def test_residual_of_fock_triple(model_1d):
     x0 = model_1d.example.steady_center(KAPPA)
     axis = gx.Axis(x0 - 12.0, x0 + 12.0, 1024)
