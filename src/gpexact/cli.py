@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import GpexactError
+from .errors import GpexactError, _reject_unknown
 from .evolution import evolve, evolve_inverse
 from .kernel import build_kernel_context, closed_form_kernel_1d
 from .ehrenfest import integrate_moments, write_moment_series
@@ -41,6 +41,11 @@ DEFAULT_TOLS = {
     "quasi_energy": 1e-5,
     "kernel": 1e-9,
 }
+
+# every top-level field some subcommand reads from a config file
+_CONFIG_FIELDS = ("model", "grid", "initial_state", "schedule", "tasks",
+                  "tolerances", "oracle_dt", "ladder_levels",
+                  "spectrum_levels", "fock_n", "fock_t")
 
 _REQUIRED = object()
 
@@ -76,16 +81,6 @@ def _field(spec, key: str, kind=float, default=_REQUIRED,
     return out
 
 
-def _known(spec, names, where: str) -> None:
-    """Reject an object ``spec`` with a field that is not in ``names``."""
-    if not isinstance(spec, dict):
-        raise GpexactError(f"{where} must be an object")
-    unknown = [key for key in spec if key not in names]
-    if unknown:
-        raise GpexactError(f"{where} has unknown field(s) "
-                           + ", ".join(map(repr, unknown)))
-
-
 def _positive(spec, key: str, default, where: str = "config"):
     """Number field ``key`` of ``spec`` that must be positive when given."""
     val = _field(spec, key, float, default, where)
@@ -110,7 +105,7 @@ def _check(name: str, value: float, tol: float) -> dict:
 
 def _build_axis(cfg: dict, grid_override: int | None) -> Axis:
     grid = _field(cfg, "grid", dict, {})
-    _known(grid, ("lo", "hi", "n"), "grid")
+    _reject_unknown(grid, ("lo", "hi", "n"), "grid")
     num = _field(grid, "n", int, 2048, "grid") if grid_override is None \
         else grid_override
     try:
@@ -121,24 +116,17 @@ def _build_axis(cfg: dict, grid_override: int | None) -> Axis:
 
 
 def _build_model(cfg: dict):
-    """The model of a config, after its top-level fields are checked
-    against the ones some subcommand reads."""
-    _known(cfg, ("model", "grid", "initial_state", "schedule", "tasks",
-                 "tolerances", "oracle_dt", "ladder_levels",
-                 "spectrum_levels", "fock_n", "fock_t"), "config")
     return build_model(_field(cfg, "model", dict))
-
-
-_STATE_FIELDS = {"gaussian": ("x0", "p0", "norm_sq", "alpha"), "fock": ("n",),
-                 "superposition": ("parts",), "file": ("path",)}
 
 
 def _build_state(spec: dict, model, axis: Axis) -> GridState:
     where = "initial_state"
     kind = _field(spec, "kind", str, "gaussian", where)
-    if kind not in _STATE_FIELDS:
+    fields = {"gaussian": ("x0", "p0", "norm_sq", "alpha"), "fock": ("n",),
+              "superposition": ("parts",), "file": ("path",)}.get(kind)
+    if fields is None:
         raise GpexactError(f"unknown initial state kind {kind!r}")
-    _known(spec, ("kind",) + _STATE_FIELDS[kind], where)
+    _reject_unknown(spec, ("kind",) + fields, where)
     if kind == "gaussian":
         x0 = [_field(spec, "x0", float, 1.0, where)]
         p0 = [_field(spec, "p0", float, 0.0, where)]
@@ -155,13 +143,13 @@ def _build_state(spec: dict, model, axis: Axis) -> GridState:
         parts = _field(spec, "parts", list, where=where)
         if not parts:
             raise GpexactError("initial_state field 'parts' is empty")
-        for part in parts:
-            _known(part, ("re", "im", "state"), "parts entry")
         terms = [complex(_field(part, "re", float, 1.0, "parts entry"),
                          _field(part, "im", float, 0.0, "parts entry"))
                  * _build_state(_field(part, "state", dict, _REQUIRED,
                                        "parts entry"), model, axis).psi
                  for part in parts]
+        for part in parts:  # each an object, as _field has checked
+            _reject_unknown(part, ("re", "im", "state"), "parts entry")
         return GridState((axis,), sum(terms[1:], terms[0]), 0.0, model.hbar)
     path = _field(spec, "path", str, where=where)
     try:
@@ -298,7 +286,7 @@ def run_scenario(cfg: dict, out_dir: Path, tol_override: float | None = None,
     times = _schedule(cfg)
     tols = dict(DEFAULT_TOLS)
     given = _field(cfg, "tolerances", dict, {})
-    _known(given, DEFAULT_TOLS, "tolerances")
+    _reject_unknown(given, DEFAULT_TOLS, "tolerances")
     tols.update({k: _positive(given, k, _REQUIRED, "tolerances")
                  for k in given})
     if tol_override is not None:
@@ -353,6 +341,7 @@ def _load_config(path: str) -> dict:
         raise GpexactError(f"malformed config {path}: {err}")
     if not isinstance(cfg, dict):
         raise GpexactError(f"config {path} must be a JSON object")
+    _reject_unknown(cfg, _CONFIG_FIELDS, f"config {path}")
     return cfg
 
 

@@ -113,18 +113,17 @@ class MomentTrajectory:
     and A' = G_A A with G_A = J h_eff; the action rate is a quadratic form
     of u plus -(kt/2) tr(Www A Delta0 A^T).  With G = blockdiag(M_u, G_A)
     and Q the matching forms, the flow of V = [[-G^T, Q], [0, G]] is [[.,
-    X], [0, Phi]], Phi^T X the integral of Phi^T Q Phi, and A is the G_A
-    block of Phi.  A constant V is one piece, exp(V (tau - s)); else the
-    flow is a product of equal sixth-order Magnus steps (Iserles & Norsett,
+    X], [0, Phi]], Phi^T X the integral of Phi^T Q Phi.  A constant V is
+    one piece, exp(V (tau - s)), and A = exp(G_A (tau - s)); else the flow
+    is a product of equal sixth-order Magnus steps (Iserles & Norsett,
     Phil. Trans. R. Soc. A 357, 1999), so A stays symplectic to roundoff,
     with one Magnus sub-step from the last node below tau between nodes.
     ``step_times`` are the nodes along which the branch of the propagator
     is tracked: 0.5 / rho(J h_eff) apart for a constant V, the Magnus steps
-    otherwise.  Results are read-only.  A, z and S at one time are read off
-    one flow, memoized by time; calling the trajectory returns A(tau, s).
-    ``matriciants(times)`` returns A for an array of times in one stacked
-    evaluation, exp(G_A (tau - s)) for a constant V, without the memo (the
-    branch tracker reads every node of a leg this way).  ``Matriciant`` is the
+    otherwise.  Results are read-only.  Calling the trajectory returns
+    A(tau, s), memoized by time; ``matriciants(times)`` returns it for an
+    array of times in one stacked evaluation, without the memo (the branch
+    tracker reads every node of a leg this way).  ``Matriciant`` is the
     same class under the name of that role.
     """
 
@@ -153,7 +152,7 @@ class MomentTrajectory:
             u0[i], u0[i + 1] = math.cos(omega * s), math.sin(omega * s)
         u0[-1] = 1.0
         self._m, self._D, self._u0 = m, m + d, u0
-        self._at = {}  # (A, z, S) by time
+        self._A, self._za = {}, {}  # memos by time
 
         def generator(tau: float) -> np.ndarray:  # one Hzz, one Hz
             H_u[:, -1] = model.Hz(tau) if h0 is None else h0
@@ -240,7 +239,14 @@ class MomentTrajectory:
         """A(tau, s)."""
         if tau == self.s:
             return np.eye(2 * self.n)
-        return self._point(tau)[0]
+        self._check(tau)
+        A = self._A.get(tau)
+        if A is None:
+            A = (self._exp_A(tau - self.s) if self._generator is None
+                 else self._flow(tau)[self._D + self._m:, self._m:].copy())
+            A.flags.writeable = False
+            self._A[tau] = A
+        return A
 
     def matriciants(self, times) -> np.ndarray:
         """A(tau, s) for each of ``times``, stacked, without filling the
@@ -255,19 +261,17 @@ class MomentTrajectory:
         return np.array([self._flow(tau)[self._D + self._m:, self._m:]
                          for tau in times.tolist()])
 
-    def _point(self, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(A, z, S) at tau, read off one flow and memoized by time."""
-        out = self._at.get(tau)
+    def _mean_action(self, tau: float) -> tuple[np.ndarray, float]:
+        self._check(tau)
+        out = self._za.get(tau)
         if out is None:
-            self._check(tau)
             m, D = self._m, self._D
             R = self._flow(tau)
-            A = R[D + m:, m:].copy()
             u = R[D:D + m, :m] @ self._u0
             S = u @ (R[:m, :m] @ self._u0) + np.sum(
                 R[D + m:, m:] * (R[m:D, m:] @ self.g0.Delta))
-            A.flags.writeable = u.flags.writeable = False
-            out = self._at[tau] = (A, u[:D - m], float(S))
+            u.flags.writeable = False
+            out = self._za[tau] = (u[:D - m], float(S))
         return out
 
     def between(self, a: float, b: float) -> np.ndarray:
@@ -280,7 +284,7 @@ class MomentTrajectory:
         return self(self.t)
 
     def z(self, tau: float) -> np.ndarray:
-        return self._point(tau)[1]
+        return self._mean_action(tau)[0]
 
     def Delta(self, tau: float) -> np.ndarray:
         A = self(tau)
@@ -288,7 +292,7 @@ class MomentTrajectory:
         return 0.5 * (D + D.T)
 
     def action(self, tau: float) -> float:
-        return self._point(tau)[2]
+        return self._mean_action(tau)[1]
 
     def point(self, tau: float) -> MomentPoint:
         return MomentPoint(self.z(tau), self.Delta(tau))
@@ -357,14 +361,16 @@ class Exponential:
     def stacked(self, hs) -> np.ndarray:
         """exp(G h) for each of ``hs`` in one stacked evaluation; each h
         keeps its own scaling exponent k and takes k squarings."""
-        hs = np.asarray(hs, dtype=float)
-        frac, k = np.frexp(np.abs(hs) * (self._norm / _THETA13))
-        k = np.maximum(k - (frac == 0.5), 0)  # ceil(log2(.)), exactly
-        E = self._pade(_PADE13 * (hs * self._norm / 2.0 ** k)[:, None]
-                       ** _DEGREES)
-        for j in range(int(k.max())):
-            E = np.where((k > j)[:, None, None], E @ E, E)
-        if not np.all(np.isfinite(E)):
+        hs = np.asarray(hs, dtype=float).tolist()
+        ks = [max(0, e - (f == 0.5)) for f, e in  # ceil(log2(.)), exactly
+              (math.frexp(abs(h) * (self._norm / _THETA13)) for h in hs)]
+        scaled = [h * self._norm / 2.0 ** k for h, k in zip(hs, ks)]
+        E = self._pade(_PADE13 * np.array(scaled)[:, None] ** _DEGREES)
+        for j in range(max(ks)):  # square the members that still need it
+            sq = (slice(None) if min(ks) > j  # all of them: views, no copies
+                  else [i for i, k in enumerate(ks) if k > j])
+            E[sq] = E[sq] @ E[sq]
+        if not np.isfinite(E).all():
             raise IntegrationError("matrix exponential overflowed")
         return E
 

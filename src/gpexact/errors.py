@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-field check."""
 
 
 class GpexactError(Exception):
@@ -31,3 +31,11 @@ class PlanError(GpexactError):
 
 class StabilityError(GpexactError):
     """The reference integrator violated its stability bound."""
+
+
+def _reject_unknown(spec: dict, names, where: str, error=GpexactError) -> None:
+    """Raise ``error`` naming every field of ``spec`` not in ``names``."""
+    unknown = [key for key in spec if key not in names]
+    if unknown:
+        raise error(f"{where} has unknown field(s) "
+                    + ", ".join(map(repr, unknown)))

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelError, ResonanceError
+from .errors import ModelError, ResonanceError, _reject_unknown
 
 SYMMETRY_TOL = 1e-12
 
@@ -153,6 +153,9 @@ class QuadraticModel:
     # Hz(t) = h0 + sum(cos_vec cos(omega t) + sin_vec sin(omega t)); None
     # when either is a callable of time
     drive: tuple = field(default=None, repr=False)
+
+    def momentum_block(self, t: float) -> np.ndarray:
+        return self.Hzz(t)[: self.n, : self.n]
 
 
 def make_model(n: int, hbar: float, mass: float, kappa: float,
@@ -364,10 +367,8 @@ def build_model(spec: dict) -> QuadraticModel:
     params_type = {"1d": Example1DParams, "3d": Example3DParams}.get(kind)
     keys = ([f.name for f in fields(params_type)] if params_type else
             ["n", "m", "Hzz", "Hz", "Wzz", "Wzw", "Www", "drive"])
-    unknown = [k for k in spec if k not in (*keys, "example", "hbar", "kappa")]
-    if unknown:
-        raise ModelError(f"{kind!r} model has unknown field(s) "
-                         + ", ".join(map(repr, unknown)))
+    _reject_unknown(spec, (*keys, "example", "hbar", "kappa"),
+                   f"{kind!r} model", ModelError)
     hbar = _field(spec, "hbar", 1.0)
     kappa = _field(spec, "kappa")
     if params_type:

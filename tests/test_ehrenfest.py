@@ -250,6 +250,20 @@ def test_exponential_matches_closed_forms():
     assert np.max(np.abs(free(2.5) - [[1.0, 0.0], [2.5 / m, 1.0]])) <= 1e-15
 
 
+def test_stacked_exponential_is_each_call():
+    """Unsorted times with scaling exponents 0 to 4 in one stack: each
+    member is the one-time call and scipy's expm to roundoff."""
+    from scipy.linalg import expm
+    from gpexact.ehrenfest import Exponential
+    G = np.random.default_rng(3).normal(size=(6, 6))
+    exp = Exponential(G)
+    hs = [2.5, -0.01, 7.0, 0.3, -4.0, 0.3, 1e-3]
+    for h, E in zip(hs, exp.stacked(hs)):
+        ref = expm(G * h)
+        assert np.max(np.abs(E - exp(h))) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(driven_models())
 def test_closed_form_matches_integrated_trajectory(case):
