@@ -192,12 +192,12 @@ def _task_roundtrip(cfg, model, psi, times, out, tols) -> list[dict]:
 
 
 def _task_oracle(cfg, model, psi, times, out, tols) -> list[dict]:
-    dt0 = _positive(cfg, "oracle_dt", 2.5e-4)
+    dt0 = _positive(cfg, "oracle_dt", 4.5e-3)
     t = times[-1]
     exact = evolve(model, psi, t)
     rows = []
     err = math.nan
-    for dt in (4 * dt0, 2 * dt0, dt0):
+    for dt in (2.0 * dt0, math.sqrt(2.0) * dt0, dt0):
         ref = split_step_evolve(model, psi, t, OracleConfig(dt=dt))
         err = l2_distance(exact, ref)
         rows.append([dt, err])

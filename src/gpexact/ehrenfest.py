@@ -58,15 +58,17 @@ class MomentPoint:
         return self.z.shape[0] // 2
 
 
-def _generator(model: QuadraticModel, kappa_tilde: float, J: np.ndarray,
-               h_eff: np.ndarray, H_u: np.ndarray, M_u: np.ndarray):
+def _generator(J: np.ndarray, h_eff: np.ndarray, H_u: np.ndarray,
+               M_u: np.ndarray, couplings) -> np.ndarray:
     """The Van Loan block V = [[-G^T, Q], [0, G]] at one time, from the
-    effective Hessian there, Hz = H_u u, and the drive phases' drift M_u;
-    G_A = J h_eff is its last d x d block."""
-    n, m = model.n, M_u.shape[0]
+    effective Hessian there, Hz = H_u u, the drive phases' drift M_u, and
+    the time-independent coupling sums kt Wzw, kt (2 Wzw + Www) and
+    -kt Www / 2; G_A = J h_eff is its last d x d block."""
+    kt_drift, kt_action, kt_width = couplings
+    n, m = J.shape[0] // 2, M_u.shape[0]
     d = 2 * n
-    M_m = h_eff + kappa_tilde * model.Wzw  # drift Hessian of the means
-    M_a = h_eff + kappa_tilde * (2.0 * model.Wzw + model.Www)
+    M_m = h_eff + kt_drift  # drift Hessian of the means
+    M_a = h_eff + kt_action
     M_u = M_u.copy()
     M_u[:d, :d] = J @ M_m
     M_u[:d, d:] = J @ H_u[:, d:]
@@ -81,7 +83,7 @@ def _generator(model: QuadraticModel, kappa_tilde: float, J: np.ndarray,
     V = np.zeros((2 * D, 2 * D))
     V[:D, :D], V[D:, D:] = -G.T, G
     V[:m, D:D + m] = 0.5 * (B + B.T)
-    V[m:D, D + m:] = -0.5 * kappa_tilde * model.Www
+    V[m:D, D + m:] = kt_width
     return V
 
 
@@ -153,12 +155,14 @@ class MomentTrajectory:
         u0[-1] = 1.0
         self._m, self._D, self._u0 = m, m + d, u0
         self._A, self._za = {}, {}  # memos by time
+        couplings = (kappa_tilde * model.Wzw,
+                     kappa_tilde * (2.0 * model.Wzw + model.Www),
+                     -0.5 * kappa_tilde * model.Www)
 
         def generator(tau: float) -> np.ndarray:  # one Hzz, one Hz
             H_u[:, -1] = model.Hz(tau) if h0 is None else h0
-            return _generator(model, kappa_tilde, J,
-                              effective_hessian(model, kappa_tilde, tau),
-                              H_u, M_u)
+            return _generator(J, effective_hessian(model, kappa_tilde, tau),
+                              H_u, M_u, couplings)
 
         V = generator(min(s, t))  # one rho for either way
         G_A = V[-d:, -d:]

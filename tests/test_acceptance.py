@@ -36,7 +36,7 @@ def test_criterion_1_exactness_vs_oracle(setup):
     start = time.time()
     exact = gx.evolve(model, psi, 2.0)
     errs = []
-    dts = [1e-3, 5e-4, 2.5e-4, 1e-4]
+    dts = [9e-3, 6.4e-3, 4.5e-3]
     for dt in dts:
         ref = gx.split_step_evolve(model, psi, 2.0, gx.OracleConfig(dt=dt))
         errs.append(gx.l2_distance(exact, ref))
@@ -95,7 +95,7 @@ def test_criterion_4_group_law(setup):
     t_caustic = math.pi / om  # direct kernel is singular here
     out = gx.evolve(model, psi, t_caustic)
     ref = gx.split_step_evolve(model, psi, t_caustic,
-                               gx.OracleConfig(dt=2e-4))
+                               gx.OracleConfig(dt=4.5e-3))
     err_c = gx.l2_distance(out, ref)
     ok &= report(4, "conjugate_point_vs_oracle_L2", err_c, 1e-5)
     assert ok

@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import math
 import operator
 import os
 import re
@@ -220,12 +221,16 @@ def test_oracle_and_quasi_energy_tasks(tmp_path):
     cfg["grid"] = {"lo": -12.0, "hi": 12.0, "n": 512}
     cfg["schedule"] = [0.5]
     cfg["tasks"] = ["oracle-compare", "quasi-energy"]
-    cfg["oracle_dt"] = 1e-3
+    cfg["oracle_dt"] = 4.5e-3
     cfg["tolerances"] = {"oracle": 5e-5, "quasi_energy": 1e-5}
     out = tmp_path / "o"
     assert main(["scenario", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
-    assert (out / "oracle_error.csv").exists()
+    # the ladder's rungs are (2, sqrt 2, 1) x oracle_dt, coarsest first
+    rows = (out / "oracle_error.csv").read_text().splitlines()
+    assert rows[0] == "dt,l2_error"
+    assert [float(r.split(",")[0]) for r in rows[1:]] == \
+        [2.0 * 4.5e-3, math.sqrt(2.0) * 4.5e-3, 4.5e-3]
     assert (out / "quasi_energy.csv").exists()
 
 

@@ -43,7 +43,7 @@ def test_fock0_density_matches_closed_form(model_1d, params_1d):
 def test_displaced_gaussian_vs_oracle(model_1d, displaced_gaussian):
     out = gx.evolve(model_1d, displaced_gaussian, 1.0)
     ref = gx.split_step_evolve(model_1d, displaced_gaussian, 1.0,
-                               gx.OracleConfig(dt=2.5e-4))
+                               gx.OracleConfig(dt=4.5e-3))
     assert gx.l2_distance(out, ref) <= 1e-6
 
 
@@ -106,7 +106,7 @@ def test_composition_across_conjugate_point(model_1d, params_1d,
     t_c = math.pi / om
     out = gx.evolve(model_1d, displaced_gaussian, t_c)
     ref = gx.split_step_evolve(model_1d, displaced_gaussian, t_c,
-                               gx.OracleConfig(dt=2.5e-4))
+                               gx.OracleConfig(dt=4.5e-3))
     assert gx.l2_distance(out, ref) <= 1e-5
 
 
@@ -242,7 +242,7 @@ def test_3d_against_oracle_without_field(setup_3d):
     params0 = gx.Example3DParams(H_field=0.0)
     model0 = gx.model_3d(params0, hbar=1.0, kappa=0.5)
     out = gx.evolve(model0, psi, 0.8)
-    ref = gx.split_step_evolve(model0, psi, 0.8, gx.OracleConfig(dt=2e-3))
+    ref = gx.split_step_evolve(model0, psi, 0.8, gx.OracleConfig(dt=8e-3))
     assert gx.l2_distance(out, ref) <= 2e-6
 
 
@@ -287,7 +287,7 @@ def test_2d_nonlocal_model_vs_oracle():
     axes = (gx.Axis(-9.0, 9.0, 96), gx.Axis(-9.0, 9.0, 96))
     psi = gx.gaussian_packet(axes, 1.0, [0.8, -0.4], [0.0, 0.2], [om, om])
     out = gx.evolve(model, psi, 0.9)
-    ref = gx.split_step_evolve(model, psi, 0.9, gx.OracleConfig(dt=1e-3))
+    ref = gx.split_step_evolve(model, psi, 0.9, gx.OracleConfig(dt=4.5e-3))
     assert gx.l2_distance(out, ref) <= 5e-7
     assert gx.norm_squared(out) == pytest.approx(1.0, abs=1e-9)
 
@@ -301,7 +301,7 @@ def test_excited_state_vs_oracle(model_1d, params_1d, axis_2048):
     psi = base.with_psi(base.psi * (1.0 + 0.4 * xi - 0.25 * xi ** 2))
     psi = psi.with_psi(psi.psi / math.sqrt(gx.norm_squared(psi)))
     out = gx.evolve(model_1d, psi, 1.2)
-    ref = gx.split_step_evolve(model_1d, psi, 1.2, gx.OracleConfig(dt=2.5e-4))
+    ref = gx.split_step_evolve(model_1d, psi, 1.2, gx.OracleConfig(dt=4.5e-3))
     assert gx.l2_distance(out, ref) <= 1e-6
 
 
@@ -339,7 +339,7 @@ def test_parametric_oscillator_vs_oracle(axis_2048, parametric_model):
     psi = gx.gaussian_packet((axis_2048,), 1.0, [0.8], [0.3], [model.mass])
     t = 3.6  # past the first conjugate point
     out = gx.evolve(model, psi, t)
-    ref = gx.split_step_evolve(model, psi, t, gx.OracleConfig(dt=5e-4))
+    ref = gx.split_step_evolve(model, psi, t, gx.OracleConfig(dt=4.5e-3))
     assert gx.l2_distance(out, ref) <= 1e-6
 
 
@@ -584,5 +584,5 @@ def test_random_model_agrees_with_oracle(case):
     model, T = case
     psi = _packet(1)
     out = _carried(gx.evolve, model, psi, T)
-    ref = gx.split_step_evolve(model, psi, T, gx.OracleConfig(dt=2.5e-4))
+    ref = gx.split_step_evolve(model, psi, T, gx.OracleConfig(dt=4.5e-3))
     assert gx.l2_distance(out, ref) <= 1e-6

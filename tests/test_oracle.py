@@ -8,12 +8,16 @@ from gpexact.errors import ModelError, ResolutionError
 
 from conftest import KAPPA
 
+# Suzuki's five substep lengths, in units of the step
+P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SUZUKI = (P, P, 1.0 - 4.0 * P, P, P)
+
 
 def test_free_gaussian_spreading(axis_2048):
     model = gx.free_model()
     alpha = 1.0
     psi = gx.gaussian_packet((axis_2048,), 1.0, [0.0], [0.0], [alpha])
-    out = gx.split_step_evolve(model, psi, 1.5, gx.OracleConfig(dt=1e-3))
+    out = gx.split_step_evolve(model, psi, 1.5, gx.OracleConfig(dt=4.5e-3))
     d = gx.second_moments(out)
     # free spreading from the initial record: sigma_xx + sigma_pp t^2 / m^2
     sxx0, spp0 = 1.0 / (2 * alpha), alpha / 2.0
@@ -24,7 +28,7 @@ def test_free_gaussian_spreading(axis_2048):
 def test_harmonic_coherent_center(axis_1024):
     model = gx.harmonic_model(omega=1.0)
     psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.0], [1.0])
-    out = gx.split_step_evolve(model, psi, 1.2, gx.OracleConfig(dt=2e-4))
+    out = gx.split_step_evolve(model, psi, 1.2, gx.OracleConfig(dt=4.5e-3))
     z = gx.first_moments(out)
     assert z[1] == pytest.approx(math.cos(1.2), abs=1e-8)
     assert z[0] == pytest.approx(-math.sin(1.2), abs=1e-8)
@@ -32,21 +36,21 @@ def test_harmonic_coherent_center(axis_1024):
 
 def test_norm_conservation(model_1d, displaced_gaussian):
     out = gx.split_step_evolve(model_1d, displaced_gaussian, 1.0,
-                               gx.OracleConfig(dt=1e-3))
+                               gx.OracleConfig(dt=4.5e-3))
     assert abs(gx.norm_squared(out) - 1.0) <= 1e-10
 
 
 def test_convergence_to_kernel_evolution(model_1d, axis_1024, params_1d):
-    """The reference integrator converges quadratically to the kernel
-    propagator, not the other way around."""
+    """The reference integrator converges to the kernel propagator, not
+    the other way around."""
     om = params_1d.Omega(KAPPA)
     psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.2], [om])
     exact = gx.evolve(model_1d, psi, 1.0)
-    dts = [4e-3, 2e-3, 1e-3]
+    dts = [9e-3, 6.4e-3, 4.5e-3]
     errs = [gx.l2_distance(exact, gx.split_step_evolve(
         model_1d, psi, 1.0, gx.OracleConfig(dt=dt))) for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    assert slope >= 1.9
+    assert slope >= 3.8  # the composition is fourth order
     assert errs[-1] < errs[0] / 10.0
 
 
@@ -170,6 +174,23 @@ def test_phase_step_bound_enforced(model_1d, axis_1024, params_1d):
         gx.split_step_evolve(model_1d, psi, 1.0, gx.OracleConfig(dt=0.5))
 
 
+def test_phase_bound_checks_each_substep(axis_1024):
+    """The bound is taken against each substep's own length: at a dt where
+    the outer substeps p dt stay under it but the backward middle one,
+    |1 - 4p| dt long, does not, the run stops at that middle substep; at a
+    dt where the middle one stays under it too, the run goes through."""
+    from gpexact.errors import StabilityError
+    model = gx.harmonic_model(omega=1.0)  # no coupling: V = x^2 / 2
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
+    vmax = 0.5 * float(np.max(axis_1024.points ** 2))
+    dt = 0.45 / (vmax * P)
+    assert 0.45 * abs(1.0 - 4.0 * P) / P >= 0.5
+    with pytest.raises(StabilityError, match=f"at t = {0.5 * dt:.4g};"):
+        gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+    dt = 0.45 / (vmax * abs(1.0 - 4.0 * P))
+    gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+
+
 def test_oracle_rejects_zero_state(model_1d, axis_1024):
     """Both tails of a zero state read 0, so the norm check refuses it."""
     zero = gx.GridState((axis_1024,), np.zeros(axis_1024.num, dtype=complex),
@@ -186,14 +207,14 @@ def test_momentum_drive_rejected_before_the_state(axis_1024):
                           zero, zero, zero)
     edge = gx.gaussian_packet((axis_1024,), 1.0, [12.0], [0.0], [1.0])
     with pytest.raises(ModelError, match="position-only Hz"):
-        gx.split_step_evolve(model, edge, 1.0, gx.OracleConfig(dt=1e-3))
+        gx.split_step_evolve(model, edge, 1.0, gx.OracleConfig(dt=4.5e-3))
 
 
-def test_oracle_makes_one_fft_pair_per_step(monkeypatch, model_1d,
-                                            displaced_gaussian):
-    """Adjacent half kinetic steps are fused: a run of `steps` steps makes
-    one forward and one inverse transform per step, plus the opening
-    forward and the closing inverse one."""
+def test_oracle_makes_one_fft_pair_per_substep(monkeypatch, model_1d,
+                                               displaced_gaussian):
+    """Adjacent half kinetic steps are fused: a run of `steps` composed
+    steps of five substeps makes one forward and one inverse transform per
+    substep, plus the opening forward and the closing inverse one."""
     from gpexact import oracle
     calls = []
 
@@ -208,49 +229,56 @@ def test_oracle_makes_one_fft_pair_per_step(monkeypatch, model_1d,
     spy("fftn")
     spy("ifftn")
     steps = 40
-    gx.split_step_evolve(model_1d, displaced_gaussian, steps * 1e-3,
-                         gx.OracleConfig(dt=1e-3))
-    assert len(calls) == 2 * steps + 2
-    assert calls.count("fftn") == calls.count("ifftn") == steps + 1
+    gx.split_step_evolve(model_1d, displaced_gaussian, steps * 4.5e-3,
+                         gx.OracleConfig(dt=4.5e-3))
+    assert len(calls) == 10 * steps + 2
+    assert calls.count("fftn") == calls.count("ifftn") == 5 * steps + 1
 
 
 def unfused_strang(model, psi, t, dt):
-    """The plain Strang loop, K/2 V K/2 on every step, with the midpoint
-    moments read by direct sums over the grid (numpy only)."""
+    """Suzuki's composition of plain Strang substeps, K/2 V K/2 on every
+    substep of the five-stage step, with the moments at each substep's
+    midpoint read by direct sums over the grid (numpy only)."""
     n, hbar = model.n, model.hbar
     kt = gx.constants_of_motion(model, psi).kappa_tilde
     Wa, Wb, Wc = (W[n:, n:] for W in (model.Wzz, model.Wzw, model.Www))
     pts = psi.grids()
     k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in psi.axes),
                          indexing="ij", sparse=True))
-    kin_half = np.exp(-1j * hbar * k2 * dt / (4.0 * model.mass))
     steps = round((t - psi.t) / dt)
+    dt = (t - psi.t) / steps  # the oracle's rule: equal steps that end at t
+    halves = [np.exp(-1j * hbar * k2 * w * dt / (4.0 * model.mass))
+              for w in SUZUKI]
     arr = np.array(psi.psi)
     for step in range(steps):
-        tau = psi.t + (step + 0.5) * dt
-        arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
-        dens = np.abs(arr) ** 2
-        nrm = dens.sum()
-        mean = np.array([np.sum(dens * p) / nrm for p in pts])
-        cov = np.array([[np.sum(dens * (pa - ma) * (pb - mb)) / nrm
-                         for pb, mb in zip(pts, mean)]
-                        for pa, ma in zip(pts, mean)])
-        hxx = model.Hzz(tau)[n:, n:] + kt * Wa
-        lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
-        v = 0.5 * kt * (mean @ Wc @ mean + np.trace(Wc @ cov))
-        for a in range(n):
-            v = v + lin[a] * pts[a]
-            for b in range(n):
-                v = v + 0.5 * hxx[a, b] * pts[a] * pts[b]
-        arr = arr * np.exp(-1j * dt * v / hbar)
-        arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
+        start = psi.t + step * dt
+        for w, kin_half in zip(SUZUKI, halves):
+            h = w * dt
+            tau = start + 0.5 * h
+            start += h
+            arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
+            dens = np.abs(arr) ** 2
+            nrm = dens.sum()
+            mean = np.array([np.sum(dens * p) / nrm for p in pts])
+            cov = np.array([[np.sum(dens * (pa - ma) * (pb - mb)) / nrm
+                             for pb, mb in zip(pts, mean)]
+                            for pa, ma in zip(pts, mean)])
+            hxx = model.Hzz(tau)[n:, n:] + kt * Wa
+            lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
+            v = 0.5 * kt * (mean @ Wc @ mean + np.trace(Wc @ cov))
+            for a in range(n):
+                v = v + lin[a] * pts[a]
+                for b in range(n):
+                    v = v + 0.5 * hxx[a, b] * pts[a] * pts[b]
+            arr = arr * np.exp(-1j * h * v / hbar)
+            arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
     return psi.with_psi(arr, t)
 
 
 def test_fused_loop_matches_unfused_strang_1d(model_1d, displaced_gaussian):
     out = gx.split_step_evolve(model_1d, displaced_gaussian, 1.0,
-                               gx.OracleConfig(dt=1e-3))
-    ref = unfused_strang(model_1d, displaced_gaussian, 1.0, 1e-3)
+                               gx.OracleConfig(dt=4.5e-3))
+    ref = unfused_strang(model_1d, displaced_gaussian, 1.0, 4.5e-3)
     assert gx.l2_distance(out, ref) <= 1e-12
 
 
@@ -269,6 +297,6 @@ def test_fused_loop_matches_unfused_strang_2d():
         position_block([[0.3, 0.1], [0.1, 0.2]]))
     axes = (gx.Axis(-8.0, 8.0, 64), gx.Axis(-8.0, 8.0, 64))
     psi = gx.gaussian_packet(axes, 1.0, [0.6, -0.3], [0.1, 0.2], [1.0, 1.2])
-    out = gx.split_step_evolve(model, psi, 0.5, gx.OracleConfig(dt=1e-3))
-    ref = unfused_strang(model, psi, 0.5, 1e-3)
+    out = gx.split_step_evolve(model, psi, 0.5, gx.OracleConfig(dt=4.5e-3))
+    ref = unfused_strang(model, psi, 0.5, 4.5e-3)
     assert gx.l2_distance(out, ref) <= 1e-12

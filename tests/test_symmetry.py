@@ -210,7 +210,7 @@ def test_symmetry_output_solves_equation(model_1d, fock_axis):
     t1, t2 = 0.5, 0.9
     f0 = gx.fock_state(model_1d, 0, t1, axis=fock_axis)
     up = gx.ladder_apply(model_1d, +1, f0)  # = Psi_1 at t1, unit norm
-    cont = gx.split_step_evolve(model_1d, up, t2, gx.OracleConfig(dt=5e-4))
+    cont = gx.split_step_evolve(model_1d, up, t2, gx.OracleConfig(dt=4.5e-3))
     ref = gx.fock_state(model_1d, 1, t2, axis=fock_axis)
     assert gx.l2_distance(cont, ref) <= 1e-5
 
