@@ -15,6 +15,16 @@ moments, so no convolution is needed.  Both part flows are exact for either
 sign of the substep, and the potential flow leaves |psi|^2 unchanged, so
 the composition is fourth order in dt; used only to certify the kernel
 propagator, never the other way around.
+
+A substep does only the work that depends on the state.  The model is read
+once per run, before the first transform: Hzz and Hz at every substep
+midpoint, checked in one pass.  The potential phase exp(-i h v / hbar) is a
+quadratic phase table (one per substep length, rebuilt only when its
+coefficient changes) times one linear factor per axis times a scalar, each
+linear factor the outer product of two tables of ~sqrt(num) points.  The
+phase bound is taken against an upper bound on max |v| over the grid, the
+table's maximum plus sum |lin_a| max |x_a| plus |scal|, which is never
+below the exact one.
 """
 
 from __future__ import annotations
@@ -46,42 +56,46 @@ class OracleConfig:
     dt: float = 4.5e-3
 
 
-def _kinetic_split(model: QuadraticModel, tau: float, kinetic: np.ndarray):
-    """Hzz(tau) and Hz(tau), checked to split into the kinetic term (the
-    momentum rows of Hzz are ``kinetic`` = [I/m, 0]) and a potential."""
-    n = model.n
-    hzz, hz = model.Hzz(tau), model.Hz(tau)
-    dev = np.abs(hzz[:n] - kinetic)
-    if dev[:, n:].max() > 1e-14:
-        raise ModelError("split-step oracle requires vanishing momentum-"
-                         f"position coupling in Hzz (t = {tau:.6g})")
-    if dev[:, :n].max() > 1e-12:
-        raise ModelError(f"split-step oracle requires Hpp = I/m (t = {tau:.6g})")
-    if np.abs(hz[:n]).max() > 1e-14:
-        raise ModelError("split-step oracle requires a position-only Hz "
-                         f"(t = {tau:.6g})")
-    return hzz, hz
+_SPLIT_ERRORS = ("vanishing momentum-position coupling in Hzz",
+                 "Hpp = I/m", "a position-only Hz")
 
 
-def _position_blocks(model: QuadraticModel):
-    """The oracle needs a pure kinetic + position-potential split."""
+def _potential_terms(model: QuadraticModel, taus: np.ndarray):
+    """The position blocks of Hzz and Hz at every substep midpoint and of
+    the interaction, checked in one pass to split into the kinetic term
+    (the momentum rows of Hzz are [I/m, 0]) and a position potential; the
+    first midpoint where they do not is named."""
     n = model.n
-    kinetic = np.eye(n, 2 * n) / model.mass
-    _kinetic_split(model, 0.0, kinetic)
+    hzz = np.array([model.Hzz(tau) for tau in taus])
+    hz = np.array([model.Hz(tau) for tau in taus])
+    dev = np.abs(hzz[:, :n] - np.eye(n, 2 * n) / model.mass)
+    bad = np.stack([dev[:, :, n:].max(axis=(1, 2)) > 1e-14,
+                    dev[:, :, :n].max(axis=(1, 2)) > 1e-12,
+                    np.abs(hz[:, :n]).max(axis=1) > 1e-14])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        raise ModelError(f"split-step oracle requires "
+                         f"{_SPLIT_ERRORS[int(np.argmax(bad[:, i]))]} "
+                         f"(t = {taus[i]:.6g})")
     for name, W in (("Wzz", model.Wzz), ("Wzw", model.Wzw), ("Www", model.Www)):
         if np.max(np.abs(W[:n, :])) > 0.0 or np.max(np.abs(W[:, :n])) > 0.0:
             raise ModelError(f"{name} must couple positions only")
-    return kinetic, model.Wzz[n:, n:], model.Wzw[n:, n:], model.Www[n:, n:]
+    return (hzz[:, n:, n:], hz[:, n:],
+            model.Wzz[n:, n:], model.Wzw[n:, n:], model.Www[n:, n:])
 
 
 def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                       cfg: OracleConfig | None = None) -> GridState:
     """Propagate from the state's time label to t with the composed
-    splitting; the model is checked first, then the state."""
+    splitting; the model is checked first, at every substep midpoint, then
+    the state."""
     cfg = cfg or OracleConfig()
-    kinetic, Wa, Wb, Wc = _position_blocks(model)
-    check_resolved(psi)
     s = psi.t
+    steps = max(1, round(abs(t - s) / cfg.dt))
+    dt = (t - s) / steps
+    taus = (s + (np.arange(steps)[:, None] + _MIDPOINTS) * dt).ravel()
+    hxx, hx, Wa, Wb, Wc = _potential_terms(model, taus)
+    check_resolved(psi)
     if t == s:
         return psi
     n = model.n
@@ -92,19 +106,50 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     if norm0 == 0.0:
         raise ResolutionError("zero-norm state has no mean field")
     kt = model.kappa * norm0
-    kt_Wa = kt * Wa
 
-    steps = max(1, round(abs(t - s) / cfg.dt))
-    dt = (t - s) / steps
-
-    # everything that does not change from substep to substep: the position
-    # monomials x_a x_b and x_a as the rows of one matrix (the moments and
-    # the potential of a substep are each one product with it), and the
-    # three fused kinetic multipliers
+    # the potential of a substep is v = x.quad.x + lin.x + scal; its
+    # density-dependent parts come from one linear map of |psi|^2, whose
+    # rows are 1, kt Wb x and kt x.Wc.x / 2 (so after dividing by the
+    # first, lin = hx + kt Wb <x> and scal = kt tr(Wc <x x^T>) / 2)
     axes = psi.axes
     shape = tuple(ax.num for ax in axes)
     x = np.stack([g.ravel() for g in psi.grids(sparse=False)])
-    mono = np.vstack([(x[:, None] * x[None, :]).reshape(n * n, -1), x])
+
+    def quadratic_form(m):
+        return np.sum(x * (m @ x), axis=0)
+
+    coef_map = np.vstack([np.ones(x.shape[1]), kt * (Wb @ x),
+                          0.5 * kt * quadratic_form(Wc)])
+    quad = 0.5 * (hxx + kt * Wa)
+    xmax = np.array([np.max(np.abs(ax.points)) for ax in axes])
+
+    # exp(-i h v / hbar) is a quadratic phase table times one linear factor
+    # per axis times a scalar.  Substeps of one length share a table, rebuilt
+    # only where quad differs from the last substep of that length.
+    lengths = np.tile(_WEIGHTS, steps)
+    rebuild = np.ones(len(taus), dtype=bool)
+    for weight in np.unique(_WEIGHTS):
+        group = np.flatnonzero(lengths == weight)
+        rebuild[group[1:]] = np.any(quad[group[1:]] != quad[group[:-1]],
+                                    axis=(1, 2))
+
+    def quadratic_table(q, h):
+        qx = quadratic_form(q).reshape(shape)
+        arg = qx * (-h / hbar)
+        table = np.empty(shape, dtype=np.complex128)
+        np.cos(arg, out=table.real)
+        np.sin(arg, out=table.imag)
+        return table, float(np.max(np.abs(qx)))
+
+    # an axis's linear factor at point j = stride * c + f is the product of
+    # a coarse table (the points j = stride * c) and a fine one (the offsets
+    # f * delta), stride ~ sqrt(num): ~2 sqrt(num) exponentials, not num
+    factors = []
+    for a, ax in enumerate(axes):
+        stride = math.isqrt(ax.num - 1) + 1
+        factors.append((ax.points[::stride], ax.delta * np.arange(stride),
+                        ax.num, (1,) * a + (-1,) + (1,) * (n - a - 1)))
+
     k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in axes),
                          indexing="ij", sparse=True))
 
@@ -116,36 +161,38 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     kin_inner = kinetic_step((1.0 - 3.0 * _P) / 2.0)
     # the fused kinetic step after each substep of a step
     after = (kin_outer, kin_inner, kin_inner, kin_outer, kin_outer)
-    phase = np.empty(x.shape[1], dtype=np.complex128)
+    tables = {}
 
     spec = fftn(psi.psi)
     spec *= kin_edge
     for sub in range(5 * steps):
-        step, j = divmod(sub, 5)
+        j = sub % 5
         h = _WEIGHTS[j] * dt
-        tau_mid = s + (step + _MIDPOINTS[j]) * dt
-        arr = ifftn(spec, overwrite_x=True).reshape(-1)
+        arr = ifftn(spec, overwrite_x=True)
         # the position moments at the substep's midpoint set its potential
         dens = arr.real ** 2
         dens += arr.imag ** 2
-        mom = (mono @ dens) / dens.sum()
-        mean = mom[n * n:]
-        cov = mom[:n * n].reshape(n, n) - np.outer(mean, mean)
-        hzz, hz = _kinetic_split(model, tau_mid, kinetic)
-        lin = hz[n:] + kt * (Wb @ mean)
-        scal = 0.5 * kt * (float(mean @ Wc @ mean) + float(np.trace(Wc @ cov)))
-        coef = np.concatenate([0.5 * (hzz[n:, n:] + kt_Wa).ravel(), lin])
-        v = coef @ mono
-        v += scal
-        if float(np.max(np.abs(v))) * abs(h) / hbar >= PHASE_STEP_BOUND:
+        coef = coef_map @ dens.reshape(-1)
+        lin = hx[sub] + coef[1:n + 1] / coef[0]
+        scal = float(coef[n + 1] / coef[0])
+        if rebuild[sub]:
+            tables[h] = quadratic_table(quad[sub], h)
+        table, qmax = tables[h]
+        # an upper bound on max |v| over the grid, never below it
+        vmax = qmax + float(np.abs(lin) @ xmax) + abs(scal)
+        if vmax * abs(h) / hbar >= PHASE_STEP_BOUND:
             raise StabilityError(
                 f"potential phase step exceeds {PHASE_STEP_BOUND} rad "
-                f"at t = {tau_mid:.4g}; reduce dt")
-        v *= -h / hbar
-        np.cos(v, out=phase.real)
-        np.sin(v, out=phase.imag)
-        arr *= phase
-        spec = fftn(arr.reshape(shape), overwrite_x=True)
+                f"at t = {taus[sub]:.4g}; reduce dt")
+        arr *= table
+        theta = lin * (-h / hbar)
+        shift = scal * (-h / hbar)  # the scalar phase rides on axis 0
+        for th, (coarse, fine, num, bshape) in zip(theta, factors):
+            fac = np.multiply.outer(np.exp(1j * (th * coarse + shift)),
+                                    np.exp(1j * (th * fine)))
+            arr *= fac.reshape(-1)[:num].reshape(bshape)
+            shift = 0.0
+        spec = fftn(arr, overwrite_x=True)
         spec *= after[j] if sub + 1 < 5 * steps else kin_edge
     arr = ifftn(spec, overwrite_x=True)
 

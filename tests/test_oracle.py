@@ -74,6 +74,43 @@ def test_oracle_checks_the_kinetic_split_at_every_time(axis_1024):
         gx.split_step_evolve(model, psi, 2.0)
 
 
+def count_transforms(monkeypatch):
+    """Record every forward and inverse transform the oracle makes."""
+    from gpexact import oracle
+    calls = []
+
+    def spy(name):
+        fn = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+
+    spy("fftn")
+    spy("ifftn")
+    return calls
+
+
+def test_model_refused_before_the_first_transform(monkeypatch, axis_1024):
+    """The model is read at every substep midpoint before the loop: an Hpp
+    that leaves I/m only after the second-latest midpoint is refused at the
+    latest one, the last substep's, and the state is never transformed."""
+    calls = count_transforms(monkeypatch)
+    dt, steps = 4.5e-3, 20
+    # the two latest substep midpoints of the run, both in its last step
+    mids = np.sort(np.cumsum(SUZUKI) - 0.5 * np.array(SUZUKI))
+    cut = (steps - 1 + 0.5 * (mids[-2] + mids[-1])) * dt
+    model = gx.make_model(
+        1, 1.0, 1.0, 0.0,
+        lambda t: np.diag([1.0 if t < cut else 1.5, 1.0]), np.zeros(2))
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.0], [1.0])
+    last = (steps - 1 + mids[-1]) * dt
+    with pytest.raises(ModelError, match=rf"Hpp = I/m \(t = {last:.6g}\)"):
+        gx.split_step_evolve(model, psi, steps * dt, gx.OracleConfig(dt=dt))
+    assert calls == []
+
+
 def residual_of_evolved_triple(model, psi, t, dt):
     snaps = [gx.evolve(model, psi, t + k * dt) for k in (-1, 0, 1)]
     return gx.gpe_residual(model, snaps, dt)
@@ -191,6 +228,27 @@ def test_phase_bound_checks_each_substep(axis_1024):
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
 
 
+def test_phase_bound_is_never_looser(axis_1024):
+    """With a linear drive the potential's maximum on the grid is not the
+    maximum of its quadratic part: v = x^2 / 2 - E x peaks at the low edge.
+    Where the exact max |v| of the backward middle substep is just over
+    the bound the run stops, though the quadratic part alone is under it;
+    just under the bound, the run goes through."""
+    from gpexact.errors import StabilityError
+    E = 1.0
+    model = gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), np.array([0.0, -E]))
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
+    x = axis_1024.points
+    vmax = float(np.max(np.abs(0.5 * x ** 2 - E * x)))
+    middle = abs(1.0 - 4.0 * P)
+    dt = 0.51 / (vmax * middle)
+    assert 0.5 * float(np.max(x ** 2)) * middle * dt < 0.5
+    with pytest.raises(StabilityError, match=f"at t = {0.5 * dt:.4g};"):
+        gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+    dt = 0.49 / (vmax * middle)
+    gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+
+
 def test_oracle_rejects_zero_state(model_1d, axis_1024):
     """Both tails of a zero state read 0, so the norm check refuses it."""
     zero = gx.GridState((axis_1024,), np.zeros(axis_1024.num, dtype=complex),
@@ -215,19 +273,7 @@ def test_oracle_makes_one_fft_pair_per_substep(monkeypatch, model_1d,
     """Adjacent half kinetic steps are fused: a run of `steps` composed
     steps of five substeps makes one forward and one inverse transform per
     substep, plus the opening forward and the closing inverse one."""
-    from gpexact import oracle
-    calls = []
-
-    def spy(name):
-        fn = getattr(oracle, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(oracle, name, counted)
-
-    spy("fftn")
-    spy("ifftn")
+    calls = count_transforms(monkeypatch)
     steps = 40
     gx.split_step_evolve(model_1d, displaced_gaussian, steps * 4.5e-3,
                          gx.OracleConfig(dt=4.5e-3))
@@ -299,4 +345,40 @@ def test_fused_loop_matches_unfused_strang_2d():
     psi = gx.gaussian_packet(axes, 1.0, [0.6, -0.3], [0.1, 0.2], [1.0, 1.2])
     out = gx.split_step_evolve(model, psi, 0.5, gx.OracleConfig(dt=4.5e-3))
     ref = unfused_strang(model, psi, 0.5, 4.5e-3)
+    assert gx.l2_distance(out, ref) <= 1e-12
+
+
+def test_fused_loop_matches_unfused_strang_3d():
+    """A 3D trap on 32^3 whose drive and interaction give every axis its
+    own linear phase, with a position coupling between all three axes."""
+    def position_block(m):
+        out = np.zeros((6, 6))
+        out[3:, 3:] = m
+        return out
+
+    hzz = np.eye(6)
+    hzz[3:, 3:] = [[1.0, 0.1, 0.0], [0.1, 1.3, 0.05], [0.0, 0.05, 0.8]]
+    model = gx.make_model(
+        3, 1.0, 1.0, 0.5, hzz, np.array([0.0, 0.0, 0.0, 0.1, -0.05, 0.08]),
+        position_block(np.diag([0.2, 0.1, 0.15])),
+        position_block([[0.1, 0.02, 0.01], [0.02, 0.05, 0.0],
+                        [0.01, 0.0, 0.08]]),
+        position_block(np.diag([0.3, 0.2, 0.1])),
+        drive=[(0.7, np.zeros(6), np.array([0.0, 0.0, 0.0, 0.05, 0.1, 0.0]))])
+    axes = tuple(gx.Axis(-7.0, 7.0, 32) for _ in range(3))
+    psi = gx.gaussian_packet(axes, 1.0, [0.4, -0.3, 0.2], [0.1, 0.0, -0.2],
+                             [1.0, 1.1, 0.9])
+    out = gx.split_step_evolve(model, psi, 0.2, gx.OracleConfig(dt=4.5e-3))
+    ref = unfused_strang(model, psi, 0.2, 4.5e-3)
+    assert gx.l2_distance(out, ref) <= 1e-12
+
+
+def test_fused_loop_matches_unfused_strang_parametric(parametric_model,
+                                                      axis_1024):
+    """A callable Hzz changes the quadratic phase at every substep."""
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.8], [0.3],
+                             [parametric_model.mass])
+    out = gx.split_step_evolve(parametric_model, psi, 1.0,
+                               gx.OracleConfig(dt=4.5e-3))
+    ref = unfused_strang(parametric_model, psi, 1.0, 4.5e-3)
     assert gx.l2_distance(out, ref) <= 1e-12
