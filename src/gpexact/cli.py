@@ -24,12 +24,12 @@ from .errors import GpexactError, _reject_unknown
 from .evolution import evolve, evolve_inverse
 from .kernel import build_kernel_context, closed_form_kernel_1d
 from .ehrenfest import integrate_moments, write_moment_series
-from .model import build_model
+from .model import Example1DParams, build_model, example_params
 from .moments import constants_of_motion, norm_squared
 from .oracle import OracleConfig, split_step_evolve
 from .state import Axis, GridState, gaussian_packet, l2_distance, l2_norm, \
     load_state, write_csv
-from .symmetry import _params_1d, fock_state, ladder_apply, quasi_energy
+from .symmetry import fock_state, ladder_apply, quasi_energy
 
 log = logging.getLogger("gpexact")
 
@@ -234,7 +234,7 @@ def _write_quasi_energies(model, out: Path, levels: int) -> list[float]:
 
 
 def _task_quasi_energy(cfg, model, psi, times, out, tols) -> list[dict]:
-    omega = _params_1d(model).omega
+    omega = example_params(model, Example1DParams).omega
     if omega == 0.0:
         raise GpexactError("the quasi-energy task needs a drive: model "
                            "field 'omega' must be nonzero")

@@ -9,7 +9,7 @@ effective Hessian at a time; a trajectory is its flow.  A model with data
 Hzz and drive (``model.drive`` set: the built-in setups, JSON models,
 ``make_model`` without callables) evaluates it once: one exponential, exact
 to roundoff.  Else it is evaluated at the Gauss nodes of sixth-order Magnus
-steps sized by ``rtol``/``atol``.  Exponentials are a numpy-only Pade-13
+steps, refined to fixed tolerances.  Exponentials are a numpy-only Pade-13
 with scaling and squaring (Higham, SIMAX 26, 2005).
 """
 
@@ -23,9 +23,6 @@ import numpy as np
 from .errors import IntegrationError, ModelError
 from .model import QuadraticModel, effective_hessian, symplectic_unit
 from .state import write_csv
-
-RTOL_DEFAULT = 1e-10
-ATOL_DEFAULT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,6 +86,7 @@ def _generator(J: np.ndarray, h_eff: np.ndarray, H_u: np.ndarray,
 
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 _MAX_STEPS = 10_000  # bounds the refinement of the Magnus step count
+_RTOL, _ATOL = 1e-10, 1e-12  # the Magnus flow's error per node
 
 
 def _magnus(samples, h: float) -> np.ndarray:
@@ -130,8 +128,7 @@ class MomentTrajectory:
     """
 
     def __init__(self, model: QuadraticModel, kappa_tilde: float,
-                 g0: MomentPoint, s: float, t: float, rtol: float,
-                 atol: float):
+                 g0: MomentPoint, s: float, t: float):
         self.model, self.kappa_tilde, self.g0, self.s, self.t = \
             model, kappa_tilde, g0, s, t
         self.n = n = model.n
@@ -183,7 +180,7 @@ class MomentTrajectory:
                     f"{_MAX_STEPS} Magnus steps over [{s:.6g}, {t:.6g}] "
                     f"would each turn by {turns / _MAX_STEPS:.3g} > pi")
             self._edges, self._R = self._refine(
-                min(max(1, math.ceil(turns / 2)), _MAX_STEPS // 2), rtol, atol)
+                min(max(1, math.ceil(turns / 2)), _MAX_STEPS // 2))
             self.step_times = self._edges[::1 if t >= s else -1]
 
     def _exponents(self, edges) -> list[np.ndarray]:
@@ -197,10 +194,10 @@ class MomentTrajectory:
             R.append(Exponential(omega)(sign) @ R[-1])
         return np.array(R)
 
-    def _refine(self, steps: int, rtol: float, atol: float):
+    def _refine(self, steps: int):
         """Ascending nodes and their flows: the step count grows k-fold
-        until no node flow [X; Phi] moves by more than (k^6 - 1) (atol +
-        rtol max|[X; Phi]|), so the finer run's estimated error is within
+        until no node flow [X; Phi] moves by more than (k^6 - 1) (_ATOL +
+        _RTOL max|[X; Phi]|), so the finer run's estimated error is within
         tolerance.  Both directions of one interval take the same steps."""
         lo, hi = sorted((self.s, self.t))
         coarse = self._flows(self._exponents(np.linspace(lo, hi, steps + 1)))
@@ -212,15 +209,15 @@ class MomentTrajectory:
             fine = self._flows(omegas)
             size = np.abs(fine[::k]).max(axis=(1, 2))
             err = float(np.max(np.abs(fine[::k] - coarse).max(axis=(1, 2))
-                               / (atol + rtol * size))) / (k ** 6 - 1)
+                               / (_ATOL + _RTOL * size))) / (k ** 6 - 1)
             if err <= 1.0:
                 return edges, (fine if self.t >= self.s  # else flows from hi
                                else self._flows(omegas[::-1], -1.0)[::-1])
             if not math.isfinite(err):
                 break
             coarse, k = fine, max(2, math.ceil(1.1 * err ** (1.0 / 6.0)))
-        raise IntegrationError(f"Magnus steps miss rtol = {rtol:.1e}, "
-                               f"atol = {atol:.1e} within {_MAX_STEPS} steps")
+        raise IntegrationError(f"Magnus steps miss rtol = {_RTOL:.1e}, "
+                               f"atol = {_ATOL:.1e} within {_MAX_STEPS} steps")
 
     def _flow(self, tau: float) -> np.ndarray:
         """[X; Phi], the right half of the flow of V from s to tau."""
@@ -230,9 +227,7 @@ class MomentTrajectory:
         a = float(self._edges[k])
         if tau == a:
             return self._R[k]
-        omega = _magnus([self._generator(a + c * (tau - a)) for c in _GAUSS],
-                        tau - a)
-        return Exponential(omega)(1.0) @ self._R[k]
+        return Exponential(self._exponents([a, tau])[0])(1.0) @ self._R[k]
 
     def _check(self, tau: float) -> None:
         lo, hi = min(self.s, self.t), max(self.s, self.t)
@@ -312,16 +307,14 @@ Matriciant = MomentTrajectory
 
 
 def integrate_moments(model: QuadraticModel, kappa_tilde: float,
-                      g0: MomentPoint, s: float, t: float,
-                      rtol: float = RTOL_DEFAULT,
-                      atol: float = ATOL_DEFAULT) -> MomentTrajectory:
+                      g0: MomentPoint, s: float, t: float) -> MomentTrajectory:
     """The means, the fundamental matrix and the phase action over [s, t]
-    (backward if t < s).  ``rtol``/``atol`` apply to a model with a callable
-    Hzz or Hz only: its Magnus steps are refined until the estimated error
-    of the flow at every node is at most ``atol`` + ``rtol`` times the
-    flow's largest entry, or raise ``IntegrationError`` past 10 000 steps.
-    A model with constant Hzz and a drive given as data is exact."""
-    return MomentTrajectory(model, kappa_tilde, g0, s, t, rtol, atol)
+    (backward if t < s).  A model with constant Hzz and a drive given as
+    data is exact.  A model with a callable Hzz or Hz takes Magnus steps
+    refined until the estimated error of the flow at every node is at most
+    1e-12 + 1e-10 times the flow's largest entry, or raises
+    ``IntegrationError`` past 10 000 steps."""
+    return MomentTrajectory(model, kappa_tilde, g0, s, t)
 
 
 # Pade-13 coefficients and the 1-norm bound below which the degree-13

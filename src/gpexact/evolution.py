@@ -159,45 +159,44 @@ def _chirp(f: np.ndarray, offsets: tuple[np.ndarray, ...], lin: np.ndarray,
     return out
 
 
-def _bluestein(c: float, n_in: int, n_out: int):
-    """Setup of sum_j exp(i c i j) f[j], j < n_in, i < n_out, by Bluestein's
+def _bluestein(c: float, n: int):
+    """Setup of sum_j exp(i c i j) f[j] for i, j < n, by Bluestein's
     identity i j = (i^2 + j^2 - (i - j)^2) / 2: with w[m] = exp(i c m^2 / 2)
     the sum is w[i] sum_j conj(w[i - j]) w[j] f[j], one FFT convolution at
     a length that holds every lag k = i - j without wrap-around.
 
-    Returns w, at index m + n_in - 1 for m from -(n_in - 1) to max(n_in,
-    n_out) - 1; the lag k held by each slot of the convolution (lag k sits
-    at slot k mod size); and the lag chirp conj(w[k]) in those slots, zero
-    on the padding.
+    Returns w, at index m + n - 1 for m from -(n - 1) to n - 1; the lag k
+    held by each slot of the convolution (lag k sits at slot k mod size);
+    and the lag chirp conj(w[k]) in those slots, zero on the padding.
     """
-    size = sp_fft.next_fast_len(n_in + n_out - 1)
-    m = np.arange(-(n_in - 1), max(n_in, n_out))
+    size = sp_fft.next_fast_len(2 * n - 1)
+    m = np.arange(-(n - 1), n)
     w = np.exp(0.5j * c * m.astype(float) ** 2)
     k = np.arange(size)
-    k[n_out:] -= size
+    k[n:] -= size
     lags = np.zeros(size, dtype=complex)
-    lags[m[:n_in - 1 + n_out] % size] = w[:n_in - 1 + n_out].conj()
+    lags[m % size] = w.conj()
     return w, k, lags
 
 
-def _chirp_z(f: np.ndarray, c: float, n_out: int) -> np.ndarray:
-    """sum_j exp(i c i j) f[..., j] for i = 0..n_out-1, by one Bluestein
-    convolution along the last axis."""
-    n_in = f.shape[-1]
-    w, _, lags = _bluestein(c, n_in, n_out)
+def _chirp_z(f: np.ndarray, c: float) -> np.ndarray:
+    """sum_j exp(i c i j) f[..., j] for i over the points of the last axis,
+    by one Bluestein convolution along it."""
+    n = f.shape[-1]
+    w, _, lags = _bluestein(c, n)
     buf = np.zeros(f.shape[:-1] + lags.shape, dtype=complex)
-    np.multiply(f, w[n_in - 1:2 * n_in - 1], out=buf[..., :n_in])
+    np.multiply(f, w[n - 1:], out=buf[..., :n])
     spec = sp_fft.fft(buf, overwrite_x=True)
     spec *= sp_fft.fft(lags)
-    out = sp_fft.ifft(spec, overwrite_x=True)[..., :n_out]
-    return out * w[n_in - 1:n_in - 1 + n_out]
+    out = sp_fft.ifft(spec, overwrite_x=True)[..., :n]
+    return out * w[n - 1:]
 
 
-def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
-                  n_out: tuple[int, ...]) -> np.ndarray:
+def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int) -> np.ndarray:
     """sum over (j_a, j_b) of exp{i (C_aa i_a j_a + C_ab i_a j_b + C_ba i_b
     j_a + C_bb i_b j_b)} f for two coupled axes, for all slices of the
-    other axes at once.
+    other axes at once.  Output index i and input index j run over the
+    same points of each axis.
 
     With the Bluestein lag k = i_a - j_a of axis a, both cross terms split
     into a lag part and a part free of one output index:
@@ -211,40 +210,36 @@ def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int,
         out[i_a, i_b] = w[i_a] exp(i C_ba i_a i_b) IFFT_q( sum_j_b T[i_b,
             q, j_b] FFT_j_a( exp(i C_ab j_a j_b) w[j_a] f[j_a, j_b] )[q] ),
 
-    with the table T = exp(i C_bb i_b j_b) FFT_k L.  Per call: n_b,out *
-    n_b,in table transforms, one forward transform per input line, one
-    batched matrix product over q and one inverse transform per output
-    line, O(N^4) in 3D and O(N^3 log N) in 2D.  The input is dropped
-    after its forward transform, before the table is built, so at most
-    three arrays of the table's size (transformed input, table, product)
-    live at once.
+    with the table T = exp(i C_bb i_b j_b) FFT_k L.  Per call: n_b^2 table
+    transforms, one forward transform per input line, one batched matrix
+    product over q and one inverse transform per output line, O(N^4) in 3D
+    and O(N^3 log N) in 2D.  The input is dropped after its forward
+    transform, before the table is built, so at most three arrays of the
+    table's size (transformed input, table, product) live at once.
     """
     g = np.moveaxis(f, (b, a), (0, 1))  # [j_b, j_a, other axes]
-    nb_in, na_in = g.shape[:2]
+    nb, na = g.shape[:2]
     other = g.shape[2:]
-    na_out, nb_out = n_out[a], n_out[b]
-    w, k, lags = _bluestein(C[a, a], na_in, na_out)
-    ja, jb = np.arange(na_in), np.arange(nb_in)
-    ia, ib = np.arange(na_out), np.arange(nb_out)
-    in_factor = np.exp(1j * C[a, b] * np.outer(jb, ja)) \
-        * w[na_in - 1:2 * na_in - 1]
-    spec = sp_fft.fft(g.reshape(nb_in, na_in, -1) * in_factor[..., None],
+    w, k, lags = _bluestein(C[a, a], na)
+    ia = ja = np.arange(na)
+    ib = jb = np.arange(nb)
+    in_factor = np.exp(1j * C[a, b] * np.outer(jb, ja)) * w[na - 1:]
+    spec = sp_fft.fft(g.reshape(nb, na, -1) * in_factor[..., None],
                       n=lags.size, axis=1, overwrite_x=True)  # [j_b, q, .]
     del f, g  # the input is not needed past its transform
     table = np.exp(-1j * C[b, a] * np.outer(ib, k))[:, :, None] \
         * (lags[:, None] * np.exp(1j * C[a, b] * np.outer(k, jb)))
     table *= np.exp(1j * C[b, b] * np.outer(ib, jb))[:, None, :]
     table = sp_fft.fft(table, axis=1, overwrite_x=True)  # [i_b, q, j_b]
-    prod = np.empty((nb_out, lags.size, spec.shape[-1]), dtype=complex)
+    prod = np.empty((nb, lags.size, spec.shape[-1]), dtype=complex)
     # each q-matrix of the transposed views has unit stride along its rows,
     # so BLAS takes them as they are: no transpose copies
     np.matmul(table.transpose(1, 0, 2), spec.transpose(1, 0, 2),
               out=prod.transpose(1, 0, 2))
     del table, spec
-    out = sp_fft.ifft(prod, axis=1, overwrite_x=True)[:, :na_out]
-    out *= (np.exp(1j * C[b, a] * np.outer(ib, ia))
-            * w[na_in - 1:na_in - 1 + na_out])[..., None]
-    out = out.reshape((nb_out, na_out) + other)
+    out = sp_fft.ifft(prod, axis=1, overwrite_x=True)[:, :na]
+    out *= (np.exp(1j * C[b, a] * np.outer(ib, ia)) * w[na - 1:])[..., None]
+    out = out.reshape((nb, na) + other)
     return np.moveaxis(out, (0, 1), (b, a))
 
 
@@ -253,10 +248,11 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
     """Trapezoid quadrature of the propagator against the state, for every
     dimension, in O(N log N) per uncoupled axis.
 
-    With dx = x0 + i dX and dy = y0 + j dY (x0, y0 the offsets of the first
-    output and input points), the phase splits into one-body chirps of y
-    and of x and the index cross term i^T C j, C = diag(dX) m_xy diag(dY) /
-    hbar.  Each uncoupled axis takes one chirp-z; a coupled pair takes
+    The output axes have the input's point counts.  With dx = x0 + i dX
+    and dy = y0 + j dY (x0, y0 the offsets of the first output and input
+    points), the phase splits into one-body chirps of y and of x and the
+    index cross term i^T C j, C = diag(dX) m_xy diag(dY) / hbar.  Each
+    uncoupled axis takes one chirp-z; a coupled pair takes
     :func:`_chirp_z_pair`.  A cross-term entry is dropped only when the
     largest phase it adds over the grid is at most _DROP_PHASE.
     """
@@ -271,10 +267,8 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
                      indexing="ij", sparse=True)
     C = np.outer([o.delta for o in axes_out],
                  [o.delta for o in state.axes]) * m_xy / hbar
-    n_out = tuple(o.num for o in axes_out)
-
-    reach = np.abs(C) * np.outer(np.subtract(n_out, 1),
-                                 np.subtract(state.psi.shape, 1))
+    last = np.subtract(state.psi.shape, 1)
+    reach = np.abs(C) * np.outer(last, last)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
              if max(reach[a, b], reach[b, a]) > _DROP_PHASE]
     if len(pairs) > 1:
@@ -288,12 +282,11 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
         # a temporary argument, passed by position and not through a local,
         # is referenced by the pair alone, which frees it after its forward
         # transform (CPython 3.11+ hands such arguments to the callee)
-        f = _chirp_z_pair(_chirp(state.psi, *chirp_in), C, a, b, n_out)
+        f = _chirp_z_pair(_chirp(state.psi, *chirp_in), C, a, b)
     else:
         f = _chirp(state.psi, *chirp_in)
     for a in sorted(set(range(n)).difference(*pairs)):  # uncoupled axes
-        f = np.moveaxis(_chirp_z(np.moveaxis(f, a, -1), C[a, a], n_out[a]),
-                        -1, a)
+        f = np.moveaxis(_chirp_z(np.moveaxis(f, a, -1), C[a, a]), -1, a)
     scalar = ctx.prefactor * state.weight \
         * np.exp(1j * (ctx.action_diff - x0 @ m_xy @ y0) / hbar)
     return _chirp(f, dx, ctx.P_t + m_xy @ y0, ctx.m_xx, hbar, scalar)

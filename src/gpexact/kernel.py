@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ehrenfest import MomentTrajectory, matriciant_blocks, symplectic_inverse
-from .errors import CausticError, IntegrationError, ModelError
+from .errors import CausticError, IntegrationError
 from .model import (Example1DParams, Example3DParams, QuadraticModel,
-                    effective_hessian)
+                    effective_hessian, example_params)
 from .state import write_csv
 
 
@@ -228,10 +228,8 @@ def closed_form_kernel_1d(traj: MomentTrajectory, x, y, t: float,
                           s: float) -> np.ndarray | complex:
     """Driven-oscillator propagator for the 1D setup, assembled from the
     closed-form factor and the trajectory action."""
-    params = traj.model.example
-    if not isinstance(params, Example1DParams):
-        raise ModelError("the closed-form 1D kernel needs a model built from "
-                         "Example1DParams")
+    params = example_params(traj.model, Example1DParams,
+                            "the closed-form 1D kernel")
     hbar = traj.model.hbar
     omega = params.Omega(traj.kappa_tilde)
     tau = t - s
@@ -250,10 +248,8 @@ def closed_form_kernel_3d(traj: MomentTrajectory, x, y, t: float,
                           s: float) -> np.ndarray | complex:
     """Magnetic-trap propagator for the 3D setup: two in-plane factors at
     omega_1, an axial factor at omega_2, and the magnetic cross term."""
-    params = traj.model.example
-    if not isinstance(params, Example3DParams):
-        raise ModelError("the closed-form 3D kernel needs a model built from "
-                         "Example3DParams")
+    params = example_params(traj.model, Example3DParams,
+                            "the closed-form 3D kernel")
     hbar = traj.model.hbar
     w1, w2 = params.frequencies(traj.kappa_tilde)
     wh = params.omega_H

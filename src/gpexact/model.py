@@ -158,6 +158,15 @@ class QuadraticModel:
         return self.Hzz(t)[: self.n, : self.n]
 
 
+def example_params(model: QuadraticModel, kind: type,
+                   what: str = "this operation"):
+    """The parameters of the example that built ``model``, which must be a
+    ``kind``; ``what`` names the operation that reads them."""
+    if not isinstance(model.example, kind):
+        raise ModelError(f"{what} needs a model built from {kind.__name__}")
+    return model.example
+
+
 def make_model(n: int, hbar: float, mass: float, kappa: float,
                Hzz, Hz, Wzz=None, Wzw=None, Www=None,
                example=None, spec=None, drive=()) -> QuadraticModel:

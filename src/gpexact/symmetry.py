@@ -23,7 +23,7 @@ from scipy.special import eval_hermite, gammaln
 from .ehrenfest import MomentPoint, integrate_moments
 from .errors import ModelError, ResonanceError
 from .evolution import EvolveOptions, evolve, evolve_inverse
-from .model import Example1DParams, QuadraticModel
+from .model import Example1DParams, QuadraticModel, example_params
 from .moments import centered_apply, first_moments
 from .state import Axis, GridState, l2_norm
 
@@ -127,7 +127,7 @@ def ladder_operators(model: QuadraticModel, kappa_tilde: float,
     """Lowering/raising pair (dp -+ i m Omega dx)/sqrt(2 hbar m Omega) about
     a phase-space center; without one, each operator centers on the first
     moments of the state it acts on."""
-    params = _params_1d(model)
+    params = example_params(model, Example1DParams)
     m = params.m
     Om = params.Omega(kappa_tilde)
     norm = 1.0 / math.sqrt(2.0 * model.hbar * m * Om)
@@ -136,13 +136,6 @@ def ladder_operators(model: QuadraticModel, kappa_tilde: float,
     raise_ = IntertwinedOperator(((norm, "p"), (1j * m * Om * norm, "x")),
                                  center=center)
     return lower, raise_
-
-
-def _params_1d(model: QuadraticModel) -> Example1DParams:
-    if not isinstance(model.example, Example1DParams):
-        raise ModelError("this operation needs a model built from "
-                         "Example1DParams")
-    return model.example
 
 
 def ladder_apply(model: QuadraticModel, sign: int, Psi: GridState,
@@ -165,7 +158,7 @@ class FockSolution:
 
     @property
     def params(self) -> Example1DParams:
-        return _params_1d(self.model)
+        return example_params(self.model, Example1DParams)
 
     def initial_constants(self) -> MomentPoint:
         p = self.params
@@ -220,7 +213,7 @@ def fock_state(model: QuadraticModel, n: int, t: float,
 def quasi_energy(model: QuadraticModel, n: int,
                  kappa_tilde: float | None = None) -> float:
     """Phase rate of the n-th solution over one drive period."""
-    p = _params_1d(model)
+    p = example_params(model, Example1DParams)
     kt = _family(model, kappa_tilde)
     hbar = model.hbar
     Om = p.Omega(kt)

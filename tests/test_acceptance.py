@@ -180,8 +180,7 @@ def test_criterion_8_kernel_crosschecks(setup):
         if abs(math.sin(om * t)) < 0.2:
             continue
         count += 1
-        traj = gx.integrate_moments(model, KAPPA, g0, 0.0, t,
-                                    rtol=1e-12, atol=1e-14)
+        traj = gx.integrate_moments(model, KAPPA, g0, 0.0, t)
         ctx = gx.build_kernel_context(traj, 0.0, t)
         x, y = rng.normal(scale=1.5), rng.normal(scale=1.5)
         got = gx.green_function(ctx, x, y)
@@ -203,8 +202,7 @@ def test_criterion_8_kernel_crosschecks(setup):
         if min(abs(math.sin(w1 * t)), abs(math.sin(w2 * t))) < 0.2:
             continue
         count += 1
-        traj = gx.integrate_moments(m3, kt3, g3, 0.0, t,
-                                    rtol=1e-12, atol=1e-14)
+        traj = gx.integrate_moments(m3, kt3, g3, 0.0, t)
         ctx = gx.build_kernel_context(traj, 0.0, t)
         x = rng.normal(scale=1.0, size=3)
         y = rng.normal(scale=1.0, size=3)
@@ -216,8 +214,7 @@ def test_criterion_8_kernel_crosschecks(setup):
     # free particle: closed form to machine precision
     free = gx.free_model(mass=1.4)
     gf = gx.MomentPoint(np.array([0.6, -0.2]), np.diag([0.5, 0.5]))
-    traj = gx.integrate_moments(free, 0.0, gf, 0.0, 1.3,
-                                rtol=1e-12, atol=1e-14)
+    traj = gx.integrate_moments(free, 0.0, gf, 0.0, 1.3)
     ctx = gx.build_kernel_context(traj, 0.0, 1.3)
     xs, ys = rng.normal(size=50), rng.normal(size=50)
     ref = np.sqrt(1.4 / (2j * np.pi * 1.3)) \

@@ -13,8 +13,8 @@ from gpexact.kernel import conjugate_point_units
 from conftest import KAPPA, driven_models, signed_models
 
 
-def make_context(model, kt, g0, s, t, rtol=1e-12, atol=1e-14):
-    traj = gx.integrate_moments(model, kt, g0, s, t, rtol=rtol, atol=atol)
+def make_context(model, kt, g0, s, t):
+    traj = gx.integrate_moments(model, kt, g0, s, t)
     return gx.build_kernel_context(traj, s, t), traj
 
 

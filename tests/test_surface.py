@@ -1,7 +1,11 @@
 """The public names, and the module attributes that outside instrumentation
 (the span tracer and workloads under perfbench/) looks up and wraps.  A
 refactor that renames or bypasses one of them silently drops a traced span,
-so each is pinned here."""
+so each is pinned here.  So is the numerical policy: the evolve path and
+the oracle take no tolerance or step setting beyond the ones below."""
+
+import dataclasses
+import inspect
 
 import gpexact as gx
 from gpexact import (cli, ehrenfest, evolution, kernel, model, moments,
@@ -33,6 +37,19 @@ PUBLIC_NAMES = [
 
 def test_public_names_pinned():
     assert sorted(gx.__all__) == PUBLIC_NAMES
+
+
+def test_numerical_policy_pinned():
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert fields(gx.EvolveOptions) == ["recenter", "kappa_tilde"]
+    assert fields(gx.OracleConfig) == ["dt"]
+    for fn in (gx.integrate_moments, gx.MomentTrajectory):
+        assert params(fn) == ["model", "kappa_tilde", "g0", "s", "t"]
 
 
 def test_traced_names_exist():
