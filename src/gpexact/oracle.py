@@ -18,13 +18,23 @@ propagator, never the other way around.
 
 A substep does only the work that depends on the state.  The model is read
 once per run, before the first transform: Hzz and Hz at every substep
-midpoint, checked in one pass.  The potential phase exp(-i h v / hbar) is a
+midpoint, checked in one pass; a model whose Hzz and Hz are data has its
+drive evaluated at all midpoints in one vectorized cos/sin over
+``model.drive``, a callable one is called at each.  What the state does not
+set is a per-run list, one entry per substep: its length, -h / hbar, the
+drive's position row, whether its quadratic table is rebuilt, and the fused
+kinetic multiplier after it.  In the loop, the midpoint moments are one
+product of a fixed map with the squared float64 view of the state, taken
+to Python floats once.  The potential phase exp(-i h v / hbar) is a
 quadratic phase table (one per substep length, rebuilt only when its
-coefficient changes) times one linear factor per axis times a scalar, each
-linear factor the outer product of two tables of ~sqrt(num) points.  The
-phase bound is taken against an upper bound on max |v| over the grid, the
-table's maximum plus sum |lin_a| max |x_a| plus |scal|, which is never
-below the exact one.
+coefficient changes) times one linear factor per axis times a scalar.  An
+axis of num points splits as num = coarse * fine, fine the largest divisor
+of num up to sqrt(num); its linear factor is the outer product of a coarse
+and a fine table, cos and sin of one angle vector of coarse + fine points,
+written into buffers allocated once per run and applied to the state
+through a reshape.  The phase bound is taken against an upper bound on
+max |v| over the grid, the table's maximum plus sum |lin_a| max |x_a| plus
+|scal|, which is never below the exact one.
 """
 
 from __future__ import annotations
@@ -64,10 +74,22 @@ def _potential_terms(model: QuadraticModel, taus: np.ndarray):
     """The position blocks of Hzz and Hz at every substep midpoint and of
     the interaction, checked in one pass to split into the kinetic term
     (the momentum rows of Hzz are [I/m, 0]) and a position potential; the
-    first midpoint where they do not is named."""
+    first midpoint where they do not is named.  A model whose Hzz and Hz
+    are data is read off ``model.drive`` at all midpoints at once; a
+    callable one is called at each."""
     n = model.n
-    hzz = np.array([model.Hzz(tau) for tau in taus])
-    hz = np.array([model.Hz(tau) for tau in taus])
+    if model.drive is None:
+        hzz = np.array([model.Hzz(tau) for tau in taus])
+        hz = np.array([model.Hz(tau) for tau in taus])
+    else:
+        h0, terms = model.drive
+        hzz = np.broadcast_to(model.Hzz(taus[0]), (len(taus), 2 * n, 2 * n))
+        hz = np.broadcast_to(h0, (len(taus), 2 * n))
+        if terms:
+            omegas, cos_vecs, sin_vecs = zip(*terms)
+            phase = np.multiply.outer(taus, omegas)
+            hz = hz + np.cos(phase) @ np.array(cos_vecs) \
+                + np.sin(phase) @ np.array(sin_vecs)
     dev = np.abs(hzz[:, :n] - np.eye(n, 2 * n) / model.mass)
     bad = np.stack([dev[:, :, n:].max(axis=(1, 2)) > 1e-14,
                     dev[:, :, :n].max(axis=(1, 2)) > 1e-12,
@@ -110,7 +132,9 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     # the potential of a substep is v = x.quad.x + lin.x + scal; its
     # density-dependent parts come from one linear map of |psi|^2, whose
     # rows are 1, kt Wb x and kt x.Wc.x / 2 (so after dividing by the
-    # first, lin = hx + kt Wb <x> and scal = kt tr(Wc <x x^T>) / 2)
+    # first, lin = hx + kt Wb <x> and scal = kt tr(Wc <x x^T>) / 2).  It
+    # acts on the squared float64 view of the state, (re, im) interleaved,
+    # so each column is repeated for the pair.
     axes = psi.axes
     shape = tuple(ax.num for ax in axes)
     x = np.stack([g.ravel() for g in psi.grids(sparse=False)])
@@ -118,20 +142,28 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     def quadratic_form(m):
         return np.sum(x * (m @ x), axis=0)
 
-    coef_map = np.vstack([np.ones(x.shape[1]), kt * (Wb @ x),
-                          0.5 * kt * quadratic_form(Wc)])
+    coef_map = np.repeat(np.vstack([np.ones(x.shape[1]), kt * (Wb @ x),
+                                    0.5 * kt * quadratic_form(Wc)]),
+                         2, axis=1)
+    squares = np.empty(coef_map.shape[1])
     quad = 0.5 * (hxx + kt * Wa)
-    xmax = np.array([np.max(np.abs(ax.points)) for ax in axes])
+    xmax = [float(np.max(np.abs(ax.points))) for ax in axes]
 
-    # exp(-i h v / hbar) is a quadratic phase table times one linear factor
-    # per axis times a scalar.  Substeps of one length share a table, rebuilt
-    # only where quad differs from the last substep of that length.
+    # everything a substep needs that the state does not set, per substep:
+    # its length h, -h / hbar, the drive's position row, whether its
+    # quadratic table is rebuilt, and the fused kinetic step after it
     lengths = np.tile(_WEIGHTS, steps)
+    hs = (lengths * dt).tolist()
+    negs = [-h / hbar for h in hs]
+    hx = hx.tolist()
+    # substeps of one length share a quadratic table, rebuilt only where
+    # quad differs from the last substep of that length
     rebuild = np.ones(len(taus), dtype=bool)
     for weight in np.unique(_WEIGHTS):
         group = np.flatnonzero(lengths == weight)
         rebuild[group[1:]] = np.any(quad[group[1:]] != quad[group[:-1]],
                                     axis=(1, 2))
+    rebuild = rebuild.tolist()
 
     def quadratic_table(q, h):
         qx = quadratic_form(q).reshape(shape)
@@ -141,14 +173,24 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
         np.sin(arg, out=table.imag)
         return table, float(np.max(np.abs(qx)))
 
-    # an axis's linear factor at point j = stride * c + f is the product of
-    # a coarse table (the points j = stride * c) and a fine one (the offsets
-    # f * delta), stride ~ sqrt(num): ~2 sqrt(num) exponentials, not num
+    # an axis's linear factor at point j = fine * c + f is the product of a
+    # coarse table (the points j = fine * c) and a fine one (the offsets
+    # f * delta), fine the largest divisor of num up to sqrt(num): cos and
+    # sin of one angle vector of coarse + fine points, not num, and their
+    # (coarse, fine) outer product is the axis's factor by a reshape alone
     factors = []
     for a, ax in enumerate(axes):
-        stride = math.isqrt(ax.num - 1) + 1
-        factors.append((ax.points[::stride], ax.delta * np.arange(stride),
-                        ax.num, (1,) * a + (-1,) + (1,) * (n - a - 1)))
+        fine = max(d for d in range(1, math.isqrt(ax.num) + 1)
+                   if ax.num % d == 0)
+        coarse = ax.num // fine
+        points = np.concatenate([ax.points[::fine],
+                                 ax.delta * np.arange(fine)])
+        angle = np.empty(coarse + fine)
+        wave = np.empty(coarse + fine, dtype=np.complex128)
+        outer = np.empty((coarse, fine), dtype=np.complex128)
+        factors.append((points, coarse, angle, wave.real, wave.imag,
+                        wave[:coarse, None], wave[None, coarse:], outer,
+                        outer.reshape((1,) * a + (-1,) + (1,) * (n - a - 1))))
 
     k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in axes),
                          indexing="ij", sparse=True))
@@ -159,41 +201,41 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     kin_edge = kinetic_step(_P / 2.0)
     kin_outer = kinetic_step(_P)
     kin_inner = kinetic_step((1.0 - 3.0 * _P) / 2.0)
-    # the fused kinetic step after each substep of a step
-    after = (kin_outer, kin_inner, kin_inner, kin_outer, kin_outer)
+    after = [kin_outer, kin_inner, kin_inner, kin_outer, kin_outer] * steps
+    after[-1] = kin_edge  # the run closes with a half kinetic step
     tables = {}
 
     spec = fftn(psi.psi)
     spec *= kin_edge
-    for sub in range(5 * steps):
-        j = sub % 5
-        h = _WEIGHTS[j] * dt
+    for sub, h in enumerate(hs):
+        neg = negs[sub]
         arr = ifftn(spec, overwrite_x=True)
         # the position moments at the substep's midpoint set its potential
-        dens = arr.real ** 2
-        dens += arr.imag ** 2
-        coef = coef_map @ dens.reshape(-1)
-        lin = hx[sub] + coef[1:n + 1] / coef[0]
-        scal = float(coef[n + 1] / coef[0])
+        np.square(arr.reshape(-1).view(np.float64), out=squares)
+        coef = (coef_map @ squares).tolist()
+        lin = [b + c / coef[0] for b, c in zip(hx[sub], coef[1:])]
+        scal = coef[n + 1] / coef[0]
         if rebuild[sub]:
             tables[h] = quadratic_table(quad[sub], h)
         table, qmax = tables[h]
         # an upper bound on max |v| over the grid, never below it
-        vmax = qmax + float(np.abs(lin) @ xmax) + abs(scal)
+        vmax = qmax + sum(abs(b) * m for b, m in zip(lin, xmax)) + abs(scal)
         if vmax * abs(h) / hbar >= PHASE_STEP_BOUND:
             raise StabilityError(
                 f"potential phase step exceeds {PHASE_STEP_BOUND} rad "
                 f"at t = {taus[sub]:.4g}; reduce dt")
         arr *= table
-        theta = lin * (-h / hbar)
-        shift = scal * (-h / hbar)  # the scalar phase rides on axis 0
-        for th, (coarse, fine, num, bshape) in zip(theta, factors):
-            fac = np.multiply.outer(np.exp(1j * (th * coarse + shift)),
-                                    np.exp(1j * (th * fine)))
-            arr *= fac.reshape(-1)[:num].reshape(bshape)
-            shift = 0.0
+        for a, (points, coarse, angle, cos, sin, col, row, outer,
+                factor) in enumerate(factors):
+            np.multiply(points, lin[a] * neg, out=angle)
+            if a == 0:  # the scalar phase rides on axis 0
+                angle[:coarse] += scal * neg
+            np.cos(angle, out=cos)
+            np.sin(angle, out=sin)
+            np.multiply(col, row, out=outer)
+            arr *= factor
         spec = fftn(arr, overwrite_x=True)
-        spec *= after[j] if sub + 1 < 5 * steps else kin_edge
+        spec *= after[sub]
     arr = ifftn(spec, overwrite_x=True)
 
     norm1 = float(w * np.sum(np.abs(arr) ** 2))

@@ -214,11 +214,13 @@ def load_state(path) -> GridState:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """The package's one CSV format: a header, %.16e values, LF line ends."""
+    """The package's one CSV format: a header, %.16e values, LF line ends;
+    every row has one value per header column."""
+    line = ",".join(["%.16e"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def dump_state_csv(state: GridState, path) -> None:

@@ -9,6 +9,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,6 +129,11 @@ def test_deterministic_outputs(tmp_path):
     assert main(["scenario", "--config", cfg, "--out", str(out2)]) == 0
     for name in ("moments.csv", "density_t0.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    assert len(names) == 4  # density_t0/t1.csv, moments.csv, report.json
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_failing_tolerance_reported(tmp_path):
@@ -425,6 +431,27 @@ def test_one_csv_format(tmp_path, produce):
             fields = line.split(b",")
             assert len(fields) == header.count(",") + 1
             assert all(value.fullmatch(f) for f in fields), line
+
+
+def test_write_csv_bytes_pinned(tmp_path):
+    """write_csv's rows are the bytes of formatting each value with
+    f"{v:.16e}" and joining with commas, for numpy and Python floats
+    alike, signed zero, subnormals, huge values and non-finite ones
+    included."""
+    from gpexact.state import write_csv
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf,
+              -math.inf, 1.0 / 3.0, -2.5e-17, 123456789.125, 1.0]
+    windows = [values[i:i + 4] for i in range(len(values) - 3)]
+    rows = [tuple(np.float64(v) for v in row) if i % 2 else row
+            for i, row in enumerate(windows)]
+    rows.append([np.float64(-0.0), 5e-324, np.float64(math.nan), 1e300])
+    path = tmp_path / "pinned.csv"
+    write_csv(path, ["a", "b", "c", "d"], iter(rows))
+    expected = "a,b,c,d\n" + "".join(
+        ",".join(f"{v:.16e}" for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+    assert b"-0.0000000000000000e+00" in path.read_bytes()
+    assert b"4.9406564584124654e-324" in path.read_bytes()
 
 
 # The driven-1d golden scenario on a grid small enough to run each mutation

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 
 import gpexact as gx
 from gpexact.errors import ModelError, ResolutionError
+from gpexact.oracle import _potential_terms
 
 from conftest import KAPPA
 
-# Suzuki's five substep lengths, in units of the step
+# Suzuki's five substep lengths, in units of the step, and each substep's
+# midpoint offset from the start of its step
 P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 SUZUKI = (P, P, 1.0 - 4.0 * P, P, P)
+MIDPOINTS = np.cumsum(SUZUKI) - 0.5 * np.array(SUZUKI)
 
 
 def test_free_gaussian_spreading(axis_2048):
@@ -99,7 +103,7 @@ def test_model_refused_before_the_first_transform(monkeypatch, axis_1024):
     calls = count_transforms(monkeypatch)
     dt, steps = 4.5e-3, 20
     # the two latest substep midpoints of the run, both in its last step
-    mids = np.sort(np.cumsum(SUZUKI) - 0.5 * np.array(SUZUKI))
+    mids = np.sort(MIDPOINTS)
     cut = (steps - 1 + 0.5 * (mids[-2] + mids[-1])) * dt
     model = gx.make_model(
         1, 1.0, 1.0, 0.0,
@@ -109,6 +113,46 @@ def test_model_refused_before_the_first_transform(monkeypatch, axis_1024):
     with pytest.raises(ModelError, match=rf"Hpp = I/m \(t = {last:.6g}\)"):
         gx.split_step_evolve(model, psi, steps * dt, gx.OracleConfig(dt=dt))
     assert calls == []
+
+
+def spy_on_hz(model):
+    """The model with its Hz wrapped to record every time it is read at."""
+    calls = []
+
+    def hz(t):
+        calls.append(t)
+        return model.Hz(t)
+    return dataclasses.replace(model, Hz=hz), calls
+
+
+def test_drive_data_read_in_one_pass():
+    """A model whose Hz is data, here two drive terms over a constant, is
+    read off ``model.drive`` at every midpoint at once: the rows agree with
+    Hz at each midpoint to 1e-15, and Hz itself is never called."""
+    terms = [(0.7, [0.0, 0.0, 0.3, -0.2], [0.0, 0.0, 0.0, 0.15]),
+             (1.9, [0.0, 0.0, -0.05, 0.1], [0.0, 0.0, 0.2, -0.25])]
+    model = gx.make_model(2, 1.0, 1.0, 0.5, np.eye(4),
+                          np.array([0.0, 0.0, 0.1, -0.05]), drive=terms)
+    taus = np.linspace(-0.7, 3.1, 257)
+    ref = np.array([model.Hz(tau)[2:] for tau in taus])
+    spied, calls = spy_on_hz(model)
+    _, hz, *_ = _potential_terms(spied, taus)
+    assert np.max(np.abs(hz - ref)) <= 1e-15
+    assert np.max(np.abs(ref - np.array([0.1, -0.05]))) > 0.1
+    assert calls == []
+
+
+def test_callable_hz_read_at_each_midpoint(parametric_model, axis_1024):
+    """A model with a callable of time is called once per substep
+    midpoint, in run order."""
+    model, calls = spy_on_hz(parametric_model)
+    assert model.drive is None
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.8], [0.3], [model.mass])
+    dt, steps = 4.5e-3, 20
+    gx.split_step_evolve(model, psi, steps * dt, gx.OracleConfig(dt=dt))
+    mids = (np.arange(steps)[:, None] + MIDPOINTS) * dt
+    assert len(calls) == 5 * steps
+    np.testing.assert_allclose(calls, mids.ravel(), rtol=0, atol=1e-15)
 
 
 def residual_of_evolved_triple(model, psi, t, dt):
@@ -328,7 +372,17 @@ def test_fused_loop_matches_unfused_strang_1d(model_1d, displaced_gaussian):
     assert gx.l2_distance(out, ref) <= 1e-12
 
 
-def test_fused_loop_matches_unfused_strang_2d():
+def test_fused_loop_matches_unfused_strang_1d_awkward_size(model_1d):
+    """74 = 2 x 37 points: the axis has no divisor near sqrt(74), so its
+    linear factor is a 37 x 2 product of tables."""
+    axis = gx.Axis(-8.0, 8.0, 74)
+    psi = gx.gaussian_packet((axis,), 1.0, [1.0], [0.2], [1.1])
+    out = gx.split_step_evolve(model_1d, psi, 1.0, gx.OracleConfig(dt=4.5e-3))
+    ref = unfused_strang(model_1d, psi, 1.0, 4.5e-3)
+    assert gx.l2_distance(out, ref) <= 1e-12
+
+
+def coupled_2d_model():
     """An anisotropic 2D trap whose interaction couples the two axes, so
     every monomial of the potential is present."""
     def position_block(m):
@@ -336,12 +390,27 @@ def test_fused_loop_matches_unfused_strang_2d():
                          [np.zeros((2, 2)), np.array(m)]])
 
     hzz = np.diag([1.0, 1.0, 1.0, 1.5])
-    model = gx.make_model(
+    return gx.make_model(
         2, 1.0, 1.0, 0.6, hzz, np.array([0.0, 0.0, 0.1, -0.05]),
         position_block([[0.2, 0.05], [0.05, 0.1]]),
         position_block([[0.1, 0.02], [0.02, 0.05]]),
         position_block([[0.3, 0.1], [0.1, 0.2]]))
+
+
+def test_fused_loop_matches_unfused_strang_2d():
+    model = coupled_2d_model()
     axes = (gx.Axis(-8.0, 8.0, 64), gx.Axis(-8.0, 8.0, 64))
+    psi = gx.gaussian_packet(axes, 1.0, [0.6, -0.3], [0.1, 0.2], [1.0, 1.2])
+    out = gx.split_step_evolve(model, psi, 0.5, gx.OracleConfig(dt=4.5e-3))
+    ref = unfused_strang(model, psi, 0.5, 4.5e-3)
+    assert gx.l2_distance(out, ref) <= 1e-12
+
+
+def test_fused_loop_matches_unfused_strang_2d_unequal_axes():
+    """Unequal boxes and point counts, 74 = 2 x 37 on the first axis and
+    48 = 8 x 6 on the second, so each axis splits its own way."""
+    model = coupled_2d_model()
+    axes = (gx.Axis(-8.0, 8.0, 74), gx.Axis(-7.0, 7.0, 48))
     psi = gx.gaussian_packet(axes, 1.0, [0.6, -0.3], [0.1, 0.2], [1.0, 1.2])
     out = gx.split_step_evolve(model, psi, 0.5, gx.OracleConfig(dt=4.5e-3))
     ref = unfused_strang(model, psi, 0.5, 4.5e-3)
