@@ -129,6 +129,8 @@ class MomentTrajectory:
 
     def __init__(self, model: QuadraticModel, kappa_tilde: float,
                  g0: MomentPoint, s: float, t: float):
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ValueError(f"times s = {s}, t = {t} must be finite")
         self.model, self.kappa_tilde, self.g0, self.s, self.t = \
             model, kappa_tilde, g0, s, t
         self.n = n = model.n
@@ -236,8 +238,6 @@ class MomentTrajectory:
 
     def __call__(self, tau: float) -> np.ndarray:
         """A(tau, s)."""
-        if tau == self.s:
-            return np.eye(2 * self.n)
         self._check(tau)
         A = self._A.get(tau)
         if A is None:
@@ -407,16 +407,6 @@ def matriciant_blocks(A: np.ndarray):
     l3 = -A[n:, :n].T.copy()
     l1 = A[n:, n:].T.copy()
     return l1, l2, l3, l4
-
-
-def blocks_to_matriciant(l1, l2, l3, l4) -> np.ndarray:
-    n = l1.shape[0]
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, :n] = l4.T
-    A[:n, n:] = -l2.T
-    A[n:, :n] = -l3.T
-    A[n:, n:] = l1.T
-    return A
 
 
 def symplectic_defect(A: np.ndarray) -> float:

@@ -73,10 +73,9 @@ def _frame_winding(traj: MomentTrajectory, a: float, b: float) -> int:
     The leg frame F = A(tau, a)[:, :n] spans a Lagrangian plane, so
     U = X + iP (position and momentum rows of F) is never singular and
     W = U conj(U)^(-1) is unitary.  The frames at the trajectory's nodes
-    (``step_times``) inside the leg come from one stacked evaluation, the
-    frame at b from the memoized A(b) that the context reads as well; their
-    determinants are one stacked ``det``, and the phase Theta = 2 arg det U
-    = arg det W is the sum of the increments between them.  While an
+    (``step_times``) inside the leg and at b are one stacked evaluation,
+    their determinants one stacked ``det``, and the phase Theta = 2 arg
+    det U = arg det W is the sum of the increments between them.  While an
     increment exceeds pi/4, every such interval is halved in one round: its
     midpoint frames are one more stacked evaluation and ``det``.  Theta is
     compared with the principal eigen-angles phi of W at b.
@@ -91,10 +90,7 @@ def _frame_winding(traj: MomentTrajectory, a: float, b: float) -> int:
     lo, hi = min(a, b), max(a, b)
     times = np.array([a] + [tau for tau in sorted(
         traj.step_times.tolist(), reverse=bool(b < a)) if lo < tau < hi] + [b])
-    A = traj(b)[None]  # memoized: the context reads A(b) too
-    if len(times) > 2:
-        A = np.concatenate((traj.matriciants(times[1:-1]), A))
-    U = frame_u(A)
+    U = frame_u(traj.matriciants(times[1:]))
     dets = np.concatenate(([1j ** n], np.linalg.det(U)))
     for rounds in range(51):
         steps = np.angle(dets[1:] / dets[:-1])

@@ -154,9 +154,6 @@ class QuadraticModel:
     # when either is a callable of time
     drive: tuple = field(default=None, repr=False)
 
-    def momentum_block(self, t: float) -> np.ndarray:
-        return self.Hzz(t)[: self.n, : self.n]
-
 
 def example_params(model: QuadraticModel, kind: type,
                    what: str = "this operation"):

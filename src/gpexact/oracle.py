@@ -21,20 +21,20 @@ once per run, before the first transform: Hzz and Hz at every substep
 midpoint, checked in one pass; a model whose Hzz and Hz are data has its
 drive evaluated at all midpoints in one vectorized cos/sin over
 ``model.drive``, a callable one is called at each.  What the state does not
-set is a per-run list, one entry per substep: its length, -h / hbar, the
-drive's position row, whether its quadratic table is rebuilt, and the fused
-kinetic multiplier after it.  In the loop, the midpoint moments are one
-product of a fixed map with the squared float64 view of the state, taken
-to Python floats once.  The potential phase exp(-i h v / hbar) is a
-quadratic phase table (one per substep length, rebuilt only when its
-coefficient changes) times one linear factor per axis times a scalar.  An
-axis of num points splits as num = coarse * fine, fine the largest divisor
-of num up to sqrt(num); its linear factor is the outer product of a coarse
-and a fine table, cos and sin of one angle vector of coarse + fine points,
-written into buffers allocated once per run and applied to the state
-through a reshape.  The phase bound is taken against an upper bound on
-max |v| over the grid, the table's maximum plus sum |lin_a| max |x_a| plus
-|scal|, which is never below the exact one.
+set is a per-run list, one entry per substep: its length, the drive's
+position row, and the fused kinetic multiplier after it.  In the loop, the
+midpoint moments are one product of a fixed map with the squared float64
+view of the state, taken to Python floats once.  The potential phase
+exp(-i h v / hbar) is a quadratic phase table times one linear factor per
+axis times a scalar.  A data model's quadratic coefficient is constant, so
+it builds one table per substep length; a callable model rebuilds its table
+at every substep.  An axis of num points splits as num = coarse * fine,
+fine the largest divisor of num up to sqrt(num); its linear factor is the
+outer product of a coarse and a fine table, cos and sin of one angle
+vector of coarse + fine points, written into buffers allocated once per
+run and applied to the state through a reshape.  The phase bound is taken
+against an upper bound on max |v| over the grid, the table's maximum plus
+sum |lin_a| max |x_a| plus |scal|, which is never below the exact one.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ _MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS
 @dataclass(frozen=True)
 class OracleConfig:
     dt: float = 4.5e-3
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt = {self.dt}: not a finite positive step")
 
 
 _SPLIT_ERRORS = ("vanishing momentum-position coupling in Hzz",
@@ -111,6 +115,8 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     """Propagate from the state's time label to t with the composed
     splitting; the model is checked first, at every substep midpoint, then
     the state."""
+    if not math.isfinite(t):
+        raise ValueError(f"oracle end time t = {t} is not finite")
     cfg = cfg or OracleConfig()
     s = psi.t
     steps = max(1, round(abs(t - s) / cfg.dt))
@@ -149,21 +155,10 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     quad = 0.5 * (hxx + kt * Wa)
     xmax = [float(np.max(np.abs(ax.points))) for ax in axes]
 
-    # everything a substep needs that the state does not set, per substep:
-    # its length h, -h / hbar, the drive's position row, whether its
-    # quadratic table is rebuilt, and the fused kinetic step after it
-    lengths = np.tile(_WEIGHTS, steps)
-    hs = (lengths * dt).tolist()
-    negs = [-h / hbar for h in hs]
+    # per substep, what the state does not set: its length h, the drive's
+    # position row and the fused kinetic step after it
+    hs = (np.tile(_WEIGHTS, steps) * dt).tolist()
     hx = hx.tolist()
-    # substeps of one length share a quadratic table, rebuilt only where
-    # quad differs from the last substep of that length
-    rebuild = np.ones(len(taus), dtype=bool)
-    for weight in np.unique(_WEIGHTS):
-        group = np.flatnonzero(lengths == weight)
-        rebuild[group[1:]] = np.any(quad[group[1:]] != quad[group[:-1]],
-                                    axis=(1, 2))
-    rebuild = rebuild.tolist()
 
     def quadratic_table(q, h):
         qx = quadratic_form(q).reshape(shape)
@@ -172,6 +167,10 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
         np.cos(arg, out=table.real)
         np.sin(arg, out=table.imag)
         return table, float(np.max(np.abs(qx)))
+
+    # a data model's quad is constant: one table per substep length
+    tables = None if model.drive is None else {
+        h: quadratic_table(quad[0], h) for h in set(hs)}
 
     # an axis's linear factor at point j = fine * c + f is the product of a
     # coarse table (the points j = fine * c) and a fine one (the offsets
@@ -203,21 +202,18 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     kin_inner = kinetic_step((1.0 - 3.0 * _P) / 2.0)
     after = [kin_outer, kin_inner, kin_inner, kin_outer, kin_outer] * steps
     after[-1] = kin_edge  # the run closes with a half kinetic step
-    tables = {}
 
     spec = fftn(psi.psi)
     spec *= kin_edge
     for sub, h in enumerate(hs):
-        neg = negs[sub]
+        neg = -h / hbar
         arr = ifftn(spec, overwrite_x=True)
         # the position moments at the substep's midpoint set its potential
         np.square(arr.reshape(-1).view(np.float64), out=squares)
         coef = (coef_map @ squares).tolist()
         lin = [b + c / coef[0] for b, c in zip(hx[sub], coef[1:])]
         scal = coef[n + 1] / coef[0]
-        if rebuild[sub]:
-            tables[h] = quadratic_table(quad[sub], h)
-        table, qmax = tables[h]
+        table, qmax = tables[h] if tables else quadratic_table(quad[sub], h)
         # an upper bound on max |v| over the grid, never below it
         vmax = qmax + sum(abs(b) * m for b, m in zip(lin, xmax)) + abs(scal)
         if vmax * abs(h) / hbar >= PHASE_STEP_BOUND:

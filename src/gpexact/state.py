@@ -179,12 +179,19 @@ def gaussian_packet(axes: tuple[Axis, ...], hbar: float,
                     x0, p0, alpha, t: float = 0.0) -> GridState:
     """Normalized Gaussian packet exp(-alpha_a dx_a^2/(2 hbar) + i p0.dx/hbar).
 
-    ``alpha`` sets per-axis inverse width; alpha = m*Omega gives the ground
-    state of an oscillator with that frequency.
+    ``alpha`` sets per-axis inverse width, finite and positive; alpha =
+    m*Omega gives the ground state of an oscillator with that frequency.
+    ``x0``, ``p0`` and a non-scalar ``alpha`` have one entry per axis.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), x0.shape)
+    alpha = np.asarray(alpha, dtype=float)
+    for name, v in (("x0", x0), ("p0", p0), ("alpha", alpha)):
+        if v.ndim and v.shape != (len(axes),):  # a scalar alpha: every axis
+            raise ValueError(f"{name} needs one entry per axis, not {v}")
+    if not np.all(np.isfinite(alpha) & (alpha > 0.0)):
+        raise ValueError(f"alpha = {alpha} must be finite and positive")
+    alpha = np.broadcast_to(alpha, (len(axes),))
     pts = np.meshgrid(*(ax.points for ax in axes), indexing="ij", sparse=True)
     psi = np.ones(tuple(ax.num for ax in axes), dtype=np.complex128)
     for a in range(len(axes)):

@@ -81,6 +81,12 @@ def test_inverse_roundtrip(model_1d, displaced_gaussian):
     assert gx.l2_distance(again, Psi) <= 1e-8
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_evolve_rejects_a_non_finite_time(model_1d, displaced_gaussian, t):
+    with pytest.raises(ValueError, match="t = .* must be finite"):
+        gx.evolve(model_1d, displaced_gaussian, t)
+
+
 def test_inverse_at_coincident_times(model_1d, displaced_gaussian):
     same = gx.evolve_inverse(model_1d, displaced_gaussian, 0.0)
     assert same is displaced_gaussian

@@ -254,6 +254,28 @@ def test_moment_record_matches_its_gram_reference(psi, shift):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("x0, p0, alpha, name", [
+    ([1.0, 5.0], [0.2, 3.0], [1.0, 1.0], "x0"),
+    ([1.0], [0.2, 3.0], [1.0], "p0"),
+    ([1.0], [0.2], [1.0, 1.0], "alpha")])
+def test_gaussian_packet_needs_one_entry_per_axis(axis_1024, x0, p0, alpha,
+                                                  name):
+    """No entry is dropped: a packet with more entries than axes is refused,
+    a scalar alpha serves every axis."""
+    with pytest.raises(ValueError, match=f"{name} needs one entry per axis"):
+        gx.gaussian_packet((axis_1024,), 1.0, x0, p0, alpha)
+    axes = (gx.Axis(-8.0, 8.0, 64),) * 2
+    assert np.array_equal(
+        gx.gaussian_packet(axes, 1.0, [0.1, 0.2], [0.0, 0.3], 1.2).psi,
+        gx.gaussian_packet(axes, 1.0, [0.1, 0.2], [0.0, 0.3], [1.2, 1.2]).psi)
+
+
+@pytest.mark.parametrize("alpha", [[0.0], [-1.0], [math.nan], math.inf])
+def test_gaussian_packet_alpha_must_be_finite_and_positive(axis_1024, alpha):
+    with pytest.raises(ValueError, match="alpha = .* finite and positive"):
+        gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.2], alpha)
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_second_moments_reject_a_center_of_the_wrong_length(axis_1024, size):
     psi = gx.gaussian_packet((axis_1024,), 1.0, [0.4], [0.6], [1.2])

@@ -255,6 +255,19 @@ def test_phase_step_bound_enforced(model_1d, axis_1024, params_1d):
         gx.split_step_evolve(model_1d, psi, 1.0, gx.OracleConfig(dt=0.5))
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+def test_oracle_dt_must_be_finite_and_positive(dt):
+    with pytest.raises(ValueError, match="dt = .*: not a finite positive"):
+        gx.OracleConfig(dt=dt)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_oracle_rejects_a_non_finite_end_time(model_1d, displaced_gaussian,
+                                              t):
+    with pytest.raises(ValueError, match="end time t = .* is not finite"):
+        gx.split_step_evolve(model_1d, displaced_gaussian, t)
+
+
 def test_phase_bound_checks_each_substep(axis_1024):
     """The bound is taken against each substep's own length: at a dt where
     the outer substeps p dt stay under it but the backward middle one,
@@ -439,6 +452,18 @@ def test_fused_loop_matches_unfused_strang_3d():
                              [1.0, 1.1, 0.9])
     out = gx.split_step_evolve(model, psi, 0.2, gx.OracleConfig(dt=4.5e-3))
     ref = unfused_strang(model, psi, 0.2, 4.5e-3)
+    assert gx.l2_distance(out, ref) <= 1e-12
+
+
+def test_fused_loop_matches_unfused_strang_callable_hz(model_1d, axis_1024):
+    """A constant Hzz with a callable Hz: no drive data, so the quadratic
+    table is rebuilt at every substep although it never changes."""
+    model = gx.make_model(1, 1.0, 1.0, KAPPA, model_1d.Hzz(0.0), model_1d.Hz,
+                          model_1d.Wzz, model_1d.Wzw, model_1d.Www)
+    assert model.drive is None
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.2], [1.1])
+    out = gx.split_step_evolve(model, psi, 1.0, gx.OracleConfig(dt=4.5e-3))
+    ref = unfused_strang(model, psi, 1.0, 4.5e-3)
     assert gx.l2_distance(out, ref) <= 1e-12
 
 
