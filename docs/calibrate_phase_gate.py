@@ -1,0 +1,250 @@
+#!/usr/bin/env python3
+"""Calibrate the split-step oracle's gates against `evolve`.
+
+For seeded 1D, 2D and 3D cases over a ladder of steps, each run is made
+twice.  Once by an independent numpy loop over the same composition
+(Suzuki's five Strang substeps K/2 V K/2, the moments read at each
+substep's midpoint by direct sums) that refuses nothing and measures, per
+run: the box gate, max |V| |h| / hbar over the grid as the oracle bounds
+it; the gate, min(box, region) with the region bound of
+`oracle._region_vmax`'s docstring; the largest boundary tail fraction at
+any midpoint; and whether the output passes `check_resolved`.  Once with
+`split_step_evolve`, whose verdict must be the one those numbers predict:
+"phase" (a phase step at or over PHASE_STEP_BOUND), "face" (a midpoint's
+boundary tail at or over TAIL_TOL), "output" (an unresolved output) or
+"accept", each at the first substep where it fails.  The error is the L2
+distance to `evolve` of the oracle's output where it accepts, else of the
+loop's.  Prints one Markdown row per run and exits 1 if the oracle accepts
+a run whose error exceeds 2e-6.
+
+Usage: OPENBLAS_NUM_THREADS=1 python docs/calibrate_phase_gate.py
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import gpexact as gx  # noqa: E402
+from gpexact.errors import ResolutionError, StabilityError  # noqa: E402
+from gpexact.oracle import PHASE_STEP_BOUND  # noqa: E402
+from gpexact.state import TAIL_TOL  # noqa: E402
+
+ERROR_BOUND = 2e-6
+P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SUZUKI = (P, P, 1.0 - 4.0 * P, P, P)
+
+
+def region_reach(arr, points):
+    """Per axis, max |x| over the bounding box of the points either of whose
+    squares exceeds TAIL_TOL / 2 of the mean density."""
+    squares = np.stack([arr.real ** 2, arr.imag ** 2])
+    marked = (squares > 0.5 * TAIL_TOL * squares.sum() / arr.size).any(axis=0)
+    return np.array([max(abs(x[i.min()]), abs(x[i.max()]))
+                     for x, i in zip(points, np.nonzero(marked))])
+
+
+def face_fraction(dens):
+    total = dens.sum()
+    return max(float(dens.take(idx, axis=a).sum()) / total
+               for a in range(dens.ndim) for idx in (0, -1))
+
+
+def open_run(model, psi, t, dt):
+    """The composition with every gate held open: (box gate, gate, largest
+    midpoint face fraction, first failing substep per gate, output)."""
+    n, hbar = model.n, model.hbar
+    kt = model.kappa * gx.norm_squared(psi)
+    Wa, Wb, Wc = (W[n:, n:] for W in (model.Wzz, model.Wzw, model.Www))
+    grids = psi.grids()
+    points = [ax.points for ax in psi.axes]
+    xmax = np.array([np.max(np.abs(x)) for x in points])
+    k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in psi.axes),
+                         indexing="ij", sparse=True))
+    steps = max(1, round(abs(t - psi.t) / dt))
+    dt = (t - psi.t) / steps
+    arr = np.array(psi.psi)
+    box_gate = gate = face = 0.0
+    first = {}
+    sub = 0
+    for step in range(steps):
+        start = psi.t + step * dt
+        for w in SUZUKI:
+            h = w * dt
+            tau = start + 0.5 * h
+            start += h
+            half = np.exp(-1j * hbar * k2 * h / (4.0 * model.mass))
+            arr = np.fft.ifftn(half * np.fft.fftn(arr))
+            dens = np.abs(arr) ** 2
+            nrm = dens.sum()
+            mean = np.array([np.sum(dens * x) / nrm for x in grids])
+            second = np.array([[np.sum(dens * xa * xb) / nrm for xb in grids]
+                               for xa in grids])
+            q = 0.5 * (model.Hzz(tau)[n:, n:] + kt * Wa)
+            lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
+            scal = 0.5 * kt * np.trace(Wc @ second)
+            quad = sum(q[a, b] * grids[a] * grids[b]
+                       for a in range(n) for b in range(n))
+            box = np.max(np.abs(quad)) + np.abs(lin) @ xmax + abs(scal)
+            X = region_reach(arr, points)
+            region = X @ np.abs(q) @ X + np.abs(lin) @ X + abs(scal)
+            sub_face = face_fraction(dens)
+            sub_gate = min(box, region) * abs(h) / hbar
+            if sub_face >= TAIL_TOL:
+                first.setdefault("face", sub)
+            if sub_gate >= PHASE_STEP_BOUND:
+                first.setdefault("phase", sub)
+            box_gate = max(box_gate, box * abs(h) / hbar)
+            gate = max(gate, sub_gate)
+            face = max(face, sub_face)
+            v = quad + sum(b * x for b, x in zip(lin, grids)) + scal
+            arr = arr * np.exp(-1j * h * v / hbar)
+            arr = np.fft.ifftn(half * np.fft.fftn(arr))
+            sub += 1
+    return box_gate, gate, face, first, psi.with_psi(arr, t)
+
+
+def predicted(first, out):
+    """The oracle's verdict from the held-open run: within a substep the
+    face is checked before the phase step."""
+    if first:
+        return min(first, key=lambda k: (first[k], k != "face"))
+    try:
+        gx.check_resolved(out)
+    except ResolutionError:
+        return "output"
+    return "accept"
+
+
+def gated_run(model, psi, t, dt):
+    try:
+        return "accept", gx.split_step_evolve(model, psi, t,
+                                              gx.OracleConfig(dt=dt))
+    except StabilityError:
+        return "phase", None
+    except ResolutionError as err:
+        return ("face" if "at t =" in str(err) else "output"), None
+
+
+def readme_model(E=0.1):
+    params = gx.Example1DParams(m=1.0, k=1.0, e=1.0, E=E, omega=0.5,
+                                a=0.2, b=0.1, c=0.3)
+    return gx.model_1d(params, hbar=1.0, kappa=0.5), params.Omega(0.5)
+
+
+def readme_packet(x0, p0, alpha):
+    axis = gx.Axis(-12.0, 12.0, 2048)
+    return gx.gaussian_packet((axis,), 1.0, [x0], [p0], [alpha])
+
+
+def static_drive_model(E):
+    """v = x^2 / 2 - E x: the packet swings between 0 and 2 E."""
+    return gx.make_model(1, 1.0, 1.0, 0.5, np.eye(2), np.array([0.0, -E]),
+                         np.diag([0.0, 0.2]), np.diag([0.0, 0.1]),
+                         np.diag([0.0, 0.3]))
+
+
+def oracle_model_draw(rng):
+    """A 1D model drawn as the test suite's `oracle_models` draws it."""
+    mass = rng.uniform(0.5, 2.0)
+    hzz = np.diag([1.0 / mass, rng.uniform(0.5, 2.0)])
+    Wzz, Wzw, Www = (np.diag([0.0, rng.uniform(-0.4, 0.4)])
+                     for _ in range(3))
+    kappa = rng.uniform(0.2, 1.0) * rng.choice([1.0, -1.0])
+    terms = [(rng.uniform(0.2, 2.0), [0.0, rng.uniform(-0.3, 0.3)],
+              [0.0, rng.uniform(-0.3, 0.3)])
+             for _ in range(rng.integers(0, 3))]
+    h0 = [0.0, rng.uniform(-0.3, 0.3)]
+    model = gx.make_model(1, 1.0, mass, kappa, hzz, h0, Wzz, Wzw, Www,
+                          drive=terms)
+    return model, rng.uniform(0.3, 0.8) * rng.choice([1.0, -1.0])
+
+
+def model_2d(rng, drive):
+    """Anisotropic 2D trap, random position couplings and a static linear
+    drive of size `drive`."""
+    hzz = np.diag([1.0, 1.0, *rng.uniform(0.6, 1.6, 2)])
+    blocks = []
+    for symmetric in (True, False, True):
+        W = np.zeros((4, 4))
+        B = rng.uniform(-0.2, 0.2, (2, 2))
+        W[2:, 2:] = B + B.T if symmetric else B
+        blocks.append(W)
+    h0 = np.array([0.0, 0.0, *rng.uniform(-drive, drive, 2)])
+    return gx.make_model(2, 1.0, 1.0, 0.5, hzz, h0, *blocks)
+
+
+def cases():
+    """(label, model, psi, t, dts) for every calibrated case."""
+    ladder = [9e-3 * f for f in (1.0, math.sqrt(2.0), 2.0, 8.0 / 3.0, 4.0,
+                                 8.0, 16.0)]
+    coarse = ladder[2:]
+    model, om = readme_model()
+    yield "README packet (1.0, 0.2)", model, readme_packet(1.0, 0.2, om), \
+        2.0, ladder
+    for x0 in (0.5, 1.5):
+        for p0 in (-0.3, 0.3):
+            yield f"README model, corner ({x0}, {p0})", model, \
+                readme_packet(x0, p0, om), 2.0, coarse
+    for x0, p0 in ((6.0, 0.0), (-6.0, 0.0), (5.5, 1.5), (5.5, 5.0)):
+        yield f"README model, near a face ({x0}, {p0})", model, \
+            readme_packet(x0, p0, om), 2.0, [4.5e-3] + ladder[:5]
+    for E in (1.0, 3.0):
+        model_e, om_e = readme_model(E)
+        yield f"README model, drive E = {E}", model_e, \
+            readme_packet(1.0, 0.2, om_e), 2.0, coarse
+    for E in (3.0, 4.0):
+        yield f"static drive E = {E}", static_drive_model(E), \
+            readme_packet(0.0, 0.0, 1.0), 2.0, coarse
+    axis = gx.Axis(-8.0, 8.0, 256)
+    for seed in range(8):
+        model, T = oracle_model_draw(np.random.default_rng(seed))
+        psi = gx.gaussian_packet((axis,), 1.0, [0.3], [0.1], [1.0])
+        yield f"oracle_models draw, seed {seed}", model, psi, T, \
+            [4.5e-3, 1.8e-2, 3.6e-2, 7.2e-2, 0.144]
+    axes = (gx.Axis(-8.0, 8.0, 64),) * 2
+    for seed, drive in ((0, 0.3), (1, 0.3), (2, 3.0)):
+        model = model_2d(np.random.default_rng(seed), drive)
+        psi = gx.gaussian_packet(axes, 1.0, [0.5, -0.3], [0.2, 0.1], 1.0)
+        yield f"2D draw, seed {seed}, drive {drive}", model, psi, 1.0, \
+            [9e-3, 1.8e-2, 3.6e-2, 7.2e-2, 0.144]
+    params = gx.Example3DParams(H_field=0.0)
+    model = gx.model_3d(params, hbar=1.0, kappa=0.5)
+    w1, w2 = params.frequencies(0.5)
+    alpha = [params.m * w1, params.m * w1, params.m * w2]
+    for num, dts in ((64, [8e-3, 1.6e-2, 3.2e-2]),):
+        axes = (gx.Axis(-8.0, 8.0, num),) * 3
+        psi = gx.gaussian_packet(axes, 1.0, [0.5, 0.0, -0.3],
+                                 [0.0, 0.2, 0.0], alpha)
+        yield f"3D setup, H = 0, {num}^3", model, psi, 0.8, dts
+
+
+def main():
+    print("| case | dt | box gate | gate | max face fraction | L2 error "
+          "| verdict |")
+    print("|---|---|---|---|---|---|---|")
+    worst = 0.0
+    for label, model, psi, t, dts in cases():
+        exact = gx.evolve(model, psi, t)
+        for dt in dts:
+            box, gate, face, first, ref = open_run(model, psi, t, dt)
+            verdict, out = gated_run(model, psi, t, dt)
+            if verdict != predicted(first, ref):
+                raise RuntimeError(f"{label}, dt = {dt}: the oracle says "
+                                   f"{verdict}, its numbers say "
+                                   f"{predicted(first, ref)}")
+            err = gx.l2_distance(exact, ref if out is None else out)
+            if out is not None:
+                worst = max(worst, err)
+            print(f"| {label} | {dt:.3g} | {box:.3g} | {gate:.3g} "
+                  f"| {face:.1e} | {err:.2e} | {verdict} |", flush=True)
+    print(f"\nlargest error of an accepted run: {worst:.2e} "
+          f"(bound {ERROR_BOUND:.0e})")
+    return 0 if worst <= ERROR_BOUND else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

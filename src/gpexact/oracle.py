@@ -32,9 +32,19 @@ at every substep.  An axis of num points splits as num = coarse * fine,
 fine the largest divisor of num up to sqrt(num); its linear factor is the
 outer product of a coarse and a fine table, cos and sin of one angle
 vector of coarse + fine points, written into buffers allocated once per
-run and applied to the state through a reshape.  The phase bound is taken
-against an upper bound on max |v| over the grid, the table's maximum plus
-sum |lin_a| max |x_a| plus |scal|, which is never below the exact one.
+run and applied to the state through a reshape.
+
+Three gates hold the run to the box.  At every midpoint, the boundary
+tail of :func:`check_resolved`: the squares of each face of the box,
+gathered and summed per face, against TAIL_TOL of their total.  At every
+substep, the phase bound |v| |h| / hbar < PHASE_STEP_BOUND, against an
+upper bound on |v| where the state has mass: first over the grid, the
+table's maximum plus sum |lin_a| max |x_a| plus |scal|, never below the
+exact max |v|; only where that fails, over the midpoint's mass region
+(:func:`_region_vmax`), and the smaller of the two is checked.  A run the
+grid bound admits does the same arithmetic as without the region bound.
+At the end, the output must pass :func:`check_resolved`, as the output of
+every ``evolve`` leg does.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from scipy.fft import fftn, ifftn
 from .errors import ModelError, ResolutionError, StabilityError
 from .model import QuadraticModel
 from .moments import _moment_pass, centered_apply
-from .state import GridState, check_resolved
+from .state import TAIL_TOL, GridState, check_resolved
 
 
 NORM_DRIFT_TOL = 1e-6  # largest relative norm drift over a run
@@ -110,6 +120,35 @@ def _potential_terms(model: QuadraticModel, taus: np.ndarray):
             model.Wzz[n:, n:], model.Wzw[n:, n:], model.Www[n:, n:])
 
 
+def _region_vmax(squares, total, points, q, lin, scal) -> float:
+    """An upper bound on |v| = |x.q.x + lin.x + scal| over the region that
+    holds all but TAIL_TOL of the midpoint's norm.
+
+    ``squares`` is the squared float64 view of the state, (re, im) pairs
+    in the grid's order, ``total`` their sum and ``points`` the axes'
+    sample points.  With thr = TAIL_TOL total / npts, a point is marked
+    when either of its two squares exceeds thr / 2; the region is the
+    per-axis bounding box [lo_a, hi_a] of the marked points.  A point
+    outside it is not marked, so its density |psi|^2 is at most thr, and
+    the fewer than npts points outside hold less than npts thr, which is
+    TAIL_TOL of the norm.  The largest square is at least the mean
+    total / (2 npts) > thr / 2, so the region is never empty.  Inside it
+    |x_a| <= X_a = max(|x_lo|, |x_hi|), hence
+    |v| <= sum |q_ab| X_a X_b + sum |lin_a| X_a + |scal|."""
+    n = len(points)
+    # a point's pair of marks viewed as one uint16: nonzero when either is
+    marked = (squares > 0.5 * TAIL_TOL * total / (squares.size // 2)) \
+        .view(np.uint16).reshape(tuple(len(x) for x in points))
+    reach = []
+    for a, x in enumerate(points):
+        hit = marked.max(axis=tuple(b for b in range(n) if b != a)) != 0
+        lo, hi = hit.argmax(), len(x) - 1 - hit[::-1].argmax()
+        reach.append(float(max(abs(x[lo]), abs(x[hi]))))
+    quad = sum(abs(qab) * ra * rb for qa, ra in zip(q.tolist(), reach)
+               for qab, rb in zip(qa, reach))
+    return quad + sum(abs(b) * r for b, r in zip(lin, reach)) + abs(scal)
+
+
 def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                       cfg: OracleConfig | None = None) -> GridState:
     """Propagate from the state's time label to t with the composed
@@ -153,7 +192,15 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                          2, axis=1)
     squares = np.empty(coef_map.shape[1])
     quad = 0.5 * (hxx + kt * Wa)
-    xmax = [float(np.max(np.abs(ax.points))) for ax in axes]
+    # the boundary tail at every midpoint: the squares of each face of the
+    # box, lower then upper per axis, gathered at once and summed per face
+    pairs = np.arange(squares.size).reshape(shape + (2,))
+    faces = [(a, face, pairs.take(idx, axis=a).ravel())
+             for a in range(n) for idx, face in ((0, "lower"), (-1, "upper"))]
+    face_index = np.concatenate([f[2] for f in faces])
+    face_starts = np.cumsum([0] + [f[2].size for f in faces[:-1]])
+    axis_points = [ax.points for ax in axes]
+    xmax = [float(np.max(np.abs(x))) for x in axis_points]
 
     # per substep, what the state does not set: its length h, the drive's
     # position row and the fused kinetic step after it
@@ -211,11 +258,22 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
         # the position moments at the substep's midpoint set its potential
         np.square(arr.reshape(-1).view(np.float64), out=squares)
         coef = (coef_map @ squares).tolist()
+        face_mass = np.add.reduceat(squares[face_index], face_starts)
+        if face_mass.max() >= TAIL_TOL * coef[0]:
+            i = int(np.argmax(face_mass))
+            raise ResolutionError(
+                f"boundary tail mass fraction {face_mass[i] / coef[0]:.3e} "
+                f"on the {faces[i][1]} face of axis {faces[i][0]} exceeds "
+                f"{TAIL_TOL:.1e} at t = {taus[sub]:.4g}")
         lin = [b + c / coef[0] for b, c in zip(hx[sub], coef[1:])]
         scal = coef[n + 1] / coef[0]
         table, qmax = tables[h] if tables else quadratic_table(quad[sub], h)
-        # an upper bound on max |v| over the grid, never below it
+        # an upper bound on max |v| over the grid, never below it; where
+        # it fails, the bound over the mass region may still pass
         vmax = qmax + sum(abs(b) * m for b, m in zip(lin, xmax)) + abs(scal)
+        if vmax * abs(h) / hbar >= PHASE_STEP_BOUND:
+            vmax = min(vmax, _region_vmax(squares, coef[0], axis_points,
+                                          quad[sub], lin, scal))
         if vmax * abs(h) / hbar >= PHASE_STEP_BOUND:
             raise StabilityError(
                 f"potential phase step exceeds {PHASE_STEP_BOUND} rad "
@@ -238,7 +296,9 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     if abs(norm1 - norm0) > NORM_DRIFT_TOL * norm0:
         raise StabilityError(
             f"norm drifted by {abs(norm1 - norm0) / norm0:.3e} over the run")
-    return GridState(axes, arr, t, hbar)
+    out = GridState(axes, arr, t, hbar)
+    check_resolved(out)
+    return out
 
 
 def apply_effective_hamiltonian(model: QuadraticModel,

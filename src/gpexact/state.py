@@ -9,6 +9,7 @@ TAIL_TOL and SPECTRAL_TOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +70,8 @@ class GridState:
             raise ValueError("psi contains non-finite amplitudes")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t = {self.t} is not a finite time")
         self.psi.flags.writeable = False
 
     @property

@@ -240,6 +240,20 @@ def test_oracle_and_quasi_energy_tasks(tmp_path):
     assert (out / "quasi_energy.csv").exists()
 
 
+def test_oracle_ladder_default(tmp_path):
+    """An omitted oracle_dt gives the rungs (2, sqrt 2, 1) x 9e-3, and the
+    ladder passes the default oracle tolerance and slope check."""
+    cfg = dict(SCENARIO)
+    cfg["grid"] = {"lo": -12.0, "hi": 12.0, "n": 512}
+    cfg["tasks"] = ["oracle-compare"]
+    out = tmp_path / "o"
+    assert main(["scenario", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = (out / "oracle_error.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == \
+        [2.0 * 9e-3, math.sqrt(2.0) * 9e-3, 9e-3]
+
+
 def test_file_initial_state(tmp_path):
     import gpexact as gx
     axis = gx.Axis(-12.0, 12.0, 1024)

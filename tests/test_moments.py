@@ -276,6 +276,20 @@ def test_gaussian_packet_alpha_must_be_finite_and_positive(axis_1024, alpha):
         gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.2], alpha)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_grid_state_time_must_be_finite(model_1d, axis_1024, t):
+    """A non-finite time label is refused where the state is built, with
+    the name t: by the packet constructor, by a relabelling, and so before
+    the oracle can count its steps from it."""
+    with pytest.raises(ValueError, match="t = .* is not a finite time"):
+        gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.2], [1.0], t=t)
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.2], [1.0])
+    with pytest.raises(ValueError, match="t = .* is not a finite time"):
+        psi.at_time(t)
+    with pytest.raises(ValueError, match="t = .* is not a finite time"):
+        gx.split_step_evolve(model_1d, psi.at_time(t), 1.0)
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_second_moments_reject_a_center_of_the_wrong_length(axis_1024, size):
     psi = gx.gaussian_packet((axis_1024,), 1.0, [0.4], [0.6], [1.2])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import gpexact as gx
-from gpexact.errors import ModelError, ResolutionError
+from gpexact.errors import ModelError, ResolutionError, StabilityError
 from gpexact.oracle import _potential_terms
+from gpexact.state import TAIL_TOL
 
 from conftest import KAPPA
 
@@ -250,7 +251,6 @@ def test_grid_mismatch_rejected(model_1d, axis_1024, axis_2048):
 def test_phase_step_bound_enforced(model_1d, axis_1024, params_1d):
     om = params_1d.Omega(KAPPA)
     psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.0], [om])
-    from gpexact.errors import StabilityError
     with pytest.raises(StabilityError):
         gx.split_step_evolve(model_1d, psi, 1.0, gx.OracleConfig(dt=0.5))
 
@@ -268,14 +268,25 @@ def test_oracle_rejects_a_non_finite_end_time(model_1d, displaced_gaussian,
         gx.split_step_evolve(model_1d, displaced_gaussian, t)
 
 
+def spanning_packet(axis):
+    """A wide packet whose mass region spans the box: the densities on both
+    faces lie between TAIL_TOL / npts and TAIL_TOL of the norm, so it
+    passes the resolution gate while the region bound reaches the faces,
+    where it reads the box bound's numbers."""
+    psi = gx.gaussian_packet((axis,), 1.0, [0.0], [0.0], [0.24])
+    dens = np.abs(psi.psi) ** 2 / np.sum(np.abs(psi.psi) ** 2)
+    assert TAIL_TOL / axis.num < min(dens[0], dens[-1])
+    gx.check_resolved(psi)
+    return psi
+
+
 def test_phase_bound_checks_each_substep(axis_1024):
     """The bound is taken against each substep's own length: at a dt where
     the outer substeps p dt stay under it but the backward middle one,
     |1 - 4p| dt long, does not, the run stops at that middle substep; at a
     dt where the middle one stays under it too, the run goes through."""
-    from gpexact.errors import StabilityError
     model = gx.harmonic_model(omega=1.0)  # no coupling: V = x^2 / 2
-    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
+    psi = spanning_packet(axis_1024)
     vmax = 0.5 * float(np.max(axis_1024.points ** 2))
     dt = 0.45 / (vmax * P)
     assert 0.45 * abs(1.0 - 4.0 * P) / P >= 0.5
@@ -291,10 +302,9 @@ def test_phase_bound_is_never_looser(axis_1024):
     Where the exact max |v| of the backward middle substep is just over
     the bound the run stops, though the quadratic part alone is under it;
     just under the bound, the run goes through."""
-    from gpexact.errors import StabilityError
     E = 1.0
     model = gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), np.array([0.0, -E]))
-    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
+    psi = spanning_packet(axis_1024)
     x = axis_1024.points
     vmax = float(np.max(np.abs(0.5 * x ** 2 - E * x)))
     middle = abs(1.0 - 4.0 * P)
@@ -304,6 +314,79 @@ def test_phase_bound_is_never_looser(axis_1024):
         gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
     dt = 0.49 / (vmax * middle)
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+
+
+def test_phase_bound_over_the_mass_region(axis_1024):
+    """Where the box bound fails, the bound over the mass region decides.
+    On the oscillator's ground state the region reaches X, the largest |x|
+    of a point either of whose squares exceeds TAIL_TOL / 2 of their mean;
+    the backward middle substep is refused just over
+    X^2 / 2 |1 - 4p| dt / hbar = 0.5 and goes through just under it, at a
+    dt the box bound alone refuses."""
+    model = gx.harmonic_model(omega=1.0)
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
+    squares = np.square(psi.psi.view(np.float64))
+    marked = squares > 0.5 * TAIL_TOL * squares.sum() / axis_1024.num
+    x = axis_1024.points[marked.reshape(-1, 2).any(axis=1)]
+    vmax = 0.5 * max(x[0] ** 2, x[-1] ** 2)
+    middle = abs(1.0 - 4.0 * P)
+    dt = 0.52 / (vmax * middle)
+    with pytest.raises(StabilityError, match=f"at t = {0.5 * dt:.4g};"):
+        gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+    dt = 0.48 / (vmax * middle)
+    assert 0.5 * float(np.max(axis_1024.points ** 2)) * middle * dt >= 0.5
+    gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+
+
+@pytest.mark.parametrize("x0", [0.5, 1.5])
+@pytest.mark.parametrize("p0", [-0.3, 0.3])
+def test_coarsest_default_rung_at_the_draw_corners(model_1d, params_1d,
+                                                   axis_2048, x0, p0):
+    """The CLI's coarsest default rung, 2 x 9e-3, is accepted to t = 2 at
+    each corner of the packets the certify benchmark draws on the README
+    grid."""
+    psi = gx.gaussian_packet((axis_2048,), 1.0, [x0], [p0],
+                             [params_1d.m * params_1d.Omega(KAPPA)])
+    ref = gx.split_step_evolve(model_1d, psi, 2.0,
+                               gx.OracleConfig(dt=2.0 * 9e-3))
+    assert gx.l2_distance(gx.evolve(model_1d, psi, 2.0), ref) <= 1e-6
+
+
+def test_packet_driven_into_a_face_is_refused(axis_1024):
+    """A drive that pushes the packet onto the upper face of the box, at a
+    dt every phase bound admits, ends in a ResolutionError that names the
+    axis, the face and the time."""
+    E = 5.5  # v = x^2 / 2 - E x: the packet swings out to x = 2 E = 11
+    model = gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), np.array([0.0, -E]))
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
+    with pytest.raises(ResolutionError,
+                       match="upper face of axis 0 exceeds .* at t = "):
+        gx.split_step_evolve(model, psi, math.pi, gx.OracleConfig(dt=5e-3))
+
+
+def test_face_is_checked_at_every_midpoint(model_1d, params_1d, axis_2048):
+    """A packet that swings out onto the upper face and back is resolved at
+    both ends, and the box-wide phase bound admits the run; the periodic
+    box carried the tail it lost there round to the other side, so it
+    ends 3e-6 from evolve's.  The boundary tail is checked at every
+    substep midpoint, so the run is refused."""
+    psi = gx.gaussian_packet((axis_2048,), 1.0, [5.5], [5.0],
+                             [params_1d.m * params_1d.Omega(KAPPA)])
+    gx.check_resolved(gx.evolve(model_1d, psi, 2.0))
+    with pytest.raises(ResolutionError, match="upper face of axis 0"):
+        gx.split_step_evolve(model_1d, psi, 2.0, gx.OracleConfig(dt=4.5e-3))
+
+
+def test_output_gate_refuses_a_spectral_tail():
+    """A linear potential kicks a free packet's momentum to 10, toward the
+    band edge of a 128-point box but not across it: every midpoint is
+    inside the box, and the output's spectral tail is refused."""
+    axis = gx.Axis(-12.0, 12.0, 128)
+    model = gx.make_model(1, 1.0, 1.0, 0.0, np.diag([1.0, 0.0]),
+                          np.array([0.0, -40.0]))
+    psi = gx.gaussian_packet((axis,), 1.0, [0.0], [0.0], [1.0])
+    with pytest.raises(ResolutionError, match="spectral tail fraction"):
+        gx.split_step_evolve(model, psi, 0.25, gx.OracleConfig(dt=1e-3))
 
 
 def test_oracle_rejects_zero_state(model_1d, axis_1024):
