@@ -7,19 +7,23 @@ applies it by trapezoid quadrature on the uniform grid.  The sampled kernel
 is a discrete linear canonical transform.  Its one-body chirps are products
 of 1D and 2D factors, one per axis and one per axis pair, never summed over
 the full grid; its cross term dx^T l3^(-1) dy is a Bluestein chirp
-convolution: O(N log N) per uncoupled axis.  An axis pair
-coupled through l3^(-1) is contracted in Fourier space: written through the
-Bluestein lag k = i_a - j_a of one axis, both cross terms split into a lag
-part, which joins a lag-kernel table built once per call (N^2 transforms),
-and parts that depend on the input or on the output indices alone.  All
-slices of the other axes then share one forward transform per line, one
-batched matrix product against the table and one inverse transform per
-line: O(N^4) time in 3D and O(N^3 log N) in 2D, in O(N^3) memory.  A leg
+convolution: O(N log N) per uncoupled axis.  Every unit-modulus factor is
+cos and sin of its real phase written into one complex array (bitwise the
+complex exp), and the even Bluestein weights are computed for m >= 0 only.
+An axis pair coupled through l3^(-1) is contracted in Fourier space:
+written through the Bluestein lag k = i_a - j_a of one axis, both cross
+terms split into a lag part, which joins a lag-kernel table built once per
+call (N^2 transforms), and parts that depend on the input or on the output
+indices alone.  All slices of the other axes then share one forward
+transform per line, one batched matrix product against the table and one
+inverse transform per line: O(N^4) time in 3D and O(N^3 log N) in 2D, in
+O(N^3) memory.  A leg
 may cross conjugate points, its branch read off the trajectory's frame; the
 plan splits the interval, and composes the legs of the one trajectory, only
 where a leg ends within the caustic tolerance of a conjugate point or its
 sampled kernel would alias.  Every leg's output passes the input resolution
-gate, so a returned state is a valid input of every other operation.
+gate, so a returned state is a valid input of every other operation; a
+state whose hbar is not the model's is refused before any work.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ import scipy.fft as sp_fft
 from .ehrenfest import MomentTrajectory, integrate_moments, matriciant_blocks
 from .errors import CausticError, PlanError, ResolutionError
 from .kernel import KernelContext, build_kernel_context
-from .model import QuadraticModel
+from .model import QuadraticModel, check_hbar
 from .moments import constants_of_motion
-from .state import Axis, GridState, check_resolved, support_radius
+from .state import Axis, GridState, _unit, check_resolved, support_radius
 
 ALIAS_MARGIN = 1.1  # alias-image clearance of the box, in support radii
 MAX_DEPTH = 8  # deepest bisection the planner tries
@@ -140,11 +144,14 @@ def _chirp(f: np.ndarray, offsets: tuple[np.ndarray, ...], lin: np.ndarray,
     spans its axis, so f is multiplied once per 2D factor (once in 1D).
     """
     n = len(offsets)
-    ones = [np.exp(1j * ((lin[a] - 0.5 * (quad[a, a] * d)) * d) / hbar)
+    # times 1/hbar, not over hbar: numpy evaluates exp(1j * x / hbar) with
+    # the phase x * (1/hbar), and the factors stay bitwise those
+    inv = 1.0 / hbar
+    ones = [_unit(((lin[a] - 0.5 * (quad[a, a] * d)) * d) * inv)
             for a, d in enumerate(offsets)]
     ones[0] = scalar * ones[0]
-    tables = [np.exp(-0.5j * (quad[a, b] + quad[b, a])
-                     * (offsets[a] * offsets[b]) / hbar)
+    tables = [_unit(-0.5 * (quad[a, b] + quad[b, a])
+                    * (offsets[a] * offsets[b]) * inv)
               for a in range(n) for b in range(a + 1, n)]
     for fac in ones:
         for i, tab in enumerate(tables):
@@ -165,17 +172,18 @@ def _bluestein(c: float, n: int):
     the sum is w[i] sum_j conj(w[i - j]) w[j] f[j], one FFT convolution at
     a length that holds every lag k = i - j without wrap-around.
 
-    Returns w, at index m + n - 1 for m from -(n - 1) to n - 1; the lag k
-    held by each slot of the convolution (lag k sits at slot k mod size);
-    and the lag chirp conj(w[k]) in those slots, zero on the padding.
+    Returns w[m] for m from 0 to n - 1 (w is even, so these are all its
+    values); the lag k held by each slot of the convolution (lag k sits at
+    slot k mod size); and the lag chirp conj(w[k]) in those slots, zero on
+    the padding.
     """
     size = sp_fft.next_fast_len(2 * n - 1)
-    m = np.arange(-(n - 1), n)
-    w = np.exp(0.5j * c * m.astype(float) ** 2)
+    w = _unit(0.5 * c * np.arange(n, dtype=float) ** 2)
     k = np.arange(size)
     k[n:] -= size
     lags = np.zeros(size, dtype=complex)
-    lags[m % size] = w.conj()
+    lags[:n] = w.conj()  # lags 0 .. n - 1
+    lags[size - n + 1:] = w[:0:-1].conj()  # lags -(n - 1) .. -1
     return w, k, lags
 
 
@@ -185,11 +193,11 @@ def _chirp_z(f: np.ndarray, c: float) -> np.ndarray:
     n = f.shape[-1]
     w, _, lags = _bluestein(c, n)
     buf = np.zeros(f.shape[:-1] + lags.shape, dtype=complex)
-    np.multiply(f, w[n - 1:], out=buf[..., :n])
+    np.multiply(f, w, out=buf[..., :n])
     spec = sp_fft.fft(buf, overwrite_x=True)
     spec *= sp_fft.fft(lags)
     out = sp_fft.ifft(spec, overwrite_x=True)[..., :n]
-    return out * w[n - 1:]
+    return out * w
 
 
 def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -223,13 +231,13 @@ def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int) -> np.ndarray:
     w, k, lags = _bluestein(C[a, a], na)
     ia = ja = np.arange(na)
     ib = jb = np.arange(nb)
-    in_factor = np.exp(1j * C[a, b] * np.outer(jb, ja)) * w[na - 1:]
+    in_factor = _unit(C[a, b] * np.outer(jb, ja)) * w
     spec = sp_fft.fft(g.reshape(nb, na, -1) * in_factor[..., None],
                       n=lags.size, axis=1, overwrite_x=True)  # [j_b, q, .]
     del f, g  # the input is not needed past its transform
-    table = np.exp(-1j * C[b, a] * np.outer(ib, k))[:, :, None] \
-        * (lags[:, None] * np.exp(1j * C[a, b] * np.outer(k, jb)))
-    table *= np.exp(1j * C[b, b] * np.outer(ib, jb))[:, None, :]
+    table = _unit(-C[b, a] * np.outer(ib, k))[:, :, None] \
+        * (lags[:, None] * _unit(C[a, b] * np.outer(k, jb)))
+    table *= _unit(C[b, b] * np.outer(ib, jb))[:, None, :]
     table = sp_fft.fft(table, axis=1, overwrite_x=True)  # [i_b, q, j_b]
     prod = np.empty((nb, lags.size, spec.shape[-1]), dtype=complex)
     # each q-matrix of the transposed views has unit stride along its rows,
@@ -238,7 +246,7 @@ def _chirp_z_pair(f: np.ndarray, C: np.ndarray, a: int, b: int) -> np.ndarray:
               out=prod.transpose(1, 0, 2))
     del table, spec
     out = sp_fft.ifft(prod, axis=1, overwrite_x=True)[:, :na]
-    out *= (np.exp(1j * C[b, a] * np.outer(ib, ia)) * w[na - 1:])[..., None]
+    out *= (_unit(C[b, a] * np.outer(ib, ia)) * w)[..., None]
     out = out.reshape((nb, na) + other)
     return np.moveaxis(out, (0, 1), (b, a))
 
@@ -303,7 +311,9 @@ def _recentered(axes: tuple[Axis, ...], center: np.ndarray) -> tuple[Axis, ...]:
 def evolve(model: QuadraticModel, psi: GridState, t: float,
            opts: EvolveOptions | None = None) -> GridState:
     """Propagate a localized state from its own time label to t; raises
-    ResolutionError rather than return a state it would refuse as input."""
+    ResolutionError rather than return a state it would refuse as input,
+    and ModelError for a state whose hbar is not the model's."""
+    check_hbar(model, psi.hbar)
     opts = opts or EvolveOptions()
     cons = constants_of_motion(model, psi)
     if t == psi.t:

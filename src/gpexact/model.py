@@ -155,6 +155,14 @@ class QuadraticModel:
     drive: tuple = field(default=None, repr=False)
 
 
+def check_hbar(model: QuadraticModel, hbar: float) -> None:
+    """ModelError unless a state's ``hbar`` is the model's: a propagation
+    has one hbar, in its kernel, its moments and its output label."""
+    if hbar != model.hbar:
+        raise ModelError(f"the state's hbar = {hbar} differs from the "
+                         f"model's hbar = {model.hbar}")
+
+
 def example_params(model: QuadraticModel, kind: type,
                    what: str = "this operation"):
     """The parameters of the example that built ``model``, which must be a

@@ -15,7 +15,9 @@ centered phase-space operator (spectral momenta, pointwise positions) for
 the operators that act with it.  Means are normalized by |psi|^2, also for
 unnormalized inputs; sums are trapezoid rules, spectrally accurate for
 states that decay inside the box.  Every public function here holds its
-input to :func:`check_resolved`.
+input to :func:`check_resolved`; :func:`constants_of_motion` runs the gate
+and the pass on one |psi|^2, and in 1D the gate's spectrum of psi is the
+forward transform of the momentum image.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from .ehrenfest import MomentPoint
 from .errors import ResolutionError
 from .model import QuadraticModel
-from .state import GridState, check_resolved, momentum_apply
+from .state import (GridState, _resolved, _spectral_momentum, check_resolved,
+                    momentum_apply)
 
 
 def centered_apply(state: GridState, arr: np.ndarray, i: int,
@@ -52,21 +55,27 @@ def _marginal(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 
 
 def _moment_pass(state: GridState, z: np.ndarray | None = None,
-                 second: bool = True
+                 second: bool = True, dens: np.ndarray | None = None,
+                 spec: np.ndarray | None = None
                  ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """(norm^2, z, Delta) in one pass; z is computed unless given, and
-    Delta is None unless ``second``."""
+    Delta is None unless ``second``.  ``dens`` and ``spec`` are what the
+    resolution gate returns (:func:`~gpexact.state._resolved`): |psi|^2,
+    formed here unless given, and in 1D the transform of psi, which the
+    pass then overwrites in place of its own forward transform."""
     n = state.n
     d = 2 * n
     if z is not None and np.shape(z) != (d,):
         raise ValueError(f"center z must have shape ({d},), not {np.shape(z)}")
     w = state.weight
     psi = state.psi
-    dens = np.abs(psi) ** 2
+    if dens is None:
+        dens = np.abs(psi) ** 2
     nrm = float(w * np.sum(dens))
     if nrm == 0.0:
         raise ResolutionError("zero-norm state has no moments")
-    img = [momentum_apply(state, psi, a) for a in range(n)]  # p_a psi
+    img = [momentum_apply(state, psi, a) for a in range(n)] if spec is None \
+        else [_spectral_momentum(state, spec, 0)]  # p_a psi
     marg = [_marginal(dens, (a,)) for a in range(n)]
     x = [ax.points for ax in state.axes]
     if z is None:
@@ -127,6 +136,8 @@ def effective_coupling(model: QuadraticModel, state: GridState) -> float:
 
 def constants_of_motion(model: QuadraticModel,
                         state: GridState) -> StateConstants:
-    check_resolved(state)
-    nrm, z, Delta = _moment_pass(state)
+    """The moment record of ``state``, read in one pass with the resolution
+    gate: both share |psi|^2, and in 1D the transform of psi."""
+    dens, spec = _resolved(state)
+    nrm, z, Delta = _moment_pass(state, dens=dens, spec=spec)
     return StateConstants(MomentPoint(z, Delta), nrm, model.kappa * nrm)

@@ -6,7 +6,8 @@ fourth-order scheme (M. Suzuki, Phys. Lett. A 146, 319 (1990)): one step of
 length dt is five Strang substeps of lengths p dt, p dt, (1 - 4p) dt, p dt,
 p dt with p = 1/(4 - 4^(1/3)), so the middle one runs backward.  The half
 kinetic steps that meet between consecutive substeps are fused into one, so
-each substep costs one forward/inverse FFT pair.  The potential of a
+each substep costs one forward/inverse FFT pair (in 1D through the one-axis
+transforms, without scipy's n-D dispatch).  The potential of a
 substep is built from the position moments of the state at the substep's
 midpoint, read in position space after its first kinetic half, exactly
 where the unfused composition reads them.  The nonlocal quadratic coupling
@@ -53,12 +54,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, ifftn
 
 from .errors import ModelError, ResolutionError, StabilityError
-from .model import QuadraticModel
+from .model import QuadraticModel, check_hbar
 from .moments import _moment_pass, centered_apply
 from .state import TAIL_TOL, GridState, check_resolved
+from .state import _fftn as fftn, _ifftn as ifftn, _unit
 
 
 NORM_DRIFT_TOL = 1e-6  # largest relative norm drift over a run
@@ -153,7 +154,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                       cfg: OracleConfig | None = None) -> GridState:
     """Propagate from the state's time label to t with the composed
     splitting; the model is checked first, at every substep midpoint, then
-    the state."""
+    its hbar against the state's, then the state."""
     if not math.isfinite(t):
         raise ValueError(f"oracle end time t = {t} is not finite")
     cfg = cfg or OracleConfig()
@@ -162,6 +163,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     dt = (t - s) / steps
     taus = (s + (np.arange(steps)[:, None] + _MIDPOINTS) * dt).ravel()
     hxx, hx, Wa, Wb, Wc = _potential_terms(model, taus)
+    check_hbar(model, psi.hbar)
     check_resolved(psi)
     if t == s:
         return psi
@@ -209,11 +211,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
 
     def quadratic_table(q, h):
         qx = quadratic_form(q).reshape(shape)
-        arg = qx * (-h / hbar)
-        table = np.empty(shape, dtype=np.complex128)
-        np.cos(arg, out=table.real)
-        np.sin(arg, out=table.imag)
-        return table, float(np.max(np.abs(qx)))
+        return _unit(qx * (-h / hbar)), float(np.max(np.abs(qx)))
 
     # a data model's quad is constant: one table per substep length
     tables = None if model.drive is None else {

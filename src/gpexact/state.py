@@ -2,24 +2,39 @@
 
 Axes are endpoint-exclusive: an axis (lo, hi, num) samples lo + j*(hi-lo)/num
 for j = 0..num-1, the natural convention for FFT-based spectral operators.
-States are expected to decay well inside the box; :func:`check_resolved`,
-the one resolution gate, holds every input and every propagated state to
-TAIL_TOL and SPECTRAL_TOL.
+An axis computes its points and wavenumbers once and hands out that one
+read-only array.  States are expected to decay well inside the box;
+:func:`check_resolved`, the one resolution gate, holds every input and
+every propagated state to TAIL_TOL and SPECTRAL_TOL.  Its private form
+:func:`_resolved` returns |psi|^2 and, in 1D, the spectrum it computed, so
+the moment record reads them instead of forming them again.  A transform
+over every axis of a 1D array goes through the one-axis routine
+(:func:`_fftn`, :func:`_ifftn`): bitwise the same, without scipy's n-D
+dispatch; and :func:`_unit` forms exp(i phase) of a real phase as its cos
+and sin, bitwise the complex exp, for the kernel's and the oracle's phase
+factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
-from scipy.fft import fft, fftfreq, fftn, ifft
+from scipy.fft import fft, fftfreq, fftn, ifft, ifftn
 
 from .errors import ResolutionError
 
 TAIL_TOL = 1e-16  # mass fraction: 1e-8 in L2 amplitude, the round-trip unit
 SPECTRAL_TOL = 1e-10
 SUPPORT_CUT = 1e-12
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -38,17 +53,25 @@ class Axis:
     def delta(self) -> float:
         return (self.hi - self.lo) / self.num
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return self.lo + self.delta * np.arange(self.num)
+        """The sample points, computed once per axis; read-only."""
+        return _read_only(self.lo + self.delta * np.arange(self.num))
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * fftfreq(self.num, d=self.delta)
+        """The FFT wavenumbers, computed once per axis; read-only."""
+        return _read_only(2.0 * np.pi * fftfreq(self.num, d=self.delta))
 
     @property
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickled or copied axis computes read-only
+        tables of its own, where copies of the cached ones would be
+        writable."""
+        return {"lo": self.lo, "hi": self.hi, "num": self.num}
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +91,8 @@ class GridState:
             object.__setattr__(self, "psi", self.psi.astype(np.complex128))
         if not np.all(np.isfinite(self.psi.view(np.float64))):
             raise ValueError("psi contains non-finite amplitudes")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar = {self.hbar} must be finite and positive")
         if not math.isfinite(self.t):
             raise ValueError(f"t = {self.t} is not a finite time")
         self.psi.flags.writeable = False
@@ -97,27 +120,52 @@ class GridState:
         return replace(self, t=t)
 
 
+def _fftn(x: np.ndarray, **kwargs) -> np.ndarray:
+    """scipy's fftn, through fft for a 1D array: bitwise the same, without
+    the n-D dispatch."""
+    return (fft if x.ndim == 1 else fftn)(x, **kwargs)
+
+
+def _ifftn(x: np.ndarray, **kwargs) -> np.ndarray:
+    """scipy's ifftn, through ifft for a 1D array, as :func:`_fftn`."""
+    return (ifft if x.ndim == 1 else ifftn)(x, **kwargs)
+
+
+def _unit(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for a real phase, as cos and sin written into one
+    complex array: bitwise np.exp(1j * phase), without the complex exp."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def momentum_apply(state: GridState, psi: np.ndarray, axis: int) -> np.ndarray:
     """Apply the momentum operator -i*hbar*d/dx_axis spectrally to ``psi``,
     any amplitude array on the state's grid (the state supplies only the
     grid and hbar): the package's one spectral derivative."""
-    k = state.axes[axis].wavenumbers
+    return _spectral_momentum(state, fft(psi, axis=axis), axis)
+
+
+def _spectral_momentum(state: GridState, spec: np.ndarray,
+                       axis: int) -> np.ndarray:
+    """:func:`momentum_apply` from ``spec``, the transform of the amplitudes
+    along ``axis``, which it overwrites."""
     shape = [1] * state.n
     shape[axis] = state.axes[axis].num
-    spec = fft(psi, axis=axis)
-    spec *= (state.hbar * k).reshape(shape)
+    spec *= (state.hbar * state.axes[axis].wavenumbers).reshape(shape)
     return ifft(spec, axis=axis)
 
 
-def boundary_tail_fraction(state: GridState) -> tuple[float, int, str]:
-    """Largest per-hyperface mass fraction sitting on the outermost grid
-    plane, with the axis and the face ("lower" or "upper") that holds it."""
-    dens = np.abs(state.psi) ** 2
+def _boundary_tail(dens: np.ndarray) -> tuple[float, int, str]:
+    """Largest per-hyperface mass fraction of the density ``dens`` sitting
+    on the outermost grid plane, with the axis and the face ("lower" or
+    "upper") that holds it."""
     total = float(dens.sum())
     worst = (0.0, 0, "lower")
     if total == 0.0:
         return worst
-    for a in range(state.n):
+    for a in range(dens.ndim):
         for idx, face in ((0, "lower"), (-1, "upper")):
             frac = float(dens.take(idx, axis=a).sum()) / total
             if frac > worst[0]:
@@ -125,16 +173,17 @@ def boundary_tail_fraction(state: GridState) -> tuple[float, int, str]:
     return worst
 
 
-def spectral_tail_fraction(state: GridState) -> float:
-    """Spectral mass fraction beyond 3/4 of the Nyquist band (aliasing guard)."""
-    spec = np.abs(fftn(state.psi)) ** 2
+def _spectral_tail(axes: tuple[Axis, ...], spec: np.ndarray) -> float:
+    """Spectral mass fraction beyond 3/4 of the Nyquist band (aliasing
+    guard) of the amplitudes whose transform is ``spec``."""
+    spec = np.abs(spec) ** 2
     total = float(spec.sum())
     if total == 0.0:
         return 0.0
-    inner = np.ones(state.psi.shape, dtype=bool)
-    for a, ax in enumerate(state.axes):
+    inner = np.ones(spec.shape, dtype=bool)
+    for a, ax in enumerate(axes):
         k = np.abs(ax.wavenumbers)
-        shape = [1] * state.n
+        shape = [1] * len(axes)
         shape[a] = ax.num
         inner &= (k < 0.75 * k.max()).reshape(shape)
     return float(spec[~inner].sum()) / total
@@ -142,15 +191,27 @@ def spectral_tail_fraction(state: GridState) -> float:
 
 def check_resolved(state: GridState) -> None:
     """ResolutionError unless both tails lie below their tolerances."""
-    tail, axis, face = boundary_tail_fraction(state)
+    _resolved(state)
+
+
+def _resolved(state: GridState) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`check_resolved`, returning what its tests computed for the
+    moment record to reuse: |psi|^2 and, in 1D only, the transform of psi,
+    which is also the forward transform of :func:`momentum_apply` along
+    axis 0.  An n-D transform is dropped here, so it never lives on
+    alongside the record's spectral images."""
+    dens = np.abs(state.psi) ** 2
+    tail, axis, face = _boundary_tail(dens)
     if tail >= TAIL_TOL:
         raise ResolutionError(
             f"boundary tail mass fraction {tail:.3e} on the {face} face of "
             f"axis {axis} exceeds {TAIL_TOL:.1e}")
-    alias = spectral_tail_fraction(state)
+    spec = _fftn(state.psi)
+    alias = _spectral_tail(state.axes, spec)
     if alias >= SPECTRAL_TOL:
         raise ResolutionError(
             f"spectral tail fraction {alias:.3e} exceeds {SPECTRAL_TOL:.1e}")
+    return dens, spec if state.n == 1 else None
 
 
 def support_radius(state: GridState, center: np.ndarray) -> float:
@@ -225,12 +286,18 @@ def load_state(path) -> GridState:
 
 def write_csv(path, header: list[str], rows) -> None:
     """The package's one CSV format: a header, %.16e values, LF line ends;
-    every row has one value per header column."""
-    line = ",".join(["%.16e"] * len(header)) + "\n"
+    every row has one value per header column, else ValueError before the
+    file is opened.  The body is formatted by one % operation."""
+    width = len(header)
+    rows = list(map(tuple, rows))
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ValueError(f"CSV row {i} has {len(rows[i])} values for "
+                         f"{width} columns")
+    line = ",".join(["%.16e"] * width) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row))
+        fh.write(line * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def dump_state_csv(state: GridState, path) -> None:

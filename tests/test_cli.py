@@ -468,6 +468,19 @@ def test_write_csv_bytes_pinned(tmp_path):
     assert b"4.9406564584124654e-324" in path.read_bytes()
 
 
+@pytest.mark.parametrize("rows, bad", [([(1.0, 2.0), (3.0,)], "row 1 has 1"),
+                                       ([(1.0, 2.0, 3.0), (4.0,)],
+                                        "row 0 has 3")])
+def test_write_csv_rejects_a_row_of_the_wrong_length(tmp_path, rows, bad):
+    """A row whose length is not the header's is refused before the file
+    is opened, also when a long and a short row hold the right total."""
+    from gpexact.state import write_csv
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=f"{bad} values for 2 columns"):
+        write_csv(path, ["a", "b"], rows)
+    assert not path.exists()
+
+
 # The driven-1d golden scenario on a grid small enough to run each mutation
 # in milliseconds ([-8, 8] keeps the base config past the alias gate at 128
 # points), with the default tolerances spelled out so they can be mutated.

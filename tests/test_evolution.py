@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sp_fft
 from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
-from gpexact.errors import CausticError, PlanError, ResolutionError
-from gpexact.evolution import (EvolveOptions, _apply_kernel, _chirp,
-                               _chirp_z_pair, _recentered, plan_evolution)
+from gpexact.errors import (CausticError, ModelError, PlanError,
+                            ResolutionError)
+from gpexact.evolution import (EvolveOptions, _apply_kernel, _bluestein,
+                               _chirp, _chirp_z_pair, _recentered,
+                               plan_evolution)
 from gpexact.kernel import conjugate_point_units
 
 from conftest import KAPPA, forced_oscillator_mean, oracle_models, \
@@ -463,6 +466,30 @@ def test_chirp_factors_match_the_quadratic_form(n):
         assert np.array_equal(got, want)
     else:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("c, n", [(0.003, 2048), (-0.7, 9), (2.5, 64),
+                                  (1e-5, 1)])
+def test_bluestein_weights_match_the_full_length_formula(c, n):
+    """The n weights w[0..n-1], and the lag chirp filled from them, are
+    bitwise those of exp(i c m^2 / 2) over every lag m in -(n-1)..n-1."""
+    size = sp_fft.next_fast_len(2 * n - 1)
+    m = np.arange(-(n - 1), n)
+    full = np.exp(0.5j * c * m.astype(float) ** 2)
+    full_lags = np.zeros(size, dtype=complex)
+    full_lags[m % size] = full.conj()
+    w, k, lags = _bluestein(c, n)
+    assert w.tobytes() == full[n - 1:].tobytes()
+    assert lags.tobytes() == full_lags.tobytes()
+    assert np.array_equal(k[m % size], m)
+
+
+def test_evolve_refuses_a_state_of_another_hbar(axis_1024):
+    """A state's hbar must be the model's: the kernel, the moments and the
+    output label would otherwise each take one of the two."""
+    psi = gx.gaussian_packet((axis_1024,), 2.0, [1.0], [0.2], [1.0])
+    with pytest.raises(ModelError, match="hbar = 2.0 .* hbar = 1.0"):
+        gx.evolve(gx.harmonic_model(), psi, 0.5)
 
 
 def brute_force_pair(f, C, a, b):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -142,6 +145,11 @@ def _unnormalized_state(n):
         one = gx.gaussian_packet((gx.Axis(-12.0, 12.0, 1024),), 1.0, [0.7],
                                  [-0.4], [1.3])
         return one.with_psi(1.7 * one.psi)
+    if n == 2:
+        two = gx.gaussian_packet((gx.Axis(-9.0, 9.0, 96),) * 2, 1.0,
+                                 [0.5, -0.3], [-0.2, 0.3], [1.1, 0.9])
+        x, y = two.grids()
+        return two.with_psi(1.3 * two.psi * np.exp(0.15j * x * y))
     three = gx.gaussian_packet((gx.Axis(-8.0, 8.0, 48),) * 3, 1.0,
                                [0.3, -0.2, 0.1], [0.4, 0.1, -0.3],
                                [1.0, 1.3, 0.8])
@@ -149,8 +157,10 @@ def _unnormalized_state(n):
     return three.with_psi(0.6 * three.psi * np.exp(0.2j * x * y))
 
 
-@pytest.mark.parametrize("n", [1, 3], ids=["1d", "3d"])
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["1d", "2d", "3d"])
 def test_moment_record_matches_the_moment_functions(model_1d, n):
+    """The record shares |psi|^2 (and in 1D the spectrum) with the gate;
+    the moment functions read the state afresh.  Both agree bitwise."""
     psi = _unnormalized_state(n)
     cons = gx.constants_of_motion(model_1d, psi)
     z = gx.first_moments(psi)
@@ -288,6 +298,41 @@ def test_grid_state_time_must_be_finite(model_1d, axis_1024, t):
         psi.at_time(t)
     with pytest.raises(ValueError, match="t = .* is not a finite time"):
         gx.split_step_evolve(model_1d, psi.at_time(t), 1.0)
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, 0.0, -1.0])
+def test_grid_state_hbar_must_be_finite_and_positive(axis_1024, hbar):
+    with pytest.raises(ValueError, match="hbar = .* finite and positive"):
+        gx.GridState((axis_1024,), np.ones(axis_1024.num, dtype=complex),
+                     0.0, hbar)
+
+
+def test_axis_tables_are_cached_and_read_only():
+    """points and wavenumbers are computed once per axis and shared, so no
+    caller may write into them; a replaced, copied or unpickled axis has
+    read-only tables of its own, and the cache is no part of equality or
+    hashing."""
+    ax = gx.Axis(-3.0, 5.0, 16)
+    for name in ("points", "wavenumbers"):
+        table = getattr(ax, name)
+        assert getattr(ax, name) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+        for twin in (dataclasses.replace(ax), copy.deepcopy(ax),
+                     pickle.loads(pickle.dumps(ax))):
+            assert twin == ax
+            assert np.array_equal(getattr(twin, name), table)
+            assert getattr(twin, name) is not table
+            assert not getattr(twin, name).flags.writeable
+    assert np.array_equal(ax.points, -3.0 + 0.5 * np.arange(16))
+    moved = dataclasses.replace(ax, hi=7.0)
+    assert np.array_equal(moved.points, -3.0 + 0.625 * np.arange(16))
+    twin = gx.Axis(-3.0, 5.0, 16)
+    assert twin == ax and hash(twin) == hash(ax) == hash((-3.0, 5.0, 16))
+    assert moved != ax
 
 
 @pytest.mark.parametrize("size", [1, 3])

@@ -79,6 +79,14 @@ def test_oracle_checks_the_kinetic_split_at_every_time(axis_1024):
         gx.split_step_evolve(model, psi, 2.0)
 
 
+def test_oracle_refuses_a_state_of_another_hbar(axis_1024):
+    """The oracle evolves with the model's hbar, so a state of another one
+    is refused, not returned relabelled."""
+    psi = gx.gaussian_packet((axis_1024,), 2.0, [1.0], [0.2], [1.0])
+    with pytest.raises(ModelError, match="hbar = 2.0 .* hbar = 1.0"):
+        gx.split_step_evolve(gx.harmonic_model(), psi, 0.5)
+
+
 def count_transforms(monkeypatch):
     """Record every forward and inverse transform the oracle makes."""
     from gpexact import oracle
