@@ -3,19 +3,20 @@
 
 For seeded 1D, 2D and 3D cases over a ladder of steps, each run is made
 twice.  Once by an independent numpy loop over the same composition
-(Suzuki's five Strang substeps K/2 V K/2, the moments read at each
-substep's midpoint by direct sums) that refuses nothing and measures, per
+(Suzuki's five Strang substeps V/2 K V/2, the two potential halves that
+meet between substeps merged into one flow, with the moments read where
+each flow stands by direct sums) that refuses nothing and measures, per
 run: the box gate, max |V| |h| / hbar over the grid as the oracle bounds
 it; the gate, min(box, region) with the region bound of
 `oracle._region_vmax`'s docstring; the largest boundary tail fraction at
-any midpoint; and whether the output passes `check_resolved`.  Once with
-`split_step_evolve`, whose verdict must be the one those numbers predict:
-"phase" (a phase step at or over PHASE_STEP_BOUND), "face" (a midpoint's
-boundary tail at or over TAIL_TOL), "output" (an unresolved output) or
-"accept", each at the first substep where it fails.  The error is the L2
-distance to `evolve` of the oracle's output where it accepts, else of the
-loop's.  Prints one Markdown row per run and exits 1 if the oracle accepts
-a run whose error exceeds 2e-6.
+any potential flow; and whether the output passes `check_resolved`.  Once
+with `split_step_evolve`, whose verdict must be the one those numbers
+predict: "phase" (a phase step at or over PHASE_STEP_BOUND), "face" (a
+boundary tail at or over TAIL_TOL where a flow stands), "output" (an
+unresolved output) or "accept", each at the first flow where it fails.
+The error is the L2 distance to `evolve` of the oracle's output where it
+accepts, else of the loop's.  Prints one Markdown row per run and exits 1
+if the oracle accepts a run whose error exceeds 2e-6.
 
 Usage: OPENBLAS_NUM_THREADS=1 python docs/calibrate_phase_gate.py
 """
@@ -55,7 +56,7 @@ def face_fraction(dens):
 
 def open_run(model, psi, t, dt):
     """The composition with every gate held open: (box gate, gate, largest
-    midpoint face fraction, first failing substep per gate, output)."""
+    face fraction, first failing potential flow per gate, output)."""
     n, hbar = model.n, model.hbar
     kt = model.kappa * gx.norm_squared(psi)
     Wa, Wb, Wc = (W[n:, n:] for W in (model.Wzz, model.Wzw, model.Www))
@@ -67,49 +68,55 @@ def open_run(model, psi, t, dt):
     steps = max(1, round(abs(t - psi.t) / dt))
     dt = (t - psi.t) / steps
     arr = np.array(psi.psi)
-    box_gate = gate = face = 0.0
+    gates = {"box": 0.0, "gate": 0.0, "face": 0.0}
     first = {}
-    sub = 0
+
+    def potential_flow(arr, tau, h, sub):
+        dens = np.abs(arr) ** 2
+        nrm = dens.sum()
+        mean = np.array([np.sum(dens * x) / nrm for x in grids])
+        second = np.array([[np.sum(dens * xa * xb) / nrm for xb in grids]
+                           for xa in grids])
+        q = 0.5 * (model.Hzz(tau)[n:, n:] + kt * Wa)
+        lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
+        scal = 0.5 * kt * np.trace(Wc @ second)
+        quad = sum(q[a, b] * grids[a] * grids[b]
+                   for a in range(n) for b in range(n))
+        box = np.max(np.abs(quad)) + np.abs(lin) @ xmax + abs(scal)
+        X = region_reach(arr, points)
+        region = X @ np.abs(q) @ X + np.abs(lin) @ X + abs(scal)
+        sub_face = face_fraction(dens)
+        sub_gate = min(box, region) * abs(h) / hbar
+        if sub_face >= TAIL_TOL:
+            first.setdefault("face", sub)
+        if sub_gate >= PHASE_STEP_BOUND:
+            first.setdefault("phase", sub)
+        gates["box"] = max(gates["box"], box * abs(h) / hbar)
+        gates["gate"] = max(gates["gate"], sub_gate)
+        gates["face"] = max(gates["face"], sub_face)
+        v = quad + sum(b * x for b, x in zip(lin, grids)) + scal
+        return arr * np.exp(-1j * h * v / hbar)
+
+    # each substep's closing potential half waits for the next substep's
+    # opening half at the same time, with the same density, and both run
+    # as one flow
+    kinetic = {w: np.exp(-1j * hbar * k2 * w * dt / (2.0 * model.mass))
+               for w in set(SUZUKI)}
+    tau, pending, sub = psi.t, 0.0, 0
     for step in range(steps):
-        start = psi.t + step * dt
         for w in SUZUKI:
             h = w * dt
-            tau = start + 0.5 * h
-            start += h
-            half = np.exp(-1j * hbar * k2 * h / (4.0 * model.mass))
-            arr = np.fft.ifftn(half * np.fft.fftn(arr))
-            dens = np.abs(arr) ** 2
-            nrm = dens.sum()
-            mean = np.array([np.sum(dens * x) / nrm for x in grids])
-            second = np.array([[np.sum(dens * xa * xb) / nrm for xb in grids]
-                               for xa in grids])
-            q = 0.5 * (model.Hzz(tau)[n:, n:] + kt * Wa)
-            lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
-            scal = 0.5 * kt * np.trace(Wc @ second)
-            quad = sum(q[a, b] * grids[a] * grids[b]
-                       for a in range(n) for b in range(n))
-            box = np.max(np.abs(quad)) + np.abs(lin) @ xmax + abs(scal)
-            X = region_reach(arr, points)
-            region = X @ np.abs(q) @ X + np.abs(lin) @ X + abs(scal)
-            sub_face = face_fraction(dens)
-            sub_gate = min(box, region) * abs(h) / hbar
-            if sub_face >= TAIL_TOL:
-                first.setdefault("face", sub)
-            if sub_gate >= PHASE_STEP_BOUND:
-                first.setdefault("phase", sub)
-            box_gate = max(box_gate, box * abs(h) / hbar)
-            gate = max(gate, sub_gate)
-            face = max(face, sub_face)
-            v = quad + sum(b * x for b, x in zip(lin, grids)) + scal
-            arr = arr * np.exp(-1j * h * v / hbar)
-            arr = np.fft.ifftn(half * np.fft.fftn(arr))
-            sub += 1
-    return box_gate, gate, face, first, psi.with_psi(arr, t)
+            arr = potential_flow(arr, tau, pending + 0.5 * h, sub)
+            arr = np.fft.ifftn(kinetic[w] * np.fft.fftn(arr))
+            tau, pending, sub = tau + h, 0.5 * h, sub + 1
+    arr = potential_flow(arr, t, pending, sub)
+    return gates["box"], gates["gate"], gates["face"], first, \
+        psi.with_psi(arr, t)
 
 
 def predicted(first, out):
-    """The oracle's verdict from the held-open run: within a substep the
-    face is checked before the phase step."""
+    """The oracle's verdict from the held-open run: within a flow the face
+    is checked before the phase step."""
     if first:
         return min(first, key=lambda k: (first[k], k != "face"))
     try:
@@ -179,7 +186,7 @@ def model_2d(rng, drive):
 
 def cases():
     """(label, model, psi, t, dts) for every calibrated case."""
-    ladder = [9e-3 * f for f in (1.0, math.sqrt(2.0), 2.0, 8.0 / 3.0, 4.0,
+    ladder = [1.4e-2 * f for f in (1.0, math.sqrt(2.0), 2.0, 8.0 / 3.0, 4.0,
                                  8.0, 16.0)]
     coarse = ladder[2:]
     model, om = readme_model()
@@ -191,7 +198,7 @@ def cases():
                 readme_packet(x0, p0, om), 2.0, coarse
     for x0, p0 in ((6.0, 0.0), (-6.0, 0.0), (5.5, 1.5), (5.5, 5.0)):
         yield f"README model, near a face ({x0}, {p0})", model, \
-            readme_packet(x0, p0, om), 2.0, [4.5e-3] + ladder[:5]
+            readme_packet(x0, p0, om), 2.0, [7e-3] + ladder[:5]
     for E in (1.0, 3.0):
         model_e, om_e = readme_model(E)
         yield f"README model, drive E = {E}", model_e, \
@@ -204,18 +211,18 @@ def cases():
         model, T = oracle_model_draw(np.random.default_rng(seed))
         psi = gx.gaussian_packet((axis,), 1.0, [0.3], [0.1], [1.0])
         yield f"oracle_models draw, seed {seed}", model, psi, T, \
-            [4.5e-3, 1.8e-2, 3.6e-2, 7.2e-2, 0.144]
+            [7e-3, 2.8e-2, 5.6e-2, 0.112, 0.224]
     axes = (gx.Axis(-8.0, 8.0, 64),) * 2
     for seed, drive in ((0, 0.3), (1, 0.3), (2, 3.0)):
         model = model_2d(np.random.default_rng(seed), drive)
         psi = gx.gaussian_packet(axes, 1.0, [0.5, -0.3], [0.2, 0.1], 1.0)
         yield f"2D draw, seed {seed}, drive {drive}", model, psi, 1.0, \
-            [9e-3, 1.8e-2, 3.6e-2, 7.2e-2, 0.144]
+            [1.4e-2, 2.8e-2, 5.6e-2, 0.112, 0.224]
     params = gx.Example3DParams(H_field=0.0)
     model = gx.model_3d(params, hbar=1.0, kappa=0.5)
     w1, w2 = params.frequencies(0.5)
     alpha = [params.m * w1, params.m * w1, params.m * w2]
-    for num, dts in ((64, [8e-3, 1.6e-2, 3.2e-2]),):
+    for num, dts in ((64, [1.6e-2, 2.4e-2, 3.2e-2]),):
         axes = (gx.Axis(-8.0, 8.0, num),) * 3
         psi = gx.gaussian_packet(axes, 1.0, [0.5, 0.0, -0.3],
                                  [0.0, 0.2, 0.0], alpha)

@@ -1,47 +1,53 @@
 """Independent split-step spectral reference integrator and residual checks.
 
-The second-order Strang step K/2 V K/2 (K a kinetic step, a spectral
-multiplier; V a potential step) is composed into Suzuki's symmetric
+The second-order Strang step V/2 K V/2 (V a potential step; K a kinetic
+step, a spectral multiplier) is composed into Suzuki's symmetric
 fourth-order scheme (M. Suzuki, Phys. Lett. A 146, 319 (1990)): one step of
 length dt is five Strang substeps of lengths p dt, p dt, (1 - 4p) dt, p dt,
-p dt with p = 1/(4 - 4^(1/3)), so the middle one runs backward.  The half
-kinetic steps that meet between consecutive substeps are fused into one, so
-each substep costs one forward/inverse FFT pair (in 1D through the one-axis
-transforms, without scipy's n-D dispatch).  The potential of a
-substep is built from the position moments of the state at the substep's
-midpoint, read in position space after its first kinetic half, exactly
-where the unfused composition reads them.  The nonlocal quadratic coupling
-collapses exactly to a time-dependent quadratic potential built from those
-moments, so no convolution is needed.  Both part flows are exact for either
-sign of the substep, and the potential flow leaves |psi|^2 unchanged, so
-the composition is fourth order in dt; used only to certify the kernel
-propagator, never the other way around.
+p dt with p = 1/(4 - 4^(1/3)), so the middle one runs backward.  A potential
+flow leaves |psi|^2 unchanged, so the half potential steps that meet
+between consecutive substeps read the same moments at the same time and
+merge exactly into one.  A step is then five kinetic multipliers of lengths
+p, p, 1 - 4p, p, p times dt, each one forward/inverse FFT pair (in 1D
+through the one-axis transforms, without scipy's n-D dispatch), with a
+potential flow at each kinetic boundary s + (k + B) dt, B = 0, p, 2p,
+1 - 2p, 1 - p, of length p, p, (1 - 3p)/2, (1 - 3p)/2, p times dt; the run
+opens at s and closes at t with a flow of p/2 dt.  The state starts and
+ends in position space, so a run of n steps makes 5n transforms each
+way.  The phase gate below binds on the longest potential flow, p dt ~
+0.41 dt; with the kinetic step outside (K/2 V K/2) it would be the
+backward |1 - 4p| dt ~ 0.66 dt.  The nonlocal quadratic coupling collapses
+exactly to a quadratic potential built from the position moments of the
+state where the flow stands, so no convolution is needed.  Both part flows
+are exact for either sign of their length, so the composition is fourth
+order in dt; used only to certify the kernel propagator, never the other
+way around.
 
-A substep does only the work that depends on the state.  The model is read
-once per run, before the first transform: Hzz and Hz at every substep
-midpoint, checked in one pass; a model whose Hzz and Hz are data has its
-drive evaluated at all midpoints in one vectorized cos/sin over
+A flow does only the work that depends on the state.  The model is read
+once per run, before the first transform: Hzz and Hz at every potential
+flow's time, checked in one pass; a model whose Hzz and Hz are data has its
+drive evaluated at all those times in one vectorized cos/sin over
 ``model.drive``, a callable one is called at each.  What the state does not
-set is a per-run list, one entry per substep: its length, the drive's
-position row, and the fused kinetic multiplier after it.  In the loop, the
-midpoint moments are one product of a fixed map with the squared float64
-view of the state, taken to Python floats once.  The potential phase
+set is a per-run list, one entry per flow: its length, the drive's
+position row, and the kinetic multiplier before it.  In the loop, the
+moments are one product of a fixed map with the squared float64 view of
+the state, taken to Python floats once.  The potential phase
 exp(-i h v / hbar) is a quadratic phase table times one linear factor per
 axis times a scalar.  A data model's quadratic coefficient is constant, so
-it builds one table per substep length; a callable model rebuilds its table
-at every substep.  An axis of num points splits as num = coarse * fine,
-fine the largest divisor of num up to sqrt(num); its linear factor is the
-outer product of a coarse and a fine table, cos and sin of one angle
-vector of coarse + fine points, written into buffers allocated once per
-run and applied to the state through a reshape.
+it builds one table per flow length (three of them); a callable model
+rebuilds its table at every flow.  An axis of num points splits as
+num = coarse * fine, fine the largest divisor of num up to sqrt(num); its
+linear factor is the outer product of a coarse and a fine table, cos and
+sin of one angle vector of coarse + fine points, written into buffers
+allocated once per run and applied to the state through a reshape.
 
-Three gates hold the run to the box.  At every midpoint, the boundary
+Three gates hold the run to the box.  At every potential flow, the boundary
 tail of :func:`check_resolved`: the squares of each face of the box,
 gathered and summed per face, against TAIL_TOL of their total.  At every
-substep, the phase bound |v| |h| / hbar < PHASE_STEP_BOUND, against an
-upper bound on |v| where the state has mass: first over the grid, the
-table's maximum plus sum |lin_a| max |x_a| plus |scal|, never below the
-exact max |v|; only where that fails, over the midpoint's mass region
+flow, the phase bound |v| |h| / hbar < PHASE_STEP_BOUND on its own length
+h, against an upper bound on |v| where the state has mass: first over the
+grid, the table's maximum plus sum |lin_a| max |x_a| plus |scal|, never
+below the exact max |v|; only where that fails, over the flow's mass region
 (:func:`_region_vmax`), and the smaller of the two is checked.  A run the
 grid bound admits does the same arithmetic as without the region bound.
 At the end, the output must pass :func:`check_resolved`, as the output of
@@ -63,13 +69,16 @@ from .state import _fftn as fftn, _ifftn as ifftn, _unit
 
 
 NORM_DRIFT_TOL = 1e-6  # largest relative norm drift over a run
-PHASE_STEP_BOUND = 0.5  # largest |V| |substep| / hbar of one potential step
+PHASE_STEP_BOUND = 0.5  # largest |V| |h| / hbar of one potential flow
 
 _P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-# substep lengths in units of dt, and each substep's midpoint offset from
-# the start of its step
-_WEIGHTS = np.array([_P, _P, 1.0 - 4.0 * _P, _P, _P])
-_MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS
+# per step, in units of dt: the kinetic flow lengths, the offsets of the
+# kinetic boundaries from the start of the step, and the length of the
+# potential flow at each boundary, the merged halves of the two Strang
+# substeps that meet there
+_KINETIC = np.array([_P, _P, 1.0 - 4.0 * _P, _P, _P])
+_BOUNDARIES = np.cumsum(_KINETIC) - _KINETIC
+_POTENTIAL = 0.5 * (_KINETIC + np.roll(_KINETIC, 1))
 
 
 @dataclass(frozen=True)
@@ -86,12 +95,12 @@ _SPLIT_ERRORS = ("vanishing momentum-position coupling in Hzz",
 
 
 def _potential_terms(model: QuadraticModel, taus: np.ndarray):
-    """The position blocks of Hzz and Hz at every substep midpoint and of
-    the interaction, checked in one pass to split into the kinetic term
+    """The position blocks of Hzz and Hz at every potential flow's time and
+    of the interaction, checked in one pass to split into the kinetic term
     (the momentum rows of Hzz are [I/m, 0]) and a position potential; the
-    first midpoint where they do not is named.  A model whose Hzz and Hz
-    are data is read off ``model.drive`` at all midpoints at once; a
-    callable one is called at each."""
+    first of ``taus``, in run order, where they do not is named.  A model
+    whose Hzz and Hz are data is read off ``model.drive`` at all times at
+    once; a callable one is called at each."""
     n = model.n
     if model.drive is None:
         hzz = np.array([model.Hzz(tau) for tau in taus])
@@ -123,7 +132,7 @@ def _potential_terms(model: QuadraticModel, taus: np.ndarray):
 
 def _region_vmax(squares, total, points, q, lin, scal) -> float:
     """An upper bound on |v| = |x.q.x + lin.x + scal| over the region that
-    holds all but TAIL_TOL of the midpoint's norm.
+    holds all but TAIL_TOL of the state's norm.
 
     ``squares`` is the squared float64 view of the state, (re, im) pairs
     in the grid's order, ``total`` their sum and ``points`` the axes'
@@ -153,15 +162,16 @@ def _region_vmax(squares, total, points, q, lin, scal) -> float:
 def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                       cfg: OracleConfig | None = None) -> GridState:
     """Propagate from the state's time label to t with the composed
-    splitting; the model is checked first, at every substep midpoint, then
-    its hbar against the state's, then the state."""
+    splitting; the model is checked first, at every potential flow's time,
+    then its hbar against the state's, then the state."""
     if not math.isfinite(t):
         raise ValueError(f"oracle end time t = {t} is not finite")
     cfg = cfg or OracleConfig()
     s = psi.t
     steps = max(1, round(abs(t - s) / cfg.dt))
     dt = (t - s) / steps
-    taus = (s + (np.arange(steps)[:, None] + _MIDPOINTS) * dt).ravel()
+    taus = np.append(
+        (s + (np.arange(steps)[:, None] + _BOUNDARIES) * dt).ravel(), t)
     hxx, hx, Wa, Wb, Wc = _potential_terms(model, taus)
     check_hbar(model, psi.hbar)
     check_resolved(psi)
@@ -176,7 +186,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
         raise ResolutionError("zero-norm state has no mean field")
     kt = model.kappa * norm0
 
-    # the potential of a substep is v = x.quad.x + lin.x + scal; its
+    # the potential of a flow is v = x.quad.x + lin.x + scal; its
     # density-dependent parts come from one linear map of |psi|^2, whose
     # rows are 1, kt Wb x and kt x.Wc.x / 2 (so after dividing by the
     # first, lin = hx + kt Wb <x> and scal = kt tr(Wc <x x^T>) / 2).  It
@@ -194,7 +204,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                          2, axis=1)
     squares = np.empty(coef_map.shape[1])
     quad = 0.5 * (hxx + kt * Wa)
-    # the boundary tail at every midpoint: the squares of each face of the
+    # the boundary tail at every flow: the squares of each face of the
     # box, lower then upper per axis, gathered at once and summed per face
     pairs = np.arange(squares.size).reshape(shape + (2,))
     faces = [(a, face, pairs.take(idx, axis=a).ravel())
@@ -204,16 +214,18 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     axis_points = [ax.points for ax in axes]
     xmax = [float(np.max(np.abs(x))) for x in axis_points]
 
-    # per substep, what the state does not set: its length h, the drive's
-    # position row and the fused kinetic step after it
-    hs = (np.tile(_WEIGHTS, steps) * dt).tolist()
+    # per potential flow, what the state does not set: its length h and
+    # the drive's position row; the run opens and closes with half a flow
+    lengths = np.tile(_POTENTIAL, steps + 1)[:5 * steps + 1]
+    lengths[[0, -1]] = 0.5 * _P
+    hs = (lengths * dt).tolist()
     hx = hx.tolist()
 
     def quadratic_table(q, h):
         qx = quadratic_form(q).reshape(shape)
         return _unit(qx * (-h / hbar)), float(np.max(np.abs(qx)))
 
-    # a data model's quad is constant: one table per substep length
+    # a data model's quad is constant: one table per flow length
     tables = None if model.drive is None else {
         h: quadratic_table(quad[0], h) for h in set(hs)}
 
@@ -242,18 +254,18 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     def kinetic_step(frac):
         return np.exp(-1j * hbar * k2 * (frac * dt) / (2.0 * model.mass))
 
-    kin_edge = kinetic_step(_P / 2.0)
     kin_outer = kinetic_step(_P)
-    kin_inner = kinetic_step((1.0 - 3.0 * _P) / 2.0)
-    after = [kin_outer, kin_inner, kin_inner, kin_outer, kin_outer] * steps
-    after[-1] = kin_edge  # the run closes with a half kinetic step
+    kin_middle = kinetic_step(1.0 - 4.0 * _P)
+    before = [kin_outer, kin_outer, kin_middle, kin_outer, kin_outer] * steps
 
-    spec = fftn(psi.psi)
-    spec *= kin_edge
+    arr = psi.psi.copy()
     for sub, h in enumerate(hs):
         neg = -h / hbar
-        arr = ifftn(spec, overwrite_x=True)
-        # the position moments at the substep's midpoint set its potential
+        if sub:  # the kinetic flow that leads to this one
+            spec = fftn(arr, overwrite_x=True)
+            spec *= before[sub - 1]
+            arr = ifftn(spec, overwrite_x=True)
+        # the position moments where the flow stands set its potential
         np.square(arr.reshape(-1).view(np.float64), out=squares)
         coef = (coef_map @ squares).tolist()
         face_mass = np.add.reduceat(squares[face_index], face_starts)
@@ -286,9 +298,6 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
             np.sin(angle, out=sin)
             np.multiply(col, row, out=outer)
             arr *= factor
-        spec = fftn(arr, overwrite_x=True)
-        spec *= after[sub]
-    arr = ifftn(spec, overwrite_x=True)
 
     norm1 = float(w * np.sum(np.abs(arr) ** 2))
     if abs(norm1 - norm0) > NORM_DRIFT_TOL * norm0:

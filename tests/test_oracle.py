@@ -11,11 +11,12 @@ from gpexact.state import TAIL_TOL
 
 from conftest import KAPPA
 
-# Suzuki's five substep lengths, in units of the step, and each substep's
-# midpoint offset from the start of its step
+# Suzuki's five substep lengths, in units of the step, and the offsets of
+# the kinetic boundaries from the start of the step, where the merged
+# potential flows stand
 P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 SUZUKI = (P, P, 1.0 - 4.0 * P, P, P)
-MIDPOINTS = np.cumsum(SUZUKI) - 0.5 * np.array(SUZUKI)
+BOUNDARIES = (0.0, P, 2.0 * P, 1.0 - 2.0 * P, 1.0 - P)
 
 
 def test_free_gaussian_spreading(axis_2048):
@@ -106,21 +107,22 @@ def count_transforms(monkeypatch):
 
 
 def test_model_refused_before_the_first_transform(monkeypatch, axis_1024):
-    """The model is read at every substep midpoint before the loop: an Hpp
-    that leaves I/m only after the second-latest midpoint is refused at the
-    latest one, the last substep's, and the state is never transformed."""
+    """The model is read at every potential flow's time before the loop:
+    an Hpp that leaves I/m only after the second-latest flow time is
+    refused at the latest one, the closing half flow at the end time t,
+    and the state is never transformed."""
     calls = count_transforms(monkeypatch)
     dt, steps = 4.5e-3, 20
-    # the two latest substep midpoints of the run, both in its last step
-    mids = np.sort(MIDPOINTS)
-    cut = (steps - 1 + 0.5 * (mids[-2] + mids[-1])) * dt
+    t = steps * dt
+    # the second-latest flow stands at 2p dt into the last step, past
+    # 1 - p, since the middle kinetic flow between them runs backward
+    cut = t - 0.5 * (1.0 - 2.0 * P) * dt
     model = gx.make_model(
         1, 1.0, 1.0, 0.0,
         lambda t: np.diag([1.0 if t < cut else 1.5, 1.0]), np.zeros(2))
     psi = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.0], [1.0])
-    last = (steps - 1 + mids[-1]) * dt
-    with pytest.raises(ModelError, match=rf"Hpp = I/m \(t = {last:.6g}\)"):
-        gx.split_step_evolve(model, psi, steps * dt, gx.OracleConfig(dt=dt))
+    with pytest.raises(ModelError, match=rf"Hpp = I/m \(t = {t:.6g}\)"):
+        gx.split_step_evolve(model, psi, t, gx.OracleConfig(dt=dt))
     assert calls == []
 
 
@@ -136,8 +138,8 @@ def spy_on_hz(model):
 
 def test_drive_data_read_in_one_pass():
     """A model whose Hz is data, here two drive terms over a constant, is
-    read off ``model.drive`` at every midpoint at once: the rows agree with
-    Hz at each midpoint to 1e-15, and Hz itself is never called."""
+    read off ``model.drive`` at all times at once: the rows agree with Hz
+    at each time to 1e-15, and Hz itself is never called."""
     terms = [(0.7, [0.0, 0.0, 0.3, -0.2], [0.0, 0.0, 0.0, 0.15]),
              (1.9, [0.0, 0.0, -0.05, 0.1], [0.0, 0.0, 0.2, -0.25])]
     model = gx.make_model(2, 1.0, 1.0, 0.5, np.eye(4),
@@ -152,16 +154,18 @@ def test_drive_data_read_in_one_pass():
 
 
 def test_callable_hz_read_at_each_midpoint(parametric_model, axis_1024):
-    """A model with a callable of time is called once per substep
-    midpoint, in run order."""
+    """A model with a callable of time is called once per potential flow,
+    in run order: at every kinetic boundary of every step, then at the end
+    time for the closing half flow."""
     model, calls = spy_on_hz(parametric_model)
     assert model.drive is None
     psi = gx.gaussian_packet((axis_1024,), 1.0, [0.8], [0.3], [model.mass])
     dt, steps = 4.5e-3, 20
     gx.split_step_evolve(model, psi, steps * dt, gx.OracleConfig(dt=dt))
-    mids = (np.arange(steps)[:, None] + MIDPOINTS) * dt
-    assert len(calls) == 5 * steps
-    np.testing.assert_allclose(calls, mids.ravel(), rtol=0, atol=1e-15)
+    flows = np.append((np.arange(steps)[:, None] + BOUNDARIES) * dt,
+                      steps * dt)
+    assert len(calls) == 5 * steps + 1
+    np.testing.assert_allclose(calls, flows, rtol=0, atol=1e-15)
 
 
 def residual_of_evolved_triple(model, psi, t, dt):
@@ -276,12 +280,12 @@ def test_oracle_rejects_a_non_finite_end_time(model_1d, displaced_gaussian,
         gx.split_step_evolve(model_1d, displaced_gaussian, t)
 
 
-def spanning_packet(axis):
+def spanning_packet(axis, t=0.0):
     """A wide packet whose mass region spans the box: the densities on both
     faces lie between TAIL_TOL / npts and TAIL_TOL of the norm, so it
     passes the resolution gate while the region bound reaches the faces,
     where it reads the box bound's numbers."""
-    psi = gx.gaussian_packet((axis,), 1.0, [0.0], [0.0], [0.24])
+    psi = gx.gaussian_packet((axis,), 1.0, [0.0], [0.0], [0.24], t=t)
     dens = np.abs(psi.psi) ** 2 / np.sum(np.abs(psi.psi) ** 2)
     assert TAIL_TOL / axis.num < min(dens[0], dens[-1])
     gx.check_resolved(psi)
@@ -289,38 +293,40 @@ def spanning_packet(axis):
 
 
 def test_phase_bound_checks_each_substep(axis_1024):
-    """The bound is taken against each substep's own length: at a dt where
-    the outer substeps p dt stay under it but the backward middle one,
-    |1 - 4p| dt long, does not, the run stops at that middle substep; at a
-    dt where the middle one stays under it too, the run goes through."""
+    """The bound is taken against each potential flow's own length: the
+    longest is p dt, the merged halves of two outer substeps.  Just over
+    the bound on it, the run stops at the first such flow, at p dt, though
+    the opening half flow and the two (1 - 3p) dt / 2 flows around the
+    backward kinetic step stay under it; just under it, the run goes
+    through."""
     model = gx.harmonic_model(omega=1.0)  # no coupling: V = x^2 / 2
     psi = spanning_packet(axis_1024)
     vmax = 0.5 * float(np.max(axis_1024.points ** 2))
-    dt = 0.45 / (vmax * P)
-    assert 0.45 * abs(1.0 - 4.0 * P) / P >= 0.5
-    with pytest.raises(StabilityError, match=f"at t = {0.5 * dt:.4g};"):
+    dt = 0.51 / (vmax * P)
+    assert 0.51 * abs(1.0 - 3.0 * P) / (2.0 * P) < 0.5
+    with pytest.raises(StabilityError, match=f"at t = {P * dt:.4g};"):
         gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
-    dt = 0.45 / (vmax * abs(1.0 - 4.0 * P))
+    dt = 0.49 / (vmax * P)
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
 
 
 def test_phase_bound_is_never_looser(axis_1024):
     """With a linear drive the potential's maximum on the grid is not the
     maximum of its quadratic part: v = x^2 / 2 - E x peaks at the low edge.
-    Where the exact max |v| of the backward middle substep is just over
-    the bound the run stops, though the quadratic part alone is under it;
-    just under the bound, the run goes through."""
+    Where the exact max |v| of the longest potential flow, p dt, is just
+    over the bound the run stops at the first such flow, though the
+    quadratic part alone is under it; just under the bound, the run goes
+    through."""
     E = 1.0
     model = gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), np.array([0.0, -E]))
     psi = spanning_packet(axis_1024)
     x = axis_1024.points
     vmax = float(np.max(np.abs(0.5 * x ** 2 - E * x)))
-    middle = abs(1.0 - 4.0 * P)
-    dt = 0.51 / (vmax * middle)
-    assert 0.5 * float(np.max(x ** 2)) * middle * dt < 0.5
-    with pytest.raises(StabilityError, match=f"at t = {0.5 * dt:.4g};"):
+    dt = 0.51 / (vmax * P)
+    assert 0.5 * float(np.max(x ** 2)) * P * dt < 0.5
+    with pytest.raises(StabilityError, match=f"at t = {P * dt:.4g};"):
         gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
-    dt = 0.49 / (vmax * middle)
+    dt = 0.49 / (vmax * P)
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
 
 
@@ -328,8 +334,8 @@ def test_phase_bound_over_the_mass_region(axis_1024):
     """Where the box bound fails, the bound over the mass region decides.
     On the oscillator's ground state the region reaches X, the largest |x|
     of a point either of whose squares exceeds TAIL_TOL / 2 of their mean;
-    the backward middle substep is refused just over
-    X^2 / 2 |1 - 4p| dt / hbar = 0.5 and goes through just under it, at a
+    the first of the longest potential flows, p dt, is refused just over
+    X^2 / 2 p dt / hbar = 0.5 and the run goes through just under it, at a
     dt the box bound alone refuses."""
     model = gx.harmonic_model(omega=1.0)
     psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
@@ -337,26 +343,53 @@ def test_phase_bound_over_the_mass_region(axis_1024):
     marked = squares > 0.5 * TAIL_TOL * squares.sum() / axis_1024.num
     x = axis_1024.points[marked.reshape(-1, 2).any(axis=1)]
     vmax = 0.5 * max(x[0] ** 2, x[-1] ** 2)
-    middle = abs(1.0 - 4.0 * P)
-    dt = 0.52 / (vmax * middle)
-    with pytest.raises(StabilityError, match=f"at t = {0.5 * dt:.4g};"):
+    dt = 0.52 / (vmax * P)
+    with pytest.raises(StabilityError, match=f"at t = {P * dt:.4g};"):
         gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
-    dt = 0.48 / (vmax * middle)
-    assert 0.5 * float(np.max(axis_1024.points ** 2)) * middle * dt >= 0.5
+    dt = 0.48 / (vmax * P)
+    assert 0.5 * float(np.max(axis_1024.points ** 2)) * P * dt >= 0.5
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+
+
+def test_run_opens_with_half_a_flow(axis_1024):
+    """The run opens with a potential flow of p dt / 2 at the start time s:
+    at a dt where p dt is well over the bound but p dt / 2 is under it,
+    the opening flow is admitted and the run is refused at the next one,
+    at s + p dt."""
+    model = gx.harmonic_model(omega=1.0)
+    psi = spanning_packet(axis_1024, t=0.3)
+    vmax = 0.5 * float(np.max(axis_1024.points ** 2))
+    dt = 0.9 / (vmax * P)
+    with pytest.raises(StabilityError,
+                       match=f"at t = {0.3 + P * dt:.4g};"):
+        gx.split_step_evolve(model, psi, 0.3 + 4 * dt, gx.OracleConfig(dt=dt))
+
+
+def test_opening_flow_refused_before_the_first_transform(monkeypatch,
+                                                         axis_1024):
+    """At a dt where even the opening half flow, p dt / 2, is over the
+    bound, the run is refused at its start time, before any transform."""
+    calls = count_transforms(monkeypatch)
+    model = gx.harmonic_model(omega=1.0)
+    psi = spanning_packet(axis_1024, t=0.3)
+    vmax = 0.5 * float(np.max(axis_1024.points ** 2))
+    dt = 1.1 / (vmax * P)
+    with pytest.raises(StabilityError, match=r"at t = 0\.3;"):
+        gx.split_step_evolve(model, psi, 0.3 + 4 * dt, gx.OracleConfig(dt=dt))
+    assert calls == []
 
 
 @pytest.mark.parametrize("x0", [0.5, 1.5])
 @pytest.mark.parametrize("p0", [-0.3, 0.3])
 def test_coarsest_default_rung_at_the_draw_corners(model_1d, params_1d,
                                                    axis_2048, x0, p0):
-    """The CLI's coarsest default rung, 2 x 9e-3, is accepted to t = 2 at
-    each corner of the packets the certify benchmark draws on the README
+    """The CLI's coarsest default rung, 2 x 1.4e-2, is accepted to t = 2
+    at each corner of the packets the certify benchmark draws on the README
     grid."""
     psi = gx.gaussian_packet((axis_2048,), 1.0, [x0], [p0],
                              [params_1d.m * params_1d.Omega(KAPPA)])
     ref = gx.split_step_evolve(model_1d, psi, 2.0,
-                               gx.OracleConfig(dt=2.0 * 9e-3))
+                               gx.OracleConfig(dt=2.0 * 1.4e-2))
     assert gx.l2_distance(gx.evolve(model_1d, psi, 2.0), ref) <= 1e-6
 
 
@@ -376,8 +409,8 @@ def test_face_is_checked_at_every_midpoint(model_1d, params_1d, axis_2048):
     """A packet that swings out onto the upper face and back is resolved at
     both ends, and the box-wide phase bound admits the run; the periodic
     box carried the tail it lost there round to the other side, so it
-    ends 3e-6 from evolve's.  The boundary tail is checked at every
-    substep midpoint, so the run is refused."""
+    ends 3e-6 from evolve's.  The boundary tail is checked where every
+    potential flow stands, so the run is refused."""
     psi = gx.gaussian_packet((axis_2048,), 1.0, [5.5], [5.0],
                              [params_1d.m * params_1d.Omega(KAPPA)])
     gx.check_resolved(gx.evolve(model_1d, psi, 2.0))
@@ -387,8 +420,9 @@ def test_face_is_checked_at_every_midpoint(model_1d, params_1d, axis_2048):
 
 def test_output_gate_refuses_a_spectral_tail():
     """A linear potential kicks a free packet's momentum to 10, toward the
-    band edge of a 128-point box but not across it: every midpoint is
-    inside the box, and the output's spectral tail is refused."""
+    band edge of a 128-point box but not across it: the state is inside
+    the box wherever a potential flow stands, and the output's spectral
+    tail is refused."""
     axis = gx.Axis(-12.0, 12.0, 128)
     model = gx.make_model(1, 1.0, 1.0, 0.0, np.diag([1.0, 0.0]),
                           np.array([0.0, -40.0]))
@@ -418,21 +452,23 @@ def test_momentum_drive_rejected_before_the_state(axis_1024):
 
 def test_oracle_makes_one_fft_pair_per_substep(monkeypatch, model_1d,
                                                displaced_gaussian):
-    """Adjacent half kinetic steps are fused: a run of `steps` composed
-    steps of five substeps makes one forward and one inverse transform per
-    substep, plus the opening forward and the closing inverse one."""
+    """Adjacent half potential steps are merged, and the state starts and
+    ends in position space: a run of `steps` composed steps of five
+    substeps makes one forward and one inverse transform per substep, for
+    its kinetic multiplier, and no other."""
     calls = count_transforms(monkeypatch)
     steps = 40
     gx.split_step_evolve(model_1d, displaced_gaussian, steps * 4.5e-3,
                          gx.OracleConfig(dt=4.5e-3))
-    assert len(calls) == 10 * steps + 2
-    assert calls.count("fftn") == calls.count("ifftn") == 5 * steps + 1
+    assert len(calls) == 10 * steps
+    assert calls.count("fftn") == calls.count("ifftn") == 5 * steps
 
 
 def unfused_strang(model, psi, t, dt):
-    """Suzuki's composition of plain Strang substeps, K/2 V K/2 on every
-    substep of the five-stage step, with the moments at each substep's
-    midpoint read by direct sums over the grid (numpy only)."""
+    """Suzuki's composition of plain Strang substeps, V/2 K V/2 on every
+    substep of the five-stage step, each half potential step with the
+    moments of the state where it stands read by direct sums over the grid
+    and the model read at that time (numpy only)."""
     n, hbar = model.n, model.hbar
     kt = gx.constants_of_motion(model, psi).kappa_tilde
     Wa, Wb, Wc = (W[n:, n:] for W in (model.Wzz, model.Wzw, model.Www))
@@ -441,31 +477,33 @@ def unfused_strang(model, psi, t, dt):
                          indexing="ij", sparse=True))
     steps = round((t - psi.t) / dt)
     dt = (t - psi.t) / steps  # the oracle's rule: equal steps that end at t
-    halves = [np.exp(-1j * hbar * k2 * w * dt / (4.0 * model.mass))
-              for w in SUZUKI]
+
+    def half_potential(arr, tau, h):
+        dens = np.abs(arr) ** 2
+        nrm = dens.sum()
+        mean = np.array([np.sum(dens * p) / nrm for p in pts])
+        cov = np.array([[np.sum(dens * (pa - ma) * (pb - mb)) / nrm
+                         for pb, mb in zip(pts, mean)]
+                        for pa, ma in zip(pts, mean)])
+        hxx = model.Hzz(tau)[n:, n:] + kt * Wa
+        lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
+        v = 0.5 * kt * (mean @ Wc @ mean + np.trace(Wc @ cov))
+        for a in range(n):
+            v = v + lin[a] * pts[a]
+            for b in range(n):
+                v = v + 0.5 * hxx[a, b] * pts[a] * pts[b]
+        return arr * np.exp(-0.5j * h * v / hbar)
+
     arr = np.array(psi.psi)
     for step in range(steps):
         start = psi.t + step * dt
-        for w, kin_half in zip(SUZUKI, halves):
+        for w in SUZUKI:
             h = w * dt
-            tau = start + 0.5 * h
+            arr = half_potential(arr, start, h)
+            kin = np.exp(-1j * hbar * k2 * h / (2.0 * model.mass))
+            arr = np.fft.ifftn(kin * np.fft.fftn(arr))
             start += h
-            arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
-            dens = np.abs(arr) ** 2
-            nrm = dens.sum()
-            mean = np.array([np.sum(dens * p) / nrm for p in pts])
-            cov = np.array([[np.sum(dens * (pa - ma) * (pb - mb)) / nrm
-                             for pb, mb in zip(pts, mean)]
-                            for pa, ma in zip(pts, mean)])
-            hxx = model.Hzz(tau)[n:, n:] + kt * Wa
-            lin = model.Hz(tau)[n:] + kt * (Wb @ mean)
-            v = 0.5 * kt * (mean @ Wc @ mean + np.trace(Wc @ cov))
-            for a in range(n):
-                v = v + lin[a] * pts[a]
-                for b in range(n):
-                    v = v + 0.5 * hxx[a, b] * pts[a] * pts[b]
-            arr = arr * np.exp(-1j * h * v / hbar)
-            arr = np.fft.ifftn(kin_half * np.fft.fftn(arr))
+            arr = half_potential(arr, start, h)
     return psi.with_psi(arr, t)
 
 
@@ -548,7 +586,7 @@ def test_fused_loop_matches_unfused_strang_3d():
 
 def test_fused_loop_matches_unfused_strang_callable_hz(model_1d, axis_1024):
     """A constant Hzz with a callable Hz: no drive data, so the quadratic
-    table is rebuilt at every substep although it never changes."""
+    table is rebuilt at every potential flow although it never changes."""
     model = gx.make_model(1, 1.0, 1.0, KAPPA, model_1d.Hzz(0.0), model_1d.Hz,
                           model_1d.Wzz, model_1d.Wzw, model_1d.Www)
     assert model.drive is None
@@ -560,7 +598,8 @@ def test_fused_loop_matches_unfused_strang_callable_hz(model_1d, axis_1024):
 
 def test_fused_loop_matches_unfused_strang_parametric(parametric_model,
                                                       axis_1024):
-    """A callable Hzz changes the quadratic phase at every substep."""
+    """A callable Hzz changes the quadratic phase at every potential
+    flow."""
     psi = gx.gaussian_packet((axis_1024,), 1.0, [0.8], [0.3],
                              [parametric_model.mass])
     out = gx.split_step_evolve(parametric_model, psi, 1.0,
