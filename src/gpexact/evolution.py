@@ -37,7 +37,7 @@ import scipy.fft as sp_fft
 from .ehrenfest import MomentTrajectory, integrate_moments, matriciant_blocks
 from .errors import CausticError, PlanError, ResolutionError
 from .kernel import KernelContext, build_kernel_context
-from .model import QuadraticModel, check_hbar
+from .model import QuadraticModel
 from .moments import constants_of_motion
 from .state import Axis, GridState, _unit, check_resolved, support_radius
 
@@ -313,7 +313,6 @@ def evolve(model: QuadraticModel, psi: GridState, t: float,
     """Propagate a localized state from its own time label to t; raises
     ResolutionError rather than return a state it would refuse as input,
     and ModelError for a state whose hbar is not the model's."""
-    check_hbar(model, psi.hbar)
     opts = opts or EvolveOptions()
     cons = constants_of_motion(model, psi)
     if t == psi.t:
@@ -375,6 +374,4 @@ def superpose(model: QuadraticModel, Psi1: GridState, Psi2: GridState,
     psi1 = evolve_inverse(model, Psi1, s, fixed)
     psi2 = evolve_inverse(model, Psi2, s, fixed)
     combined = psi1.with_psi(c1 * psi1.psi + c2 * psi2.psi)
-    if float(np.sum(np.abs(combined.psi) ** 2)) == 0.0:
-        raise ResolutionError("superposition has zero norm")
     return evolve(model, combined, t, opts)

@@ -14,10 +14,11 @@ positive semidefinite to roundoff.  :func:`centered_apply` is the one
 centered phase-space operator (spectral momenta, pointwise positions) for
 the operators that act with it.  Means are normalized by |psi|^2, also for
 unnormalized inputs; sums are trapezoid rules, spectrally accurate for
-states that decay inside the box.  Every public function here holds its
-input to :func:`check_resolved`; :func:`constants_of_motion` runs the gate
-and the pass on one |psi|^2, and in 1D the gate's spectrum of psi is the
-forward transform of the momentum image.
+states that decay inside the box.  Every public function here reads its
+input through the one entry, :func:`~gpexact.state._resolved`, which
+checks the model's hbar where a model is given (:func:`constants_of_motion`)
+and then runs the resolution gate; the pass reads the gate's |psi|^2, and
+in 1D its spectrum of psi as the forward transform of the momentum image.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 from .ehrenfest import MomentPoint
 from .errors import ResolutionError
 from .model import QuadraticModel
-from .state import (GridState, _resolved, _spectral_momentum, check_resolved,
-                    momentum_apply)
+from .state import GridState, _resolved, _spectral_momentum, momentum_apply
 
 
 def centered_apply(state: GridState, arr: np.ndarray, i: int,
@@ -54,23 +54,21 @@ def _marginal(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return arr.sum(axis=other) if other else arr
 
 
-def _moment_pass(state: GridState, z: np.ndarray | None = None,
-                 second: bool = True, dens: np.ndarray | None = None,
-                 spec: np.ndarray | None = None
+def _moment_pass(state: GridState, dens: np.ndarray,
+                 spec: np.ndarray | None, z: np.ndarray | None = None,
+                 second: bool = True
                  ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """(norm^2, z, Delta) in one pass; z is computed unless given, and
     Delta is None unless ``second``.  ``dens`` and ``spec`` are what the
     resolution gate returns (:func:`~gpexact.state._resolved`): |psi|^2,
-    formed here unless given, and in 1D the transform of psi, which the
-    pass then overwrites in place of its own forward transform."""
+    and in 1D the transform of psi, which the pass overwrites in place of
+    its own forward transform (None: one transform per axis here)."""
     n = state.n
     d = 2 * n
     if z is not None and np.shape(z) != (d,):
         raise ValueError(f"center z must have shape ({d},), not {np.shape(z)}")
     w = state.weight
     psi = state.psi
-    if dens is None:
-        dens = np.abs(psi) ** 2
     nrm = float(w * np.sum(dens))
     if nrm == 0.0:
         raise ResolutionError("zero-norm state has no moments")
@@ -102,21 +100,18 @@ def _moment_pass(state: GridState, z: np.ndarray | None = None,
 
 
 def norm_squared(state: GridState) -> float:
-    check_resolved(state)
-    return float(state.weight * np.sum(np.abs(state.psi) ** 2))
+    return float(state.weight * np.sum(_resolved(state)[0]))
 
 
 def first_moments(state: GridState) -> np.ndarray:
     """Return (<p_1..p_n>, <x_1..x_n>), normalized by the squared norm."""
-    check_resolved(state)
-    return _moment_pass(state, second=False)[1]
+    return _moment_pass(state, *_resolved(state), second=False)[1]
 
 
 def second_moments(state: GridState, z: np.ndarray | None = None) -> np.ndarray:
     """Centered, symmetrized second moments as the 2n x 2n block matrix
     [[sigma_pp, sigma_px], [sigma_xp, sigma_xx]], about ``z`` if given."""
-    check_resolved(state)
-    return _moment_pass(state, z)[2]
+    return _moment_pass(state, *_resolved(state), z)[2]
 
 
 @dataclass(frozen=True)
@@ -136,8 +131,8 @@ def effective_coupling(model: QuadraticModel, state: GridState) -> float:
 
 def constants_of_motion(model: QuadraticModel,
                         state: GridState) -> StateConstants:
-    """The moment record of ``state``, read in one pass with the resolution
-    gate: both share |psi|^2, and in 1D the transform of psi."""
-    dens, spec = _resolved(state)
-    nrm, z, Delta = _moment_pass(state, dens=dens, spec=spec)
+    """The moment record of ``state``, read in one pass past the one
+    entry: ModelError unless its hbar is the model's, then the resolution
+    gate, whose |psi|^2, and in 1D transform of psi, the pass reads."""
+    nrm, z, Delta = _moment_pass(state, *_resolved(state, model))
     return StateConstants(MomentPoint(z, Delta), nrm, model.kappa * nrm)

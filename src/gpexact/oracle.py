@@ -64,7 +64,7 @@ import numpy as np
 from .errors import ModelError, ResolutionError, StabilityError
 from .model import QuadraticModel, check_hbar
 from .moments import _moment_pass, centered_apply
-from .state import TAIL_TOL, GridState, check_resolved
+from .state import TAIL_TOL, GridState, _resolved
 from .state import _fftn as fftn, _ifftn as ifftn, _unit
 
 
@@ -163,7 +163,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                       cfg: OracleConfig | None = None) -> GridState:
     """Propagate from the state's time label to t with the composed
     splitting; the model is checked first, at every potential flow's time,
-    then its hbar against the state's, then the state."""
+    then the state's hbar and the state, whose gate gives the norm."""
     if not math.isfinite(t):
         raise ValueError(f"oracle end time t = {t} is not finite")
     cfg = cfg or OracleConfig()
@@ -173,15 +173,12 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     taus = np.append(
         (s + (np.arange(steps)[:, None] + _BOUNDARIES) * dt).ravel(), t)
     hxx, hx, Wa, Wb, Wc = _potential_terms(model, taus)
-    check_hbar(model, psi.hbar)
-    check_resolved(psi)
+    # the norm sets the coupling, as in the moment record
+    norm0 = float(psi.weight * np.sum(_resolved(psi, model)[0]))
     if t == s:
         return psi
     n = model.n
     hbar = model.hbar
-    w = psi.weight
-    # the norm sets the coupling, as in the moment record
-    norm0 = float(w * np.sum(np.abs(psi.psi) ** 2))
     if norm0 == 0.0:
         raise ResolutionError("zero-norm state has no mean field")
     kt = model.kappa * norm0
@@ -299,12 +296,11 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
             np.multiply(col, row, out=outer)
             arr *= factor
 
-    norm1 = float(w * np.sum(np.abs(arr) ** 2))
+    out = GridState(axes, arr, t, hbar)
+    norm1 = float(out.weight * np.sum(_resolved(out)[0]))
     if abs(norm1 - norm0) > NORM_DRIFT_TOL * norm0:
         raise StabilityError(
             f"norm drifted by {abs(norm1 - norm0) / norm0:.3e} over the run")
-    out = GridState(axes, arr, t, hbar)
-    check_resolved(out)
     return out
 
 
@@ -314,15 +310,17 @@ def apply_effective_hamiltonian(model: QuadraticModel,
     record taken from the state itself: scal + <hz, dz> + 1/2 <dz, hzz dz>
     in the centered operators dz = z - <z> (spectral momenta).  The double
     sum runs over both orders of every pair, and hzz is symmetric, so it is
-    exactly the Weyl ordering of the mixed p-x terms."""
-    check_resolved(state)
-    return _apply_hamiltonian(model, state)
+    exactly the Weyl ordering of the mixed p-x terms.  ModelError unless
+    the state's hbar is the model's."""
+    return _apply_hamiltonian(model, state, *_resolved(state, model))
 
 
-def _apply_hamiltonian(model: QuadraticModel, state: GridState) -> np.ndarray:
-    """:func:`apply_effective_hamiltonian` without the resolution gate."""
+def _apply_hamiltonian(model: QuadraticModel, state: GridState,
+                       dens, spec) -> np.ndarray:
+    """:func:`apply_effective_hamiltonian` past the entry that returned
+    ``dens`` and ``spec``."""
     n = state.n
-    nrm, z, Delta = _moment_pass(state)
+    nrm, z, Delta = _moment_pass(state, dens, spec)
     kt = model.kappa * nrm
     t = state.t
     hzz = model.Hzz(t) + kt * model.Wzz
@@ -344,15 +342,17 @@ def gpe_residual(model: QuadraticModel, snapshots, dt: float) -> float:
     derivative by central difference, spatial operators spectral.
 
     A diagnostic: it stays evaluatable on deliberately imperfect states, so
-    the Hamiltonian is applied without the resolution gate of
-    :func:`apply_effective_hamiltonian`.
+    it is the one reader past the resolution gate; it checks only hbar.
     """
     before, mid, after = snapshots
+    for snap in (before, mid, after):
+        check_hbar(model, snap.hbar)
     if before.axes != mid.axes or mid.axes != after.axes:
         raise ValueError("snapshots must share one grid")
     if not math.isclose(after.t - mid.t, dt, rel_tol=1e-9) or \
             not math.isclose(mid.t - before.t, dt, rel_tol=1e-9):
         raise ValueError("snapshots must be uniformly spaced by dt")
     dpsi_dt = (after.psi - before.psi) / (2.0 * dt)
-    resid = -1j * model.hbar * dpsi_dt + _apply_hamiltonian(model, mid)
+    resid = -1j * model.hbar * dpsi_dt \
+        + _apply_hamiltonian(model, mid, np.abs(mid.psi) ** 2, None)
     return float(np.sqrt(mid.weight * np.sum(np.abs(resid) ** 2)))

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.fft import fft, fftfreq, fftn, ifft, ifftn
 
 from .errors import ResolutionError
+from .model import check_hbar
 
 TAIL_TOL = 1e-16  # mass fraction: 1e-8 in L2 amplitude, the round-trip unit
 SPECTRAL_TOL = 1e-10
@@ -194,12 +195,16 @@ def check_resolved(state: GridState) -> None:
     _resolved(state)
 
 
-def _resolved(state: GridState) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`check_resolved`, returning what its tests computed for the
-    moment record to reuse: |psi|^2 and, in 1D only, the transform of psi,
-    which is also the forward transform of :func:`momentum_apply` along
-    axis 0.  An n-D transform is dropped here, so it never lives on
-    alongside the record's spectral images."""
+def _resolved(state: GridState, model=None
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one entry of every reader: ``model``'s hbar check if given, then
+    :func:`check_resolved`, returning what its tests computed for the
+    reader to reuse: |psi|^2 and, in 1D only, the transform of psi, which
+    is also the forward transform of :func:`momentum_apply` along axis 0.
+    An n-D transform is dropped here, so it never lives on alongside the
+    record's spectral images."""
+    if model is not None:
+        check_hbar(model, state.hbar)
     dens = np.abs(state.psi) ** 2
     tail, axis, face = _boundary_tail(dens)
     if tail >= TAIL_TOL:

@@ -492,6 +492,35 @@ def test_evolve_refuses_a_state_of_another_hbar(axis_1024):
         gx.evolve(gx.harmonic_model(), psi, 0.5)
 
 
+READERS = {
+    "evolve": lambda model, psi: gx.evolve(model, psi, 0.5),
+    "evolve_inverse": lambda model, psi: gx.evolve_inverse(model, psi, -0.5),
+    "split_step_evolve": lambda model, psi: gx.split_step_evolve(model, psi,
+                                                                 0.5),
+    "constants_of_motion": gx.constants_of_motion,
+    "apply_effective_hamiltonian": gx.apply_effective_hamiltonian,
+    "gpe_residual": lambda model, psi: gx.gpe_residual(
+        model, [psi.at_time(k * 1e-2) for k in range(3)], 1e-2),
+}
+
+
+@pytest.mark.parametrize("on_face", [False, True], ids=["inside", "on-face"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_refuses_a_state_of_another_hbar(reader, on_face,
+                                                      axis_1024):
+    """Every reader that takes a model reads the state through one entry,
+    whose hbar check comes first: a state at hbar = 2 under a model at
+    hbar = 1 is refused with both values named, also where the state sits
+    on a face of the box and the resolution gate would refuse it too."""
+    psi = gx.gaussian_packet((axis_1024,), 2.0, [11.9 if on_face else 1.0],
+                             [0.2], [1.0])
+    if on_face:
+        with pytest.raises(ResolutionError):
+            gx.check_resolved(psi)
+    with pytest.raises(ModelError, match="hbar = 2.0 .* hbar = 1.0"):
+        READERS[reader](gx.harmonic_model(), psi)
+
+
 def brute_force_pair(f, C, a, b):
     """The coupled-pair sum with its full exp{i (C_aa i_a j_a + C_ab i_a j_b
     + C_ba i_b j_a + C_bb i_b j_b)} tensor formed."""
