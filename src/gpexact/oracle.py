@@ -344,6 +344,8 @@ def gpe_residual(model: QuadraticModel, snapshots, dt: float) -> float:
     A diagnostic: it stays evaluatable on deliberately imperfect states, so
     it is the one reader past the resolution gate; it checks only hbar.
     """
+    if not (math.isfinite(dt) and dt != 0.0):
+        raise ValueError(f"residual step dt = {dt} is not finite and nonzero")
     before, mid, after = snapshots
     for snap in (before, mid, after):
         check_hbar(model, snap.hbar)

@@ -45,6 +45,8 @@ class Axis:
     num: int
 
     def __post_init__(self):
+        if not isinstance(self.num, (int, np.integer)):
+            raise ValueError(f"axis num = {self.num!r} is not an integer")
         if self.num < 8 or self.num % 2:
             raise ValueError("axis needs an even number of points, at least 8")
         if not self.hi > self.lo:

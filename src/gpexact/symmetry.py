@@ -63,6 +63,13 @@ def apply_polynomial(op: IntertwinedOperator, state: GridState) -> GridState:
     return state.with_psi(out)
 
 
+def _quantum_number(n) -> None:
+    """ValueError unless ``n`` is a nonnegative integer."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"quantum number n = {n!r} is not a nonnegative "
+                         "integer")
+
+
 def _family(model: QuadraticModel, kappa_tilde: float | None) -> float:
     """kappa_tilde if pinned, else the model's coupling at unit norm."""
     return model.kappa if kappa_tilde is None else kappa_tilde
@@ -143,6 +150,9 @@ def ladder_apply(model: QuadraticModel, sign: int, Psi: GridState,
                  opts: EvolveOptions | None = None) -> GridState:
     """Apply the raising (+1) or lowering (-1) solution map; on the n-th
     basis solution this yields sqrt(n+1) or sqrt(n) times its neighbor."""
+    if sign not in (1, -1):
+        raise ValueError(f"ladder sign = {sign!r} is neither +1 (raise) nor "
+                         "-1 (lower)")
     opts = opts or EvolveOptions()
     lower, raise_ = ladder_operators(model, _family(model, opts.kappa_tilde))
     return apply_symmetry(model, raise_ if sign > 0 else lower, Psi, s, opts)
@@ -198,8 +208,7 @@ def fock_state(model: QuadraticModel, n: int, t: float,
 
     The family coupling defaults to model.kappa, i.e. unit-norm members.
     """
-    if n < 0:
-        raise ValueError("quantum number must be nonnegative")
+    _quantum_number(n)
     kt = _family(model, kappa_tilde)
     sol = FockSolution(model, n, kt)
     if axis is None:
@@ -213,6 +222,7 @@ def fock_state(model: QuadraticModel, n: int, t: float,
 def quasi_energy(model: QuadraticModel, n: int,
                  kappa_tilde: float | None = None) -> float:
     """Phase rate of the n-th solution over one drive period."""
+    _quantum_number(n)
     p = example_params(model, Example1DParams)
     kt = _family(model, kappa_tilde)
     hbar = model.hbar

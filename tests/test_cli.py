@@ -178,6 +178,27 @@ def test_fock_subcommand(tmp_path):
     assert len(lines) == 513
 
 
+def test_evolve_subcommand_runs_the_evolve_task_alone(tmp_path):
+    """``gpexact evolve`` runs the config's scenario with its evolve task
+    only: it passes, and writes the tree that ``gpexact scenario`` writes
+    for the same config with ``tasks: ["evolve"]``, byte for byte."""
+    out = tmp_path / "evolve"
+    assert main(["evolve", "--config", write_config(tmp_path),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is True
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    assert main(["scenario", "--config",
+                 write_config(alone, dict(SCENARIO, tasks=["evolve"])),
+                 "--out", str(alone / "out")]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert "moments.csv" in names and "report.json" in names
+    assert names == sorted(p.name for p in (alone / "out").iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (alone / "out" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["scenario", "evolve", "fock",
                                      "spectrum"])
 def test_unknown_config_field_rejected_by_every_subcommand(tmp_path, capsys,

@@ -492,6 +492,30 @@ def test_evolve_refuses_a_state_of_another_hbar(axis_1024):
         gx.evolve(gx.harmonic_model(), psi, 0.5)
 
 
+def test_evolve_composed_checks_its_times(model_1d, displaced_gaussian):
+    """The state must carry the start time, and the intermediate time must
+    lie between start and end, in either direction of time."""
+    psi = displaced_gaussian
+    with pytest.raises(ValueError, match="carry time label s"):
+        gx.evolve_composed(model_1d, psi, 0.1, 0.2, 0.4)
+    for r in (-0.1, 0.5):
+        with pytest.raises(ValueError, match="must lie between s and t"):
+            gx.evolve_composed(model_1d, psi, 0.0, r, 0.4)
+    with pytest.raises(ValueError, match="must lie between s and t"):
+        gx.evolve_composed(model_1d, psi, 0.0, 0.1, -0.4)
+
+
+def test_superpose_checks_its_solutions(model_1d, displaced_gaussian,
+                                        axis_1024):
+    """Both solutions must be given at one time on one grid."""
+    psi = displaced_gaussian
+    with pytest.raises(ValueError, match="at a common time"):
+        gx.superpose(model_1d, psi, psi.at_time(0.1), 0.6, 0.8)
+    other = gx.gaussian_packet((axis_1024,), 1.0, [1.0], [0.2], [1.0])
+    with pytest.raises(ValueError, match="share a grid"):
+        gx.superpose(model_1d, psi, other, 0.6, 0.8)
+
+
 READERS = {
     "evolve": lambda model, psi: gx.evolve(model, psi, 0.5),
     "evolve_inverse": lambda model, psi: gx.evolve_inverse(model, psi, -0.5),

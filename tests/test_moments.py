@@ -307,6 +307,14 @@ def test_grid_state_hbar_must_be_finite_and_positive(axis_1024, hbar):
                      0.0, hbar)
 
 
+def test_axis_num_must_be_an_integer():
+    """A float point count is refused where the axis is built, not later
+    where a packet samples it."""
+    with pytest.raises(ValueError, match="axis num = 8.0 is not an integer"):
+        gx.Axis(-1.0, 1.0, 8.0)
+    assert gx.Axis(-1.0, 1.0, np.int64(8)).points.shape == (8,)
+
+
 def test_axis_tables_are_cached_and_read_only():
     """points and wavenumbers are computed once per axis and shared, so no
     caller may write into them; a replaced, copied or unpickled axis has

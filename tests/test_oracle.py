@@ -153,7 +153,8 @@ def test_drive_data_read_in_one_pass():
     assert calls == []
 
 
-def test_callable_hz_read_at_each_midpoint(parametric_model, axis_1024):
+def test_callable_hz_read_at_each_potential_flow(parametric_model,
+                                                 axis_1024):
     """A model with a callable of time is called once per potential flow,
     in run order: at every kinetic boundary of every step, then at the end
     time for the closing half flow."""
@@ -251,6 +252,26 @@ def test_residual_second_order_2d_rotation():
     res = [residual_of_evolved_triple(model, psi, 0.9, dt) for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(res), 1)[0]
     assert slope >= 1.9
+
+
+def test_effective_hamiltonian_on_the_harmonic_ground_state(axis_1024):
+    """Without coupling the effective Hamiltonian is the oscillator's own,
+    so it maps the ground state to hbar omega / 2 times itself."""
+    omega, hbar = 1.3, 0.7
+    model = gx.harmonic_model(omega=omega, hbar=hbar)
+    psi = gx.gaussian_packet((axis_1024,), hbar, [0.0], [0.0], [omega])
+    h_psi = gx.apply_effective_hamiltonian(model, psi)
+    assert h_psi.shape == psi.psi.shape
+    assert np.max(np.abs(h_psi - 0.5 * hbar * omega * psi.psi)) <= 1e-12
+
+
+def test_residual_step_must_be_finite_and_nonzero(model_1d, axis_1024):
+    """Three snapshots at one time and dt = 0 would make the central
+    difference 0 / 0; the step is refused by name instead."""
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
+    for dt in (0.0, math.nan):
+        with pytest.raises(ValueError, match="dt = .* finite and nonzero"):
+            gx.gpe_residual(model_1d, [psi] * 3, dt)
 
 
 def test_grid_mismatch_rejected(model_1d, axis_1024, axis_2048):
@@ -405,7 +426,8 @@ def test_packet_driven_into_a_face_is_refused(axis_1024):
         gx.split_step_evolve(model, psi, math.pi, gx.OracleConfig(dt=5e-3))
 
 
-def test_face_is_checked_at_every_midpoint(model_1d, params_1d, axis_2048):
+def test_face_is_checked_at_every_potential_flow(model_1d, params_1d,
+                                                 axis_2048):
     """A packet that swings out onto the upper face and back is resolved at
     both ends, and the box-wide phase bound admits the run; the periodic
     box carried the tail it lost there round to the other side, so it

@@ -247,3 +247,36 @@ def test_polynomial_word_validation():
         gx.IntertwinedOperator(((1.0, "xxx"),))
     with pytest.raises(Exception):
         gx.IntertwinedOperator(((1.0, "q"),))
+
+
+@pytest.mark.parametrize("n", [-1, 1.5])
+def test_quasi_energy_needs_a_nonnegative_integer_level(model_1d, n):
+    """A negative or fractional level has no quasi-energy: the formula
+    alone would give one for either."""
+    with pytest.raises(ValueError, match=f"quantum number n = {n}"):
+        gx.quasi_energy(model_1d, n)
+
+
+def test_fock_state_needs_an_integer_level(model_1d, fock_axis):
+    """A fractional level is named before the Hermite polynomial is
+    evaluated."""
+    with pytest.raises(ValueError, match="quantum number n = 1.5"):
+        gx.fock_state(model_1d, 1.5, 0.3, axis=fock_axis)
+
+
+def test_ladder_sign_is_plus_or_minus_one(model_1d, fock_axis):
+    """A sign of 0 is refused before the pullback, not taken as lowering."""
+    psi = gx.fock_state(model_1d, 1, 0.3, axis=fock_axis)
+    with pytest.raises(ValueError, match="ladder sign = 0"):
+        gx.ladder_apply(model_1d, 0, psi)
+
+
+def test_fock_state_default_axis(model_1d, params_1d, fock_axis):
+    """Without an axis, the state is sampled on 2048 points across +-12
+    around the steady center: the grid of ``fock_axis``."""
+    state = gx.fock_state(model_1d, 2, 0.3)
+    assert state.axes == (fock_axis,)
+    assert state.hbar == model_1d.hbar and state.t == 0.3
+    assert np.array_equal(state.psi,
+                          gx.fock_state(model_1d, 2, 0.3, axis=fock_axis).psi)
+    assert gx.norm_squared(state) == pytest.approx(1.0, abs=1e-10)
