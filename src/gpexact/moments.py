@@ -133,6 +133,6 @@ def constants_of_motion(model: QuadraticModel,
                         state: GridState) -> StateConstants:
     """The moment record of ``state``, read in one pass past the one
     entry: ModelError unless its hbar is the model's, then the resolution
-    gate, whose |psi|^2, and in 1D transform of psi, the pass reads."""
+    gate, whose |psi|^2 (and in 1D its spectrum of psi) the pass reads."""
     nrm, z, Delta = _moment_pass(state, *_resolved(state, model))
     return StateConstants(MomentPoint(z, Delta), nrm, model.kappa * nrm)

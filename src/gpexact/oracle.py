@@ -51,7 +51,8 @@ below the exact max |v|; only where that fails, over the flow's mass region
 (:func:`_region_vmax`), and the smaller of the two is checked.  A run the
 grid bound admits does the same arithmetic as without the region bound.
 At the end, the output must pass :func:`check_resolved`, as the output of
-every ``evolve`` leg does.
+every ``evolve`` leg does; then its norm, read off that gate's |psi|^2,
+may differ from the input's (off the input gate's) by NORM_DRIFT_TOL of it.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                       cfg: OracleConfig | None = None) -> GridState:
     """Propagate from the state's time label to t with the composed
     splitting; the model is checked first, at every potential flow's time,
-    then the state's hbar and the state, whose gate gives the norm."""
+    then the state's hbar, then the state, whose gate gives its norm."""
     if not math.isfinite(t):
         raise ValueError(f"oracle end time t = {t} is not finite")
     cfg = cfg or OracleConfig()
@@ -342,7 +343,8 @@ def gpe_residual(model: QuadraticModel, snapshots, dt: float) -> float:
     derivative by central difference, spatial operators spectral.
 
     A diagnostic: it stays evaluatable on deliberately imperfect states, so
-    it is the one reader past the resolution gate; it checks only hbar.
+    it is the one reader past the resolution gate; of the entry it keeps
+    only the hbar check, on every snapshot.
     """
     if not (math.isfinite(dt) and dt != 0.0):
         raise ValueError(f"residual step dt = {dt} is not finite and nonzero")

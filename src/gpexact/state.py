@@ -6,13 +6,16 @@ An axis computes its points and wavenumbers once and hands out that one
 read-only array.  States are expected to decay well inside the box;
 :func:`check_resolved`, the one resolution gate, holds every input and
 every propagated state to TAIL_TOL and SPECTRAL_TOL.  Its private form
-:func:`_resolved` returns |psi|^2 and, in 1D, the spectrum it computed, so
-the moment record reads them instead of forming them again.  A transform
-over every axis of a 1D array goes through the one-axis routine
-(:func:`_fftn`, :func:`_ifftn`): bitwise the same, without scipy's n-D
-dispatch; and :func:`_unit` forms exp(i phase) of a real phase as its cos
-and sin, bitwise the complex exp, for the kernel's and the oracle's phase
-factors.
+:func:`_resolved` is the one entry of every reader of a state (the moment
+functions, ``evolve`` through its moment record, the oracle's input and
+output, the effective Hamiltonian): given the reader's model it checks the
+state's hbar first, then runs the gate and returns |psi|^2 and, in 1D, the
+spectrum it computed, so the reader uses them instead of forming them
+again.  A transform over every axis of a 1D array goes through the one-axis
+routine (:func:`_fftn`, :func:`_ifftn`): bitwise the same, without scipy's
+n-D dispatch; and :func:`_unit` forms exp(i phase) of a real phase as its
+cos and sin, bitwise the complex exp, for the kernel's and the oracle's
+phase factors.
 """
 
 from __future__ import annotations
