@@ -6,17 +6,27 @@ twice.  Once by an independent numpy loop over the same composition
 (Suzuki's five Strang substeps V/2 K V/2, the two potential halves that
 meet between substeps merged into one flow, with the moments read where
 each flow stands by direct sums) that refuses nothing and measures, per
-run: the box gate, max |V| |h| / hbar over the grid as the oracle bounds
-it; the gate, min(box, region) with the region bound of
-`oracle._region_vmax`'s docstring; the largest boundary tail fraction at
-any potential flow; and whether the output passes `check_resolved`.  Once
-with `split_step_evolve`, whose verdict must be the one those numbers
-predict: "phase" (a phase step at or over PHASE_STEP_BOUND), "face" (a
-boundary tail at or over TAIL_TOL where a flow stands), "output" (an
-unresolved output) or "accept", each at the first flow where it fails.
-The error is the L2 distance to `evolve` of the oracle's output where it
-accepts, else of the loop's.  Prints one Markdown row per run and exits 1
-if the oracle accepts a run whose error exceeds 2e-6.
+run, each gate value as the largest over the potential flows of a bound
+on the flow's potential v times |h| / hbar:
+- magnitude gate: the gate the oracle used before it read the spread,
+  min(box, region) of max |v| bounds, the box bound over the grid and the
+  region bound over the mass region with |x_a| <= max(|lo_a|, |hi_a|);
+- spread gate: the oracle's gate, an interval-arithmetic bound on
+  (max v - min v) / 2 over the grid's box, else over the region's box
+  (`oracle._spread` and `oracle._region_box`): each axis's parabola over
+  its exact range, each cross term over the hull of its corner products;
+  a constant in v is a global phase and counts toward it nowhere;
+- exact spread: (max v - min v) / 2 over the grid points in the region's
+  box, which the spread bound must never undercut;
+the largest boundary tail fraction at any potential flow; and whether the
+output passes `check_resolved`.  Once with `split_step_evolve`, whose
+verdict must be the one those numbers predict: "phase" (a spread step at
+or over PHASE_STEP_BOUND), "face" (a boundary tail at or over TAIL_TOL
+where a flow stands), "output" (an unresolved output) or "accept", each at
+the first flow where it fails.  The error is the L2 distance to `evolve`
+of the oracle's output where it accepts, else of the loop's.  Prints one
+Markdown row per run and exits 1 if the oracle accepts a run whose error
+exceeds 2e-6.
 
 Usage: OPENBLAS_NUM_THREADS=1 python docs/calibrate_phase_gate.py
 """
@@ -39,13 +49,30 @@ P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 SUZUKI = (P, P, 1.0 - 4.0 * P, P, P)
 
 
-def region_reach(arr, points):
-    """Per axis, max |x| over the bounding box of the points either of whose
-    squares exceeds TAIL_TOL / 2 of the mean density."""
+def region_box(arr):
+    """Per axis, the first and last index of the bounding box of the points
+    either of whose squares exceeds TAIL_TOL / 2 of the mean density."""
     squares = np.stack([arr.real ** 2, arr.imag ** 2])
     marked = (squares > 0.5 * TAIL_TOL * squares.sum() / arr.size).any(axis=0)
-    return np.array([max(abs(x[i.min()]), abs(x[i.max()]))
-                     for x, i in zip(points, np.nonzero(marked))])
+    return [(i.min(), i.max()) for i in np.nonzero(marked)]
+
+
+def interval_spread(q, lin, lo, hi):
+    """Half the summed widths of the intervals that hold, on the box
+    [lo, hi], each axis's parabola q_aa x_a^2 + lin_a x_a (its exact range,
+    at the ends and the vertex) and each q_ab x_a x_b, a != b (the hull of
+    its corner products)."""
+    corners = np.stack([np.multiply.outer(u, w) for u in (lo, hi)
+                        for w in (lo, hi)])
+    cross = np.abs(q) * (corners.max(axis=0) - corners.min(axis=0))
+    width = cross.sum() - np.trace(cross)
+    for c, b, x_lo, x_hi in zip(np.diag(q), lin, lo, hi):
+        xs = [x_lo, x_hi]
+        if c != 0.0 and x_lo < -b / (2.0 * c) < x_hi:
+            xs.append(-b / (2.0 * c))
+        values = [c * x * x + b * x for x in xs]
+        width += max(values) - min(values)
+    return 0.5 * width
 
 
 def face_fraction(dens):
@@ -55,20 +82,22 @@ def face_fraction(dens):
 
 
 def open_run(model, psi, t, dt):
-    """The composition with every gate held open: (box gate, gate, largest
-    face fraction, first failing potential flow per gate, output)."""
+    """The composition with every gate held open: (the gate values, the
+    first failing potential flow per gate, the output)."""
     n, hbar = model.n, model.hbar
     kt = model.kappa * gx.norm_squared(psi)
     Wa, Wb, Wc = (W[n:, n:] for W in (model.Wzz, model.Wzw, model.Www))
     grids = psi.grids()
     points = [ax.points for ax in psi.axes]
     xmax = np.array([np.max(np.abs(x)) for x in points])
+    grid_lo = np.array([x.min() for x in points])
+    grid_hi = np.array([x.max() for x in points])
     k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in psi.axes),
                          indexing="ij", sparse=True))
     steps = max(1, round(abs(t - psi.t) / dt))
     dt = (t - psi.t) / steps
     arr = np.array(psi.psi)
-    gates = {"box": 0.0, "gate": 0.0, "face": 0.0}
+    gates = {"magnitude": 0.0, "spread": 0.0, "exact": 0.0, "face": 0.0}
     first = {}
 
     def potential_flow(arr, tau, h, sub):
@@ -82,19 +111,30 @@ def open_run(model, psi, t, dt):
         scal = 0.5 * kt * np.trace(Wc @ second)
         quad = sum(q[a, b] * grids[a] * grids[b]
                    for a in range(n) for b in range(n))
+        v = quad + sum(b * x for b, x in zip(lin, grids)) + scal
+        ends = region_box(arr)
+        lo = np.array([x[i] for x, (i, _) in zip(points, ends)])
+        hi = np.array([x[j] for x, (_, j) in zip(points, ends)])
+        X = np.maximum(np.abs(lo), np.abs(hi))
         box = np.max(np.abs(quad)) + np.abs(lin) @ xmax + abs(scal)
-        X = region_reach(arr, points)
         region = X @ np.abs(q) @ X + np.abs(lin) @ X + abs(scal)
+        spread = min(interval_spread(q, lin, grid_lo, grid_hi),
+                     interval_spread(q, lin, lo, hi))
+        inside = v[tuple(slice(i, j + 1) for i, j in ends)]
+        exact = 0.5 * (inside.max() - inside.min())
+        if spread < exact * (1.0 - 1e-12):
+            raise RuntimeError(f"spread bound {spread} under the exact "
+                               f"half-range {exact} at t = {tau}")
+        scale = abs(h) / hbar
         sub_face = face_fraction(dens)
-        sub_gate = min(box, region) * abs(h) / hbar
         if sub_face >= TAIL_TOL:
             first.setdefault("face", sub)
-        if sub_gate >= PHASE_STEP_BOUND:
+        if spread * scale >= PHASE_STEP_BOUND:
             first.setdefault("phase", sub)
-        gates["box"] = max(gates["box"], box * abs(h) / hbar)
-        gates["gate"] = max(gates["gate"], sub_gate)
-        gates["face"] = max(gates["face"], sub_face)
-        v = quad + sum(b * x for b, x in zip(lin, grids)) + scal
+        for key, value in (("magnitude", min(box, region) * scale),
+                           ("spread", spread * scale),
+                           ("exact", exact * scale), ("face", sub_face)):
+            gates[key] = max(gates[key], value)
         return arr * np.exp(-1j * h * v / hbar)
 
     # each substep's closing potential half waits for the next substep's
@@ -110,8 +150,7 @@ def open_run(model, psi, t, dt):
             arr = np.fft.ifftn(kinetic[w] * np.fft.fftn(arr))
             tau, pending, sub = tau + h, 0.5 * h, sub + 1
     arr = potential_flow(arr, t, pending, sub)
-    return gates["box"], gates["gate"], gates["face"], first, \
-        psi.with_psi(arr, t)
+    return gates, first, psi.with_psi(arr, t)
 
 
 def predicted(first, out):
@@ -186,7 +225,8 @@ def model_2d(rng, drive):
 
 def cases():
     """(label, model, psi, t, dts) for every calibrated case."""
-    ladder = [1.4e-2 * f for f in (1.0, math.sqrt(2.0), 2.0, 8.0 / 3.0, 4.0,
+    r2 = math.sqrt(2.0)
+    ladder = [1.4e-2 * f for f in (1.0, r2, 2.0, 2.0 * r2, 8.0 / 3.0, 4.0,
                                  8.0, 16.0)]
     coarse = ladder[2:]
     model, om = readme_model()
@@ -230,14 +270,14 @@ def cases():
 
 
 def main():
-    print("| case | dt | box gate | gate | max face fraction | L2 error "
-          "| verdict |")
-    print("|---|---|---|---|---|---|---|")
+    print("| case | dt | magnitude gate | spread gate | exact spread "
+          "| max face fraction | L2 error | verdict |")
+    print("|---|---|---|---|---|---|---|---|")
     worst = 0.0
     for label, model, psi, t, dts in cases():
         exact = gx.evolve(model, psi, t)
         for dt in dts:
-            box, gate, face, first, ref = open_run(model, psi, t, dt)
+            gates, first, ref = open_run(model, psi, t, dt)
             verdict, out = gated_run(model, psi, t, dt)
             if verdict != predicted(first, ref):
                 raise RuntimeError(f"{label}, dt = {dt}: the oracle says "
@@ -246,8 +286,10 @@ def main():
             err = gx.l2_distance(exact, ref if out is None else out)
             if out is not None:
                 worst = max(worst, err)
-            print(f"| {label} | {dt:.3g} | {box:.3g} | {gate:.3g} "
-                  f"| {face:.1e} | {err:.2e} | {verdict} |", flush=True)
+            print(f"| {label} | {dt:.3g} | {gates['magnitude']:.3g} "
+                  f"| {gates['spread']:.3g} | {gates['exact']:.3g} "
+                  f"| {gates['face']:.1e} | {err:.2e} | {verdict} |",
+                  flush=True)
     print(f"\nlargest error of an accepted run: {worst:.2e} "
           f"(bound {ERROR_BOUND:.0e})")
     return 0 if worst <= ERROR_BOUND else 1

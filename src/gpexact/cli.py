@@ -192,7 +192,7 @@ def _task_roundtrip(cfg, model, psi, times, out, tols) -> list[dict]:
 
 
 def _task_oracle(cfg, model, psi, times, out, tols) -> list[dict]:
-    dt0 = _positive(cfg, "oracle_dt", 1.4e-2)
+    dt0 = _positive(cfg, "oracle_dt", 2.8e-2)
     t = times[-1]
     exact = evolve(model, psi, t)
     rows = []

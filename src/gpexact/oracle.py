@@ -9,19 +9,18 @@ flow leaves |psi|^2 unchanged, so the half potential steps that meet
 between consecutive substeps read the same moments at the same time and
 merge exactly into one.  A step is then five kinetic multipliers of lengths
 p, p, 1 - 4p, p, p times dt, each one forward/inverse FFT pair (in 1D
-through the one-axis transforms, without scipy's n-D dispatch), with a
-potential flow at each kinetic boundary s + (k + B) dt, B = 0, p, 2p,
-1 - 2p, 1 - p, of length p, p, (1 - 3p)/2, (1 - 3p)/2, p times dt; the run
-opens at s and closes at t with a flow of p/2 dt.  The state starts and
-ends in position space, so a run of n steps makes 5n transforms each
-way.  The phase gate below binds on the longest potential flow, p dt ~
-0.41 dt; with the kinetic step outside (K/2 V K/2) it would be the
-backward |1 - 4p| dt ~ 0.66 dt.  The nonlocal quadratic coupling collapses
-exactly to a quadratic potential built from the position moments of the
-state where the flow stands, so no convolution is needed.  Both part flows
-are exact for either sign of their length, so the composition is fourth
-order in dt; used only to certify the kernel propagator, never the other
-way around.
+through the one-axis transforms), with a potential flow at each kinetic
+boundary s + (k + B) dt, B = 0, p, 2p, 1 - 2p, 1 - p, of length p, p,
+(1 - 3p)/2, (1 - 3p)/2, p times dt; the run opens at s and closes at t
+with a flow of p/2 dt.  The state starts and ends in position space, so
+n steps make 5n transforms each way.  The phase gate below binds on the
+longest potential flow, p dt ~ 0.41 dt; with the kinetic step outside
+(K/2 V K/2) it would be the backward |1 - 4p| dt ~ 0.66 dt.  The nonlocal
+quadratic coupling collapses exactly to a quadratic potential built from
+the position moments of the state where the flow stands, so no
+convolution is needed.  Both part flows are exact for either sign of their
+length, so the composition is fourth order in dt; used only to certify
+the kernel propagator, never the other way around.
 
 A flow does only the work that depends on the state.  The model is read
 once per run, before the first transform: Hzz and Hz at every potential
@@ -44,15 +43,16 @@ allocated once per run and applied to the state through a reshape.
 Three gates hold the run to the box.  At every potential flow, the boundary
 tail of :func:`check_resolved`: the squares of each face of the box,
 gathered and summed per face, against TAIL_TOL of their total.  At every
-flow, the phase bound |v| |h| / hbar < PHASE_STEP_BOUND on its own length
-h, against an upper bound on |v| where the state has mass: first over the
-grid, the table's maximum plus sum |lin_a| max |x_a| plus |scal|, never
-below the exact max |v|; only where that fails, over the flow's mass region
-(:func:`_region_vmax`), and the smaller of the two is checked.  A run the
-grid bound admits does the same arithmetic as without the region bound.
-At the end, the output must pass :func:`check_resolved`, as the output of
-every ``evolve`` leg does; then its norm, read off that gate's |psi|^2,
-may differ from the input's (off the input gate's) by NORM_DRIFT_TOL of it.
+flow, the phase bound w |h| / hbar < PHASE_STEP_BOUND on its own length h,
+w an upper bound (:func:`_spread`) on the half-range (max v - min v) / 2 of
+v where the state has mass: a constant in v is a global phase, which
+commutes with every flow and sets no splitting error.  w is taken over the
+grid's box and, only where that fails, over the flow's mass region
+(:func:`_region_box`); a run the grid admits does the same arithmetic as
+without the region.  At the end, the output must pass
+:func:`check_resolved`, as the output of every ``evolve`` leg does; then
+its norm, read off that gate's |psi|^2, may differ from the input's (off
+the input gate's) by NORM_DRIFT_TOL of it.
 """
 
 from __future__ import annotations
@@ -70,13 +70,12 @@ from .state import _fftn as fftn, _ifftn as ifftn, _unit
 
 
 NORM_DRIFT_TOL = 1e-6  # largest relative norm drift over a run
-PHASE_STEP_BOUND = 0.5  # largest |V| |h| / hbar of one potential flow
+PHASE_STEP_BOUND = 0.5  # largest (max v - min v) / 2 |h| / hbar of a flow
 
 _P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 # per step, in units of dt: the kinetic flow lengths, the offsets of the
-# kinetic boundaries from the start of the step, and the length of the
-# potential flow at each boundary, the merged halves of the two Strang
-# substeps that meet there
+# kinetic boundaries from the step's start, and the potential flow at each
+# boundary, the merged halves of the two Strang substeps that meet there
 _KINETIC = np.array([_P, _P, 1.0 - 4.0 * _P, _P, _P])
 _BOUNDARIES = np.cumsum(_KINETIC) - _KINETIC
 _POTENTIAL = 0.5 * (_KINETIC + np.roll(_KINETIC, 1))
@@ -131,33 +130,43 @@ def _potential_terms(model: QuadraticModel, taus: np.ndarray):
             model.Wzz[n:, n:], model.Wzw[n:, n:], model.Www[n:, n:])
 
 
-def _region_vmax(squares, total, points, q, lin, scal) -> float:
-    """An upper bound on |v| = |x.q.x + lin.x + scal| over the region that
-    holds all but TAIL_TOL of the state's norm.
+def _spread(q, lin, box) -> float:
+    """An upper bound on (max v - min v) / 2, v = x.q.x + lin.x + scal, on
+    the box [lo_a, hi_a] per axis, by interval arithmetic: each axis's
+    parabola q_aa x_a^2 + lin_a x_a over its exact range (ends and vertex),
+    each q_ab x_a x_b (a != b) over the hull of its corner products, summed;
+    a smaller box never gives a larger bound."""
+    width = 0.0
+    for a, (qa, (la, ha)) in enumerate(zip(q.tolist(), box)):
+        for b, (c, (lb, hb)) in enumerate(zip(qa, box)):
+            if a == b:  # the axis's parabola, at its ends and its vertex
+                ends = [(c * la + lin[a]) * la, (c * ha + lin[a]) * ha]
+                if c != 0.0 and la < -0.5 * lin[a] / c < ha:
+                    ends.append(-0.25 * lin[a] ** 2 / c)
+            else:
+                ends = [c * la * lb, c * la * hb, c * ha * lb, c * ha * hb]
+            width += max(ends) - min(ends)
+    return 0.5 * width
 
-    ``squares`` is the squared float64 view of the state, (re, im) pairs
-    in the grid's order, ``total`` their sum and ``points`` the axes'
-    sample points.  With thr = TAIL_TOL total / npts, a point is marked
-    when either of its two squares exceeds thr / 2; the region is the
-    per-axis bounding box [lo_a, hi_a] of the marked points.  A point
-    outside it is not marked, so its density |psi|^2 is at most thr, and
-    the fewer than npts points outside hold less than npts thr, which is
-    TAIL_TOL of the norm.  The largest square is at least the mean
-    total / (2 npts) > thr / 2, so the region is never empty.  Inside it
-    |x_a| <= X_a = max(|x_lo|, |x_hi|), hence
-    |v| <= sum |q_ab| X_a X_b + sum |lin_a| X_a + |scal|."""
-    n = len(points)
+
+def _region_box(squares, total, points) -> list[tuple[float, float]]:
+    """Per axis, (lo_a, hi_a) of a box holding all but TAIL_TOL of the norm.
+    ``squares`` is the squared float64 view of the state, (re, im) pairs in
+    grid order, ``total`` their sum.  With thr = TAIL_TOL total / npts, the
+    box bounds the points either of whose squares exceeds thr / 2: each of
+    the fewer than npts points outside has |psi|^2 <= thr, and the largest
+    square, at least total / (2 npts), is inside."""
     # a point's pair of marks viewed as one uint16: nonzero when either is
-    marked = (squares > 0.5 * TAIL_TOL * total / (squares.size // 2)) \
+    marks = (squares > 0.5 * TAIL_TOL * total / (squares.size // 2)) \
         .view(np.uint16).reshape(tuple(len(x) for x in points))
-    reach = []
-    for a, x in enumerate(points):
-        hit = marked.max(axis=tuple(b for b in range(n) if b != a)) != 0
+    box = []
+    for x in points:  # axis by axis, the marks collapsed over those before
+        hit = marks.reshape(len(x), -1).any(axis=1)
         lo, hi = hit.argmax(), len(x) - 1 - hit[::-1].argmax()
-        reach.append(float(max(abs(x[lo]), abs(x[hi]))))
-    quad = sum(abs(qab) * ra * rb for qa, ra in zip(q.tolist(), reach)
-               for qab, rb in zip(qa, reach))
-    return quad + sum(abs(b) * r for b, r in zip(lin, reach)) + abs(scal)
+        box.append((float(x[lo]), float(x[hi])))
+        if len(box) < len(points):
+            marks = marks.max(axis=0)
+    return box
 
 
 def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
@@ -178,18 +187,16 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     norm0 = float(psi.weight * np.sum(_resolved(psi, model)[0]))
     if t == s:
         return psi
-    n = model.n
-    hbar = model.hbar
+    n, hbar = model.n, model.hbar
     if norm0 == 0.0:
         raise ResolutionError("zero-norm state has no mean field")
     kt = model.kappa * norm0
 
     # the potential of a flow is v = x.quad.x + lin.x + scal; its
-    # density-dependent parts come from one linear map of |psi|^2, whose
-    # rows are 1, kt Wb x and kt x.Wc.x / 2 (so after dividing by the
-    # first, lin = hx + kt Wb <x> and scal = kt tr(Wc <x x^T>) / 2).  It
-    # acts on the squared float64 view of the state, (re, im) interleaved,
-    # so each column is repeated for the pair.
+    # density-dependent parts come from one linear map of |psi|^2, rows 1,
+    # kt Wb x and kt x.Wc.x / 2 (so after dividing by the first, lin =
+    # hx + kt Wb <x> and scal = kt tr(Wc <x x^T>) / 2), acting on the
+    # squared float64 view of the state, each column repeated per pair
     axes = psi.axes
     shape = tuple(ax.num for ax in axes)
     x = np.stack([g.ravel() for g in psi.grids(sparse=False)])
@@ -210,7 +217,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     face_index = np.concatenate([f[2] for f in faces])
     face_starts = np.cumsum([0] + [f[2].size for f in faces[:-1]])
     axis_points = [ax.points for ax in axes]
-    xmax = [float(np.max(np.abs(x))) for x in axis_points]
+    grid_box = [(float(x.min()), float(x.max())) for x in axis_points]
 
     # per potential flow, what the state does not set: its length h and
     # the drive's position row; the run opens and closes with half a flow
@@ -220,8 +227,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     hx = hx.tolist()
 
     def quadratic_table(q, h):
-        qx = quadratic_form(q).reshape(shape)
-        return _unit(qx * (-h / hbar)), float(np.max(np.abs(qx)))
+        return _unit(quadratic_form(q).reshape(shape) * (-h / hbar))
 
     # a data model's quad is constant: one table per flow length
     tables = None if model.drive is None else {
@@ -230,8 +236,7 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     # an axis's linear factor at point j = fine * c + f is the product of a
     # coarse table (the points j = fine * c) and a fine one (the offsets
     # f * delta), fine the largest divisor of num up to sqrt(num): cos and
-    # sin of one angle vector of coarse + fine points, not num, and their
-    # (coarse, fine) outer product is the axis's factor by a reshape alone
+    # sin of coarse + fine angles, whose outer product is the factor
     factors = []
     for a, ax in enumerate(axes):
         fine = max(d for d in range(1, math.isqrt(ax.num) + 1)
@@ -249,12 +254,9 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
     k2 = sum(np.meshgrid(*(ax.wavenumbers ** 2 for ax in axes),
                          indexing="ij", sparse=True))
 
-    def kinetic_step(frac):
-        return np.exp(-1j * hbar * k2 * (frac * dt) / (2.0 * model.mass))
-
-    kin_outer = kinetic_step(_P)
-    kin_middle = kinetic_step(1.0 - 4.0 * _P)
-    before = [kin_outer, kin_outer, kin_middle, kin_outer, kin_outer] * steps
+    kinetic = {w: np.exp(-1j * hbar * k2 * (w * dt) / (2.0 * model.mass))
+               for w in set(_KINETIC.tolist())}
+    before = [kinetic[w] for w in _KINETIC.tolist()] * steps
 
     arr = psi.psi.copy()
     for sub, h in enumerate(hs):
@@ -275,18 +277,16 @@ def split_step_evolve(model: QuadraticModel, psi: GridState, t: float,
                 f"{TAIL_TOL:.1e} at t = {taus[sub]:.4g}")
         lin = [b + c / coef[0] for b, c in zip(hx[sub], coef[1:])]
         scal = coef[n + 1] / coef[0]
-        table, qmax = tables[h] if tables else quadratic_table(quad[sub], h)
-        # an upper bound on max |v| over the grid, never below it; where
-        # it fails, the bound over the mass region may still pass
-        vmax = qmax + sum(abs(b) * m for b, m in zip(lin, xmax)) + abs(scal)
-        if vmax * abs(h) / hbar >= PHASE_STEP_BOUND:
-            vmax = min(vmax, _region_vmax(squares, coef[0], axis_points,
-                                          quad[sub], lin, scal))
-        if vmax * abs(h) / hbar >= PHASE_STEP_BOUND:
+        # the spread of v over the grid, else over the mass region's box
+        spread = _spread(quad[sub], lin, grid_box)
+        if spread * abs(h) / hbar >= PHASE_STEP_BOUND:
+            spread = _spread(quad[sub], lin,
+                             _region_box(squares, coef[0], axis_points))
+        if spread * abs(h) / hbar >= PHASE_STEP_BOUND:
             raise StabilityError(
                 f"potential phase step exceeds {PHASE_STEP_BOUND} rad "
                 f"at t = {taus[sub]:.4g}; reduce dt")
-        arr *= table
+        arr *= tables[h] if tables else quadratic_table(quad[sub], h)
         for a, (points, coarse, angle, cos, sin, col, row, outer,
                 factor) in enumerate(factors):
             np.multiply(points, lin[a] * neg, out=angle)

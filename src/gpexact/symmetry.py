@@ -25,7 +25,7 @@ from .errors import ModelError, ResonanceError
 from .evolution import EvolveOptions, evolve, evolve_inverse
 from .model import Example1DParams, QuadraticModel, example_params
 from .moments import centered_apply, first_moments
-from .state import Axis, GridState, l2_norm
+from .state import Axis, GridState, _resolved, l2_norm
 
 ANNIHILATED_CUT = 1e-9
 
@@ -104,13 +104,15 @@ def one_parameter_family(model: QuadraticModel, generator, alpha: float,
 
     ``generator`` is the real triple (u, v, w); the exponential acts in
     closed form as a boost, a translation, and scalar phases (Weyl ordering
-    supplies the alpha^2 cross phase).
+    supplies the alpha^2 cross phase).  At alpha = 0 it returns Psi itself,
+    after the hbar check and resolution gate that every other alpha runs.
     """
     u, v, w0 = (float(g) for g in generator)
-    if alpha == 0.0:
-        return Psi
     if Psi.n != 1:
         raise ModelError("closed-form generator exponentials are 1D")
+    if alpha == 0.0:
+        _resolved(Psi, model)
+        return Psi
 
     def exponential(psi0: GridState) -> GridState:
         p0, x0 = first_moments(psi0)

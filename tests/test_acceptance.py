@@ -36,8 +36,8 @@ def test_criterion_1_exactness_vs_oracle(setup):
     start = time.time()
     exact = gx.evolve(model, psi, 2.0)
     errs = []
-    # the CLI's default ladder, (2, sqrt 2, 1) x 1.4e-2
-    dts = [2.0 * 1.4e-2, math.sqrt(2.0) * 1.4e-2, 1.4e-2]
+    # the CLI's default ladder, (2, sqrt 2, 1) x 2.8e-2
+    dts = [2.0 * 2.8e-2, math.sqrt(2.0) * 2.8e-2, 2.8e-2]
     for dt in dts:
         ref = gx.split_step_evolve(model, psi, 2.0, gx.OracleConfig(dt=dt))
         errs.append(gx.l2_distance(exact, ref))

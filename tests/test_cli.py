@@ -262,7 +262,7 @@ def test_oracle_and_quasi_energy_tasks(tmp_path):
 
 
 def test_oracle_ladder_default(tmp_path):
-    """An omitted oracle_dt gives the rungs (2, sqrt 2, 1) x 1.4e-2, and the
+    """An omitted oracle_dt gives the rungs (2, sqrt 2, 1) x 2.8e-2, and the
     ladder passes the default oracle tolerance and slope check."""
     cfg = dict(SCENARIO)
     cfg["grid"] = {"lo": -12.0, "hi": 12.0, "n": 512}
@@ -272,7 +272,7 @@ def test_oracle_ladder_default(tmp_path):
                  "--out", str(out)]) == 0
     rows = (out / "oracle_error.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == \
-        [2.0 * 1.4e-2, math.sqrt(2.0) * 1.4e-2, 1.4e-2]
+        [2.0 * 2.8e-2, math.sqrt(2.0) * 2.8e-2, 2.8e-2]
 
 
 def test_file_initial_state(tmp_path):

@@ -305,7 +305,7 @@ def spanning_packet(axis, t=0.0):
     """A wide packet whose mass region spans the box: the densities on both
     faces lie between TAIL_TOL / npts and TAIL_TOL of the norm, so it
     passes the resolution gate while the region bound reaches the faces,
-    where it reads the box bound's numbers."""
+    where it reads the grid bound's numbers."""
     psi = gx.gaussian_packet((axis,), 1.0, [0.0], [0.0], [0.24], t=t)
     dens = np.abs(psi.psi) ** 2 / np.sum(np.abs(psi.psi) ** 2)
     assert TAIL_TOL / axis.num < min(dens[0], dens[-1])
@@ -313,63 +313,118 @@ def spanning_packet(axis, t=0.0):
     return psi
 
 
+def half_range(v):
+    """(max v - min v) / 2 over the grid points: the spread the phase
+    bound reads, a constant in v a global phase."""
+    return 0.5 * float(np.max(v) - np.min(v))
+
+
 def test_phase_bound_checks_each_substep(axis_1024):
     """The bound is taken against each potential flow's own length: the
     longest is p dt, the merged halves of two outer substeps.  Just over
-    the bound on it, the run stops at the first such flow, at p dt, though
-    the opening half flow and the two (1 - 3p) dt / 2 flows around the
-    backward kinetic step stay under it; just under it, the run goes
-    through."""
+    the bound on the spread of v on it, the run stops at the first such
+    flow, at p dt, though the opening half flow and the two
+    (1 - 3p) dt / 2 flows around the backward kinetic step stay under it;
+    just under it, the run goes through."""
     model = gx.harmonic_model(omega=1.0)  # no coupling: V = x^2 / 2
     psi = spanning_packet(axis_1024)
-    vmax = 0.5 * float(np.max(axis_1024.points ** 2))
-    dt = 0.51 / (vmax * P)
+    spread = half_range(0.5 * axis_1024.points ** 2)
+    dt = 0.51 / (spread * P)
     assert 0.51 * abs(1.0 - 3.0 * P) / (2.0 * P) < 0.5
     with pytest.raises(StabilityError, match=f"at t = {P * dt:.4g};"):
         gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
-    dt = 0.49 / (vmax * P)
+    dt = 0.49 / (spread * P)
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
 
 
 def test_phase_bound_is_never_looser(axis_1024):
-    """With a linear drive the potential's maximum on the grid is not the
-    maximum of its quadratic part: v = x^2 / 2 - E x peaks at the low edge.
-    Where the exact max |v| of the longest potential flow, p dt, is just
-    over the bound the run stops at the first such flow, though the
-    quadratic part alone is under it; just under the bound, the run goes
-    through."""
+    """With a linear drive the spread of the potential is not that of its
+    quadratic part: v = x^2 / 2 - E x peaks at the low edge and dips at
+    x = E.  Where the exact spread on the grid, times the longest flow
+    p dt, is just over the bound the run stops at the first such flow,
+    though the quadratic part alone is under it; just under the bound, the
+    run goes through, at a dt where max |v| is far over it."""
     E = 1.0
     model = gx.make_model(1, 1.0, 1.0, 0.0, np.eye(2), np.array([0.0, -E]))
     psi = spanning_packet(axis_1024)
     x = axis_1024.points
-    vmax = float(np.max(np.abs(0.5 * x ** 2 - E * x)))
-    dt = 0.51 / (vmax * P)
-    assert 0.5 * float(np.max(x ** 2)) * P * dt < 0.5
+    v = 0.5 * x ** 2 - E * x
+    dt = 0.51 / (half_range(v) * P)
+    assert half_range(0.5 * x ** 2) * P * dt < 0.5
     with pytest.raises(StabilityError, match=f"at t = {P * dt:.4g};"):
         gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
-    dt = 0.49 / (vmax * P)
+    dt = 0.49 / (half_range(v) * P)
+    assert float(np.max(np.abs(v))) * P * dt > 0.9
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
 
 
 def test_phase_bound_over_the_mass_region(axis_1024):
-    """Where the box bound fails, the bound over the mass region decides.
-    On the oscillator's ground state the region reaches X, the largest |x|
-    of a point either of whose squares exceeds TAIL_TOL / 2 of their mean;
-    the first of the longest potential flows, p dt, is refused just over
-    X^2 / 2 p dt / hbar = 0.5 and the run goes through just under it, at a
-    dt the box bound alone refuses."""
+    """Where the grid bound fails, the bound over the mass region decides.
+    On the oscillator's ground state the region is the box [lo, hi] of the
+    points either of whose squares exceeds TAIL_TOL / 2 of their mean, and
+    v = x^2 / 2 spreads from 0 to max(lo^2, hi^2) / 2 on it; the first of
+    the longest potential flows, p dt, is refused just over a half-range
+    times p dt / hbar of 0.5, and the run goes through just under it, at a
+    dt the grid bound alone refuses."""
     model = gx.harmonic_model(omega=1.0)
     psi = gx.gaussian_packet((axis_1024,), 1.0, [0.0], [0.0], [1.0])
     squares = np.square(psi.psi.view(np.float64))
     marked = squares > 0.5 * TAIL_TOL * squares.sum() / axis_1024.num
-    x = axis_1024.points[marked.reshape(-1, 2).any(axis=1)]
-    vmax = 0.5 * max(x[0] ** 2, x[-1] ** 2)
-    dt = 0.52 / (vmax * P)
+    x = axis_1024.points
+    inside = x[marked.reshape(-1, 2).any(axis=1)]
+    spread = half_range(0.5 * x[(x >= inside[0]) & (x <= inside[-1])] ** 2)
+    dt = 0.52 / (spread * P)
     with pytest.raises(StabilityError, match=f"at t = {P * dt:.4g};"):
         gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
-    dt = 0.48 / (vmax * P)
-    assert 0.5 * float(np.max(axis_1024.points ** 2)) * P * dt >= 0.5
+    dt = 0.48 / (spread * P)
+    assert half_range(0.5 * x ** 2) * P * dt >= 0.5
     gx.split_step_evolve(model, psi, 4 * dt, gx.OracleConfig(dt=dt))
+
+
+def test_phase_bound_ignores_a_constant_offset():
+    """Www enters a flow's potential only through its constant scal, a
+    global phase: two models that differ only in Www get the same verdict
+    at every rung of a ladder that crosses the bound, and their accepted
+    outputs differ by one global phase."""
+    axis = gx.Axis(-10.0, 10.0, 512)
+    psi = gx.gaussian_packet((axis,), 1.0, [1.0], [0.2], [1.0])
+
+    def run(www, dt):
+        model = gx.make_model(1, 1.0, 1.0, 0.5, np.eye(2), np.zeros(2),
+                              np.diag([0.0, 0.2]), np.diag([0.0, 0.1]),
+                              np.diag([0.0, www]))
+        try:
+            return gx.split_step_evolve(model, psi, 1.0,
+                                        gx.OracleConfig(dt=dt)).psi
+        except StabilityError:
+            return None
+
+    verdicts = []
+    for dt in (0.02, 0.04, 0.06, 0.08, 0.16):
+        a, b = run(0.3, dt), run(5.3, dt)
+        assert (a is None) == (b is None)
+        verdicts.append(a is not None)
+        if a is not None:
+            phase = np.vdot(a, b) / abs(np.vdot(a, b))
+            resid = np.sqrt(axis.delta * np.sum(np.abs(b - phase * a) ** 2))
+            assert resid <= 1e-12
+    assert verdicts == [True, True, True, False, False]
+
+
+def test_displaced_packet_admitted_at_a_step_its_offset_refused(axis_1024):
+    """A harmonic-trap packet displaced to x0 = 4 has v = x^2 / 2 up to
+    hi^2 / 2 on its mass region [lo, hi], and down to 0 inside it: at a dt
+    where that maximum times p dt / hbar is well over the bound, the
+    spread is under it, the run is accepted, and it agrees with evolve."""
+    model = gx.harmonic_model(omega=1.0)
+    psi = gx.gaussian_packet((axis_1024,), 1.0, [4.0], [0.0], [1.0])
+    squares = np.square(psi.psi.view(np.float64))
+    marked = squares > 0.5 * TAIL_TOL * squares.sum() / axis_1024.num
+    inside = axis_1024.points[marked.reshape(-1, 2).any(axis=1)]
+    dt = 0.035
+    assert 0.5 * max(inside[0] ** 2, inside[-1] ** 2) * P * dt >= 0.75
+    out = gx.split_step_evolve(model, psi, 2.0, gx.OracleConfig(dt=dt))
+    assert gx.l2_distance(out, gx.evolve(model, psi, 2.0)) <= 2e-6
 
 
 def test_run_opens_with_half_a_flow(axis_1024):
@@ -379,8 +434,8 @@ def test_run_opens_with_half_a_flow(axis_1024):
     at s + p dt."""
     model = gx.harmonic_model(omega=1.0)
     psi = spanning_packet(axis_1024, t=0.3)
-    vmax = 0.5 * float(np.max(axis_1024.points ** 2))
-    dt = 0.9 / (vmax * P)
+    spread = half_range(0.5 * axis_1024.points ** 2)
+    dt = 0.9 / (spread * P)
     with pytest.raises(StabilityError,
                        match=f"at t = {0.3 + P * dt:.4g};"):
         gx.split_step_evolve(model, psi, 0.3 + 4 * dt, gx.OracleConfig(dt=dt))
@@ -393,8 +448,8 @@ def test_opening_flow_refused_before_the_first_transform(monkeypatch,
     calls = count_transforms(monkeypatch)
     model = gx.harmonic_model(omega=1.0)
     psi = spanning_packet(axis_1024, t=0.3)
-    vmax = 0.5 * float(np.max(axis_1024.points ** 2))
-    dt = 1.1 / (vmax * P)
+    spread = half_range(0.5 * axis_1024.points ** 2)
+    dt = 1.1 / (spread * P)
     with pytest.raises(StabilityError, match=r"at t = 0\.3;"):
         gx.split_step_evolve(model, psi, 0.3 + 4 * dt, gx.OracleConfig(dt=dt))
     assert calls == []
@@ -404,13 +459,13 @@ def test_opening_flow_refused_before_the_first_transform(monkeypatch,
 @pytest.mark.parametrize("p0", [-0.3, 0.3])
 def test_coarsest_default_rung_at_the_draw_corners(model_1d, params_1d,
                                                    axis_2048, x0, p0):
-    """The CLI's coarsest default rung, 2 x 1.4e-2, is accepted to t = 2
+    """The CLI's coarsest default rung, 2 x 2.8e-2, is accepted to t = 2
     at each corner of the packets the certify benchmark draws on the README
     grid."""
     psi = gx.gaussian_packet((axis_2048,), 1.0, [x0], [p0],
                              [params_1d.m * params_1d.Omega(KAPPA)])
     ref = gx.split_step_evolve(model_1d, psi, 2.0,
-                               gx.OracleConfig(dt=2.0 * 1.4e-2))
+                               gx.OracleConfig(dt=2.0 * 2.8e-2))
     assert gx.l2_distance(gx.evolve(model_1d, psi, 2.0), ref) <= 1e-6
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gpexact as gx
+from gpexact.errors import ModelError, ResolutionError
 from gpexact.symmetry import apply_polynomial
 
 from conftest import KAPPA
@@ -167,6 +168,21 @@ def test_maps_in_a_non_default_coupling_family(model_1d, params_1d):
 def test_one_parameter_family_alpha_zero(model_1d, fock_axis):
     psi = gx.fock_state(model_1d, 0, 0.8, axis=fock_axis)
     assert gx.one_parameter_family(model_1d, (1.0, 0.0, 0.0), 0.0, psi) is psi
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("hbar, error", [(2.0, ModelError),
+                                         (1.0, ResolutionError)])
+def test_one_parameter_family_checks_the_state_at_every_alpha(alpha, hbar,
+                                                              error):
+    """A packet on the face of the box is refused at alpha = 0 as at any
+    other alpha: at hbar = 2 by the model's hbar check, which comes first,
+    and at the model's hbar by the resolution gate."""
+    axis = gx.Axis(-6.0, 6.0, 256)
+    psi = gx.gaussian_packet((axis,), hbar, [5.5], [0.0], [1.0])
+    with pytest.raises(error):
+        gx.one_parameter_family(gx.harmonic_model(), (1.0, 0.0, 0.0), alpha,
+                                psi)
 
 
 def test_scalar_generator_is_global_phase(model_1d, fock_axis):
