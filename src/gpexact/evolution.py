@@ -3,27 +3,19 @@ superposition on grid states.
 
 The operator integrates the moment system from the input state's own moment
 record, builds the Gaussian propagator for the resulting trajectory, and
-applies it by trapezoid quadrature on the uniform grid.  The sampled kernel
-is a discrete linear canonical transform.  Its one-body chirps are products
-of 1D and 2D factors, one per axis and one per axis pair, never summed over
-the full grid; its cross term dx^T l3^(-1) dy is a Bluestein chirp
-convolution: O(N log N) per uncoupled axis.  Every unit-modulus factor is
-cos and sin of its real phase written into one complex array (bitwise the
-complex exp), and the even Bluestein weights are computed for m >= 0 only.
-An axis pair coupled through l3^(-1) is contracted in Fourier space:
-written through the Bluestein lag k = i_a - j_a of one axis, both cross
-terms split into a lag part, which joins a lag-kernel table built once per
-call (N^2 transforms), and parts that depend on the input or on the output
-indices alone.  All slices of the other axes then share one forward
-transform per line, one batched matrix product against the table and one
-inverse transform per line: O(N^4) time in 3D and O(N^3 log N) in 2D, in
-O(N^3) memory.  A leg
-may cross conjugate points, its branch read off the trajectory's frame; the
-plan splits the interval, and composes the legs of the one trajectory, only
-where a leg ends within the caustic tolerance of a conjugate point or its
-sampled kernel would alias.  Every leg's output passes the input resolution
-gate, so a returned state is a valid input of every other operation; a
-state whose hbar is not the model's is refused before any work.
+applies it by trapezoid quadrature on the uniform grid: a discrete linear
+canonical transform whose one-body chirps are products of 1D and 2D
+factors and whose cross term dx^T l3^(-1) dy is a Bluestein chirp
+convolution, O(N log N) per uncoupled axis; one axis pair coupled through
+l3^(-1) is contracted in Fourier space (:func:`_chirp_z_pair`).  A leg may
+cross conjugate points, its branch read off the trajectory's frame.  The
+plan decides every leg: it splits the interval, composing the legs of the
+one trajectory, only where a leg would alias or end within the caustic
+tolerance of a conjugate point; it refuses a leg whose kernel couples more
+than one axis pair; and it fixes each leg's output grid, so :func:`evolve`
+only applies legs.  Every leg's output passes the input resolution gate,
+so a returned state is a valid input of every other operation; a state
+whose hbar is not the model's is refused before any work.
 """
 
 from __future__ import annotations
@@ -43,6 +35,9 @@ from .state import Axis, GridState, _unit, check_resolved, support_radius
 
 ALIAS_MARGIN = 1.1  # alias-image clearance of the box, in support radii
 MAX_DEPTH = 8  # deepest bisection the planner tries
+# largest phase, in radians, that a dropped cross-term entry may add over
+# the grid: below it two axes count as uncoupled
+_DROP_PHASE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -56,22 +51,17 @@ class EvolveOptions:
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Caustic-free legs covering [s, t], each as its kernel context."""
+    """Caustic-free legs covering [s, t], each as its kernel context, and
+    the output grid of each leg, the one its alias test checked."""
 
     s: float
     t: float
     legs: tuple[KernelContext, ...]
+    grids: tuple[tuple[Axis, ...], ...]
 
     @property
     def splits(self) -> tuple[tuple[float, float], ...]:
         return tuple((leg.s, leg.t) for leg in self.legs)
-
-
-def _box_distance(axes: tuple[Axis, ...], point: np.ndarray) -> float:
-    d2 = 0.0
-    for a, ax in enumerate(axes):
-        d2 += max(ax.lo - point[a], 0.0, point[a] - ax.hi) ** 2
-    return math.sqrt(d2)
 
 
 def _alias_images_ok(model: QuadraticModel, l3: np.ndarray,
@@ -82,9 +72,10 @@ def _alias_images_ok(model: QuadraticModel, l3: np.ndarray,
     delta) e_a whose support must clear the output box."""
     for a, ax in enumerate(axes_in):
         vec = (2.0 * math.pi * model.hbar / ax.delta) * l3[a, :]
-        for sgn in (1.0, -1.0):
-            center = x_b - sgn * vec
-            if _box_distance(axes_out, center) < ALIAS_MARGIN * r_in:
+        for center in (x_b - vec, x_b + vec):
+            d2 = sum(max(o.lo - c, 0.0, c - o.hi) ** 2
+                     for o, c in zip(axes_out, center))
+            if math.sqrt(d2) < ALIAS_MARGIN * r_in:
                 return False
     return True
 
@@ -92,7 +83,8 @@ def _alias_images_ok(model: QuadraticModel, l3: np.ndarray,
 def plan_evolution(traj: MomentTrajectory, state: GridState,
                    opts: EvolveOptions) -> EvolutionPlan:
     """Split the trajectory's interval [s, t] into legs that the grid of
-    ``state`` carries without aliasing and that end off the caustics."""
+    ``state`` carries without aliasing and that end off the caustics, and
+    refuse a leg whose kernel couples more than one axis pair."""
     model, n, s, t = traj.model, traj.n, traj.s, traj.t
     r0 = support_radius(state, traj.position(s))
     sxx0 = float(np.trace(traj.Delta(s)[n:, n:]))
@@ -102,6 +94,7 @@ def plan_evolution(traj: MomentTrajectory, state: GridState,
         return r0 * max(1.0, math.sqrt(sxx / sxx0))
 
     legs: list[KernelContext] = []
+    grids: list[tuple[Axis, ...]] = [state.axes]  # input, then leg outputs
 
     def recurse(a: float, b: float, depth: int) -> None:
         _, _, l3, _ = matriciant_blocks(traj.between(a, b))
@@ -111,10 +104,14 @@ def plan_evolution(traj: MomentTrajectory, state: GridState,
         if _alias_images_ok(model, l3, state.axes, axes_out,
                             traj.position(b), r_in(a)):
             try:
-                legs.append(build_kernel_context(traj, a, b))
-                return
+                ctx = build_kernel_context(traj, a, b)
             except CausticError:
                 why = "conjugate point"
+            else:
+                _coupled_pair(ctx, grids[-1], axes_out)
+                legs.append(ctx)
+                grids.append(axes_out)
+                return
         if depth >= MAX_DEPTH:
             raise PlanError(
                 f"no admissible evolution plan over [{s:.6g}, {t:.6g}]: "
@@ -124,12 +121,31 @@ def plan_evolution(traj: MomentTrajectory, state: GridState,
         recurse(mid, b, depth + 1)
 
     recurse(s, t, 0)
-    return EvolutionPlan(s, t, tuple(legs))
+    return EvolutionPlan(s, t, tuple(legs), tuple(grids[1:]))
 
 
-# Largest phase, in radians, that a dropped cross-term entry may add over
-# the grid: below it two axes count as uncoupled.
-_DROP_PHASE = 1e-13
+def _index_cross(ctx: KernelContext, axes_in: tuple[Axis, ...],
+                 axes_out: tuple[Axis, ...]) -> np.ndarray:
+    """The leg's index cross term C = diag(dX) m_xy diag(dY) / hbar."""
+    return np.outer([o.delta for o in axes_out],
+                    [o.delta for o in axes_in]) * ctx.m_xy / ctx.model.hbar
+
+
+def _coupled_pair(ctx: KernelContext, axes_in: tuple[Axis, ...],
+                  axes_out: tuple[Axis, ...]) -> tuple[int, int] | None:
+    """The one axis pair that the leg's cross term couples beyond
+    _DROP_PHASE, or None; more than one raises PlanError, naming the leg."""
+    last = np.array([o.num for o in axes_in]) - 1
+    reach = np.abs(_index_cross(ctx, axes_in, axes_out)) \
+        * np.outer(last, last)
+    pairs = [(a, b) for a in range(ctx.n) for b in range(a + 1, ctx.n)
+             if max(reach[a, b], reach[b, a]) > _DROP_PHASE]
+    if len(pairs) > 1:
+        raise PlanError(f"leg [{ctx.s:.4g}, {ctx.t:.4g}]: the kernel cross "
+                        "term couples the axis pairs "
+                        f"{', '.join(map(str, pairs))}; only one coupled "
+                        "axis pair is supported")
+    return pairs[0] if pairs else None
 
 
 def _chirp(f: np.ndarray, offsets: tuple[np.ndarray, ...], lin: np.ndarray,
@@ -260,11 +276,9 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
     and dy = y0 + j dY (x0, y0 the offsets of the first output and input
     points), the phase splits into one-body chirps of y and of x and the
     index cross term i^T C j, C = diag(dX) m_xy diag(dY) / hbar.  Each
-    uncoupled axis takes one chirp-z; a coupled pair takes
-    :func:`_chirp_z_pair`.  A cross-term entry is dropped only when the
-    largest phase it adds over the grid is at most _DROP_PHASE.
+    uncoupled axis takes one chirp-z; the coupled pair of
+    :func:`_coupled_pair` takes :func:`_chirp_z_pair`.
     """
-    n = ctx.n
     hbar = ctx.model.hbar
     m_xy = ctx.m_xy
     x0 = np.array([o.lo for o in axes_out]) - ctx.X_t
@@ -273,27 +287,19 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
                      indexing="ij", sparse=True)
     dy = np.meshgrid(*(o.points - c for o, c in zip(state.axes, ctx.X_s)),
                      indexing="ij", sparse=True)
-    C = np.outer([o.delta for o in axes_out],
-                 [o.delta for o in state.axes]) * m_xy / hbar
-    last = np.subtract(state.psi.shape, 1)
-    reach = np.abs(C) * np.outer(last, last)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
-             if max(reach[a, b], reach[b, a]) > _DROP_PHASE]
-    if len(pairs) > 1:
-        raise PlanError("the kernel cross term couples the axis pairs "
-                        f"{', '.join(map(str, pairs))}; only one coupled "
-                        "axis pair is supported")
+    C = _index_cross(ctx, state.axes, axes_out)
+    pair = _coupled_pair(ctx, state.axes, axes_out)
 
     chirp_in = (dy, m_xy.T @ x0 - ctx.P_s, ctx.m_yy, hbar)
-    if pairs:
-        (a, b), = pairs
-        # a temporary argument, passed by position and not through a local,
-        # is referenced by the pair alone, which frees it after its forward
+    if pair:
+        a, b = pair
+        # a temporary argument, passed by position (no local, no *args), is
+        # referenced by the pair alone, which frees it after its forward
         # transform (CPython 3.11+ hands such arguments to the callee)
         f = _chirp_z_pair(_chirp(state.psi, *chirp_in), C, a, b)
     else:
         f = _chirp(state.psi, *chirp_in)
-    for a in sorted(set(range(n)).difference(*pairs)):  # uncoupled axes
+    for a in sorted(set(range(ctx.n)).difference(pair or ())):  # uncoupled
         f = np.moveaxis(_chirp_z(np.moveaxis(f, a, -1), C[a, a]), -1, a)
     scalar = ctx.prefactor * state.weight \
         * np.exp(1j * (ctx.action_diff - x0 @ m_xy @ y0) / hbar)
@@ -301,11 +307,8 @@ def _apply_kernel(ctx: KernelContext, state: GridState,
 
 
 def _recentered(axes: tuple[Axis, ...], center: np.ndarray) -> tuple[Axis, ...]:
-    out = []
-    for a, ax in enumerate(axes):
-        span = ax.hi - ax.lo
-        out.append(Axis(center[a] - span / 2.0, center[a] + span / 2.0, ax.num))
-    return tuple(out)
+    return tuple(Axis(c - (ax.hi - ax.lo) / 2.0, c + (ax.hi - ax.lo) / 2.0,
+                      ax.num) for ax, c in zip(axes, center))
 
 
 def evolve(model: QuadraticModel, psi: GridState, t: float,
@@ -319,15 +322,11 @@ def evolve(model: QuadraticModel, psi: GridState, t: float,
         return psi
     kt = cons.kappa_tilde if opts.kappa_tilde is None else opts.kappa_tilde
     traj = integrate_moments(model, kt, cons.point, psi.t, t)
+    plan = plan_evolution(traj, psi, opts)
     current = psi
-    for leg in plan_evolution(traj, psi, opts).legs:
-        axes_out = _recentered(current.axes, leg.X_t) \
-            if opts.recenter else current.axes
-        try:
-            psi_out = _apply_kernel(leg, current, axes_out)
-        except PlanError as err:
-            raise PlanError(f"leg [{leg.s:.4g}, {leg.t:.4g}]: {err}") from err
-        current = GridState(axes_out, psi_out, leg.t, current.hbar)
+    for leg, axes_out in zip(plan.legs, plan.grids):
+        current = GridState(axes_out, _apply_kernel(leg, current, axes_out),
+                            leg.t, current.hbar)
         try:
             check_resolved(current)
         except ResolutionError as err:
@@ -370,8 +369,7 @@ def superpose(model: QuadraticModel, Psi1: GridState, Psi2: GridState,
         raise ValueError("solutions must share a grid")
     opts = opts or EvolveOptions()
     fixed = replace(opts, recenter=False)
-    t = Psi1.t
     psi1 = evolve_inverse(model, Psi1, s, fixed)
     psi2 = evolve_inverse(model, Psi2, s, fixed)
     combined = psi1.with_psi(c1 * psi1.psi + c2 * psi2.psi)
-    return evolve(model, combined, t, opts)
+    return evolve(model, combined, Psi1.t, opts)

@@ -174,7 +174,7 @@ def example_params(model: QuadraticModel, kind: type,
 
 def make_model(n: int, hbar: float, mass: float, kappa: float,
                Hzz, Hz, Wzz=None, Wzw=None, Www=None,
-               example=None, spec=None, drive=()) -> QuadraticModel:
+               example=None, drive=()) -> QuadraticModel:
     """Validate and assemble a model; matrix arguments may be constants or
     callables of time.
 
@@ -186,7 +186,8 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
     Constant matrices are checked once here and returned frozen on every
     call; callables are checked on every call, the momentum block of Hzz
     included.  A model without callables or an ``example`` records its own
-    spec, drive terms included, so :func:`model_to_spec` can serialize it.
+    spec, drive terms included, so :func:`model_to_spec` can serialize it;
+    :func:`build_model` records the spec it was given.
     """
     if n not in (1, 2, 3):
         raise ModelError("spatial dimension must be 1, 2 or 3")
@@ -270,7 +271,8 @@ def make_model(n: int, hbar: float, mass: float, kappa: float,
     hz(0.0)
 
     data = not callable(Hzz) and not callable(Hz)
-    if spec is None and data and example is None:
+    spec = None
+    if data and example is None:
         spec = {
             "example": "custom", "n": n, "hbar": hbar, "m": mass,
             "kappa": kappa,
@@ -409,8 +411,7 @@ def model_to_spec(model: QuadraticModel) -> dict:
     """Serialize a model back to the JSON schema; round-trips bitwise.
 
     Models with callable Hzz/Hz, and example models built outside
-    :func:`build_model`, serialize only through the spec they were built
-    from (``build_model``, or the ``spec`` argument).
+    :func:`build_model`, have no spec and raise :class:`ModelError`.
     """
     if model.spec is None:
         raise ModelError("model has no spec (callable Hzz/Hz, or an example "

@@ -6,6 +6,7 @@ import scipy.fft as sp_fft
 from hypothesis import assume, given, settings, strategies as st
 
 import gpexact as gx
+from gpexact import evolution
 from gpexact.errors import (CausticError, ModelError, PlanError,
                             ResolutionError)
 from gpexact.evolution import (EvolveOptions, _apply_kernel, _bluestein,
@@ -130,6 +131,31 @@ def test_plan_splits_near_caustic(model_1d, params_1d, displaced_gaussian):
     assert plan.splits[0][0] == 0.0 and plan.splits[-1][1] == t_c
     for (a0, b0), (a1, _) in zip(plan.splits[:-1], plan.splits[1:]):
         assert b0 == a1  # no gaps, no overlap
+
+
+def test_plan_splits_at_a_conjugate_point_in_2d():
+    """A rotated anisotropic trap at t = pi/w2: l3 is rank 1 with no zero
+    row, so the alias gate passes the whole interval and only the caustic
+    check of the kernel context sees the conjugate point; the plan splits
+    the interval, and each leg writes the input grid."""
+    w2 = 2.3
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    R = np.array([[c, -s], [s, c]])
+    hzz = np.block([[np.eye(2), np.zeros((2, 2))],
+                    [np.zeros((2, 2)), R @ np.diag([1.0, w2 ** 2]) @ R.T]])
+    model = gx.make_model(2, 1.0, 1.0, 0.0, hzz, np.zeros(4))
+    axes = tuple(gx.Axis(-8.0, 8.0, 128) for _ in range(2))
+    psi = gx.gaussian_packet(axes, 1.0, [0.3, -0.2], [0.1, 0.2], [1.0, 1.0])
+    t = math.pi / w2
+    cons = gx.constants_of_motion(model, psi)
+    traj = gx.integrate_moments(model, cons.kappa_tilde, cons.point, 0.0, t)
+    with pytest.raises(CausticError):
+        gx.build_kernel_context(traj, 0.0, t)
+    plan = plan_evolution(traj, psi, EvolveOptions())
+    assert len(plan.legs) > 1
+    assert plan.grids == (axes,) * len(plan.legs)
+    back = gx.evolve_inverse(model, gx.evolve(model, psi, t), 0.0)
+    assert gx.l2_distance(back, psi) <= 1e-8
 
 
 def test_superposition_identity_and_linear_limit(model_1d, axis_1024):
@@ -596,6 +622,18 @@ def test_chirp_z_pair_matches_brute_force_sum(shape, pair, request):
     assert relative_l2(got, brute_force_pair(f, C, *pair)) <= 1e-12
 
 
+def _fully_coupled_3d():
+    """A 3D trap whose position block couples every axis pair, and a packet
+    at rest on a grid that carries it."""
+    coupling = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
+    hzz = np.block([[np.eye(3), np.zeros((3, 3))],
+                    [np.zeros((3, 3)), coupling]])
+    model = gx.make_model(3, 1.0, 1.0, 0.0, hzz, np.zeros(6))
+    axes = tuple(gx.Axis(-8.0, 8.0, 48) for _ in range(3))
+    psi = gx.gaussian_packet(axes, 1.0, [0.0] * 3, [0.0] * 3, [1.0] * 3)
+    return model, psi
+
+
 def test_fully_coupled_3d_cross_term_rejected():
     rng = np.random.default_rng(4)
     M = rng.normal(scale=0.4, size=(6, 6))
@@ -607,16 +645,26 @@ def test_fully_coupled_3d_cross_term_rejected():
                                         r"\(0, 2\), \(1, 2\)"):
         _apply_kernel(ctx, random_state(axes, 0), axes)
     # inside evolve the error names the leg it stopped on
-    coupling = np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3))
-    hzz = np.block([[np.eye(3), np.zeros((3, 3))],
-                    [np.zeros((3, 3)), coupling]])
-    model = gx.make_model(3, 1.0, 1.0, 0.0, hzz, np.zeros(6))
-    axes = tuple(gx.Axis(-8.0, 8.0, 48) for _ in range(3))
-    psi = gx.gaussian_packet(axes, 1.0, [0.0] * 3, [0.0] * 3, [1.0] * 3)
+    model, psi = _fully_coupled_3d()
     with pytest.raises(PlanError, match=r"^leg \[0, 1\.2\]: .* couples the "
                                         r"axis pairs \(0, 1\), \(0, 2\), "
                                         r"\(1, 2\)"):
         gx.evolve(model, psi, 1.2)
+
+
+def test_coupled_pairs_refused_before_any_transform(monkeypatch):
+    """The planner refuses a leg that couples more than one axis pair, so
+    evolve raises before it applies any kernel."""
+    calls = []
+    apply = evolution._apply_kernel
+    monkeypatch.setattr(evolution, "_apply_kernel",
+                        lambda *args: calls.append(args) or apply(*args))
+    model, psi = _fully_coupled_3d()
+    with pytest.raises(PlanError, match=r"^leg \[0, 1\.2\]: .* couples the "
+                                        r"axis pairs \(0, 1\), \(0, 2\), "
+                                        r"\(1, 2\)"):
+        gx.evolve(model, psi, 1.2)
+    assert calls == []
 
 
 def _packet(n, x0=0.3, p0=0.1, alpha=1.0):
